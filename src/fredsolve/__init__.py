@@ -10,8 +10,8 @@ filter), ``baselines`` (classical regularization and iteration methods),
 
 from .errors import (ConfigError, ContractionError, DegenerateProblemError,
                      ExprParseError, FredsolveError, InvalidRadiusError,
-                     NoValidMuError, NumericalParameterError, OnSpectrumError,
-                     ParameterExclusionError, UndefinedDeltaError)
+                     NonFiniteValueError, NoValidMuError, NumericalParameterError,
+                     OnSpectrumError, ParameterExclusionError, UndefinedDeltaError)
 from .grid import (FourierCoeffs, Grid1D, GridFunction, KernelFourierCoeffs,
                    fourier_coeffs, gauss_legendre, gauss_panels, integrate,
                    kernel_fourier_coeffs)
@@ -24,14 +24,13 @@ from .fredholm2 import (SecondKindSystem, SpectrumEstimate, deflate_on_spectrum,
 from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
                        green_triangular, make_manufactured, perturb)
 from .method_core import (FourierState, MethodParams, PipelineState,
-                          ResidualReport, build_F0, build_F1, build_K,
-                          build_kappa, build_rho, method_v1, method_v2,
-                          method_v2_single, select_mu, solve_psi1,
-                          verify_solution)
-from .baselines import (BaselineParams, IterateHistory, averaged_iterate,
-                        fridman_iterate, implicit_iterate,
-                        krasnoselskii_iterate, lavrentiev, quasisolution,
-                        steepest_descent, stopping_rule, tikhonov_weighted)
+                          ResidualReport, build_F0, build_F1, build_kappa,
+                          build_rho, method_v1, method_v2, method_v2_single,
+                          select_mu, solve_psi1, verify_solution)
+from .baselines import (IterateHistory, averaged_iterate, fridman_iterate,
+                        implicit_iterate, krasnoselskii_iterate, lavrentiev,
+                        quasisolution, steepest_descent, stopping_rule,
+                        tikhonov_weighted)
 from .reduction2d import (Bvp2DReduction, GridFunction2D, Method2DResult,
                           closure_delta, forward2d, method2d_solve,
                           reconstruct_u, reduce_heat, reduce_membrane,

@@ -21,7 +21,6 @@ from .grid import GridFunction, Grid1D, gauss_legendre, operator_matrix
 from .problems import FirstKindProblem
 
 __all__ = [
-    "BaselineParams",
     "IterateHistory",
     "lavrentiev",
     "tikhonov_weighted",
@@ -33,25 +32,6 @@ __all__ = [
     "quasisolution",
     "stopping_rule",
 ]
-
-
-@dataclass(frozen=True)
-class BaselineParams:
-    """Knobs for the classical methods; only the ones a given method reads."""
-
-    alpha: float = 1e-4
-    lambda_step: float | None = None
-    nu: float | None = None
-    R: float = 1.0
-    delta: float = 0.0
-    gamma: float = 0.0
-    c1: float = 1.0
-    c2: float = 1.0
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
 
 
 @dataclass

@@ -21,7 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import baselines, method_core, problems, reduction2d
-from .errors import ConfigError, FredsolveError, NumericalParameterError
+from .errors import (ConfigError, FredsolveError, NonFiniteValueError,
+                     NumericalParameterError)
 from .expr import compile_expr
 from .grid import GridFunction, gauss_legendre
 from .method_core import MethodParams
@@ -158,12 +159,8 @@ def _run_method(method, prob, args):
         psi = state.psi
         extras = {"mu": state.mu}
     elif method == "v2_single":
-        if params.mu is None:
-            params = MethodParams.create(r=args.r, lam=args.lam,
-                                         mu=method_core.select_mu(prob, params),
-                                         quad_order=args.grid, n_out=args.grid)
-        psi = method_core.method_v2_single(prob, params)
-        extras = {"mu": params.mu}
+        psi, mu = method_core.method_v2_single(prob, params)
+        extras = {"mu": mu}
     elif method == "v1":
         state = method_core.method_v1(prob, params, n_fourier=args.fourier_n)
         grid = gauss_legendre(args.grid, 0.0, 1.0)
@@ -312,6 +309,8 @@ def cmd_reduce(args):
         if args.solve:
             psi_v, u_v = reduction2d.reduce_ode_volterra(a, f, n=args.grid)
             psi_f, u_f = reduction2d.reduce_ode_fredholm(a, f, n=args.grid)
+            if not all(np.all(np.isfinite(g.values)) for g in (psi_v, u_v, psi_f, u_f)):
+                raise NonFiniteValueError("the ode reduction produced non-finite psi or u")
             csv_path = os.path.join(args.out, "ode.csv")
             write_csv(csv_path, ["x", "psi_volterra", "u_volterra", "psi_fredholm", "u_fredholm"],
                       list(zip(u_v.grid.nodes, psi_v.values, u_v.values,
@@ -385,7 +384,6 @@ def build_parser():
         p.add_argument("--grid", type=int, default=64)
         p.add_argument("--fourier-n", dest="fourier_n", type=int, default=16)
         p.add_argument("--out", default="out")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
         p.add_argument("--psi", default=None, help="psi expression (manufactures the problem)")
         p.add_argument("--f", default=None, help="free-term expression")
         p.add_argument("--csv", default=None, help="tabulated-kernel CSV path")
@@ -398,6 +396,7 @@ def build_parser():
 
     p = sub.add_parser("problems", help="list registered kernels")
     common(p)
+    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.set_defaults(func=cmd_problems)
 
     p = sub.add_parser("forward", help="evaluate the direct problem f = A psi")

@@ -68,6 +68,10 @@ class ContractionError(NumericalParameterError):
         super().__init__(f"simple iteration diverges: |mu|*c1 = {abs(mu) * c1:.6g} >= 1")
 
 
+class NonFiniteValueError(NumericalParameterError):
+    """A free term, kernel or solution holds infinite or NaN values."""
+
+
 class DegenerateProblemError(NumericalParameterError):
     """A reduction produced a vanishing denominator for a constant of integration."""
 

@@ -11,12 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractionError, OnSpectrumError
+from .errors import ConfigError, ContractionError, NoValidMuError, OnSpectrumError
 from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, operator_matrix
 
 __all__ = [
     "SecondKindSystem",
     "SpectrumEstimate",
+    "gated_system",
+    "probe_mu",
     "solve_direct",
     "neumann_iterate",
     "estimate_spectrum",
@@ -27,6 +29,10 @@ __all__ = [
 # relative smallest-singular-value threshold separating spectrum hits from
 # conditioning noise at desk-scale n
 ON_SPECTRUM_RTOL = 1e-10
+
+# a probed mu keeps a wider margin than the hard gate, so its system needs no
+# second check
+_MU_PROBE_RTOL = 1e-6
 
 # rounded operations behind one term of the symmetrized matrix (see
 # estimate_spectrum's rounding bound)
@@ -62,17 +68,36 @@ class SpectrumEstimate:
     eigenfunctions: list = field(default_factory=list)
 
 
-def solve_direct(system: SecondKindSystem, matrix: np.ndarray | None = None) -> GridFunction:
-    """Dense solve of the Nystrom system (I - mu A) psi = F.
+def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL) -> np.ndarray:
+    """The matrix I - mu A, checked by one values-only SVD.
 
-    Raises OnSpectrumError when the smallest singular value of I - mu A
-    drops below ON_SPECTRUM_RTOL times its norm.
+    Raises OnSpectrumError when its smallest singular value is at most rtol
+    times its largest.
     """
-    A = system.matrix() if matrix is None else matrix
-    M = np.eye(system.grid.n) - system.mu * A
+    M = np.eye(A.shape[0]) - mu * A
     svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] <= ON_SPECTRUM_RTOL * svals[0]:
-        raise OnSpectrumError(system.mu, float(svals[-1]))
+    if svals[-1] <= rtol * svals[0]:
+        raise OnSpectrumError(mu, float(svals[-1]))
+    return M
+
+
+def probe_mu(A: np.ndarray, candidates) -> tuple[float, np.ndarray]:
+    """First candidate mu whose I - mu A clears the probe margin, with that matrix."""
+    candidates = list(candidates)
+    if not candidates:
+        raise ConfigError("the mu probe needs a nonempty candidate list")
+    for mu in candidates:
+        try:
+            return float(mu), gated_system(A, mu, _MU_PROBE_RTOL)
+        except OnSpectrumError:
+            pass
+    raise NoValidMuError(candidates)
+
+
+def solve_direct(system: SecondKindSystem, matrix: np.ndarray | None = None) -> GridFunction:
+    """Dense solve of the Nystrom system (I - mu A) psi = F behind ``gated_system``."""
+    A = system.matrix() if matrix is None else matrix
+    M = gated_system(A, system.mu)
     return GridFunction(system.grid, np.linalg.solve(M, system.rhs()))
 
 

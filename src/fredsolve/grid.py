@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValueError
 
 __all__ = [
     "Grid1D",
@@ -117,7 +117,7 @@ class FourierCoeffs:
         if cn.size != cp.size or cn.size < 1:
             raise ConfigError("cn and cn_prime must have equal length >= 1")
         if not (np.isfinite(self.c0) and np.all(np.isfinite(cn)) and np.all(np.isfinite(cp))):
-            raise ConfigError("non-finite Fourier coefficients")
+            raise NonFiniteValueError("non-finite Fourier coefficients")
 
     @property
     def order(self) -> int:

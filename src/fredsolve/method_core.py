@@ -22,16 +22,17 @@ first-kind equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NoValidMuError, ParameterExclusionError
-from .fredholm2 import SecondKindSystem, solve_direct
+from .errors import (ConfigError, NoValidMuError, NonFiniteValueError,
+                     ParameterExclusionError)
+from .fredholm2 import SecondKindSystem, probe_mu, solve_direct
 from .grid import (FourierCoeffs, GridFunction, Grid1D, KernelFourierCoeffs,
                    apply_operator, fourier_coeffs, gauss_legendre,
                    kernel_fourier_coeffs, operator_matrix)
-from .kernels import (PoissonParams, kernel_matrix, poisson_h,
-                      require_lambda_valid)
+from .kernels import PoissonParams, kernel_matrix, require_lambda_valid
 from .problems import FirstKindProblem
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "ResidualReport",
     "DEFAULT_MU_CANDIDATES",
     "select_mu",
-    "build_K",
     "build_F1",
     "solve_psi1",
     "build_rho",
@@ -54,9 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_MU_CANDIDATES = (0.05, 0.1, 0.2, -0.1, 0.5)
-
-# select_mu keeps a wider margin than solve_direct's hard singularity gate
-_MU_PROBE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,195 +119,154 @@ class ResidualReport:
 
 
 class _Workspace:
-    """Grids and dense operator blocks shared by the pipeline stages."""
+    """Grids and dense operator blocks of one grid-route request.
 
-    def __init__(self, problem: FirstKindProblem, params: MethodParams):
+    Each block is built when a stage first needs it (H_w and A_K are kept,
+    the others serve one stage), so a request pays only for the stages it
+    runs.  The stages act along axis 0 (the grid), so values with trailing
+    axes, such as the 2D route's (nx, ny) arrays, pass through unchanged.
+    """
+
+    def __init__(self, params: MethodParams, problem: FirstKindProblem | None = None,
+                 grid01: Grid1D | None = None, gridm: Grid1D | None = None):
         require_lambda_valid(params.poisson, params.min_rel_dist)
-        p = params.poisson
-        self.problem = problem
         self.params = params
-        self.grid01 = gauss_legendre(params.n_out, 0.0, 1.0)
-        self.gridm = gauss_legendre(params.n_out, -1.0, 0.0)
-        xs, xm = self.grid01.nodes, self.gridm.nodes
-        self.A_k = operator_matrix(problem.kernel, self.grid01,
-                                   diag_split=problem.diag_split,
-                                   quad_order=params.quad_order)
-        mrd = params.min_rel_dist
-        self.H_w = kernel_matrix("H", p, xs, xs, mrd) * self.grid01.weights[None, :]
+        self.problem = problem
+        self.grid01 = grid01 if grid01 is not None else gauss_legendre(params.n_out, 0.0, 1.0)
+        self.gridm = gridm if gridm is not None else gauss_legendre(params.n_out, -1.0, 0.0)
+
+    def _block(self, kind: str, out_grid: Grid1D, in_grid: Grid1D) -> np.ndarray:
+        return kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes,
+                             self.params.min_rel_dist) * in_grid.weights[None, :]
+
+    @cached_property
+    def H_w(self) -> np.ndarray:
+        return self._block("H", self.grid01, self.grid01)
+
+    @cached_property
+    def A_K(self) -> np.ndarray:
         # discrete composition of K = k + lam * H k; exact in the grid algebra
-        self.A_K = self.A_k + p.lam * (self.H_w @ self.A_k)
-        self.h_m01_w = poisson_h(xm[:, None], xs[None, :], p) * self.grid01.weights[None, :]
-        self.L_mm_w = kernel_matrix("L", p, xm, xm, mrd) * self.gridm.weights[None, :]
-        self.H_01m_w = kernel_matrix("H", p, xs, xm, mrd) * self.gridm.weights[None, :]
+        return self.smooth(operator_matrix(self.problem.kernel, self.grid01,
+                                           diag_split=self.problem.diag_split,
+                                           quad_order=self.params.quad_order))
+
+    def smooth(self, values: np.ndarray) -> np.ndarray:
+        """values + lam int_0^1 H(x, xi) values(xi) d xi."""
+        return values + self.params.poisson.lam * (self.H_w @ values)
+
+    def probe(self, candidates=None) -> float:
+        """First candidate mu for which I - mu A_K passes the mu probe."""
+        return probe_mu(self.A_K, DEFAULT_MU_CANDIDATES if candidates is None else candidates)[0]
 
     def f_values(self) -> np.ndarray:
         return np.asarray(self.problem.free_term(self.grid01.nodes), dtype=float)
 
-    def second_kind(self, mu: float, free_values: np.ndarray):
-        system = SecondKindSystem(kernel=None, free_term=lambda x: free_values,
+    def solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
+        system = SecondKindSystem(kernel=None, free_term=lambda x: rhs,
                                   mu=mu, grid=self.grid01)
-        return solve_direct(system, matrix=self.A_K)
+        return solve_direct(system, matrix=self.A_K).values
+
+    def F1(self, mu: float, f: np.ndarray) -> np.ndarray:
+        return -mu * self.smooth(f)
+
+    def rho(self, psi1: np.ndarray) -> np.ndarray:
+        return -self.params.poisson.lam * (self._block("h", self.gridm, self.grid01) @ psi1)
+
+    def kappa(self, rho: np.ndarray) -> np.ndarray:
+        return rho + self.params.poisson.Lambda * (self._block("L", self.gridm, self.gridm) @ rho)
+
+    def F0(self, kappa: np.ndarray) -> np.ndarray:
+        return self.params.poisson.lam * (self._block("H", self.grid01, self.gridm) @ kappa)
+
+    def single(self, psi1: np.ndarray) -> np.ndarray:
+        Lambda = self.params.poisson.Lambda
+        fprime = -Lambda * (self._block("l", self.grid01, self.grid01) @ psi1)
+        return fprime + Lambda * (self._block("L", self.grid01, self.grid01) @ fprime)
 
 
 def select_mu(problem: FirstKindProblem, params: MethodParams, candidates=None) -> float:
     """First candidate for which I - mu A_K stays comfortably nonsingular."""
-    candidates = list(DEFAULT_MU_CANDIDATES if candidates is None else candidates)
-    if not candidates:
-        raise ConfigError("select_mu needs a nonempty candidate list")
-    ws = _Workspace(problem, params)
-    for mu in candidates:
-        svals = np.linalg.svd(np.eye(ws.grid01.n) - mu * ws.A_K, compute_uv=False)
-        if svals[-1] > _MU_PROBE_RTOL * svals[0]:
-            return float(mu)
-    raise NoValidMuError(candidates)
-
-
-def build_K(kernel, params: MethodParams, diag_split: bool = False):
-    """Pointwise evaluator of K(x, xi) = k(x, xi) + lam int_0^1 H(x, z) k(z, xi) dz.
-
-    The z-quadrature is split at the k-kink (z = xi) and graded toward z = x
-    where H concentrates as r -> 1.
-    """
-    require_lambda_valid(params.poisson, params.min_rel_dist)
-    p = params.poisson
-    base = np.polynomial.legendre.leggauss(max(24, params.quad_order // 2))
-
-    def z_rule(x, xi):
-        breaks = {0.0, 1.0, float(xi), float(x)}
-        d = max(1e-12, 1.0 - p.r)
-        while d < 1.0:
-            for s in (x - d, x + d):
-                if 1e-14 < s < 1.0 - 1e-14:
-                    breaks.add(float(s))
-            d *= 8.0
-        bp = sorted(breaks)
-        t, v = base
-        zs, wsl = [], []
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            if hi - lo < 1e-14:
-                continue
-            zs.append(0.5 * (hi - lo) * t + 0.5 * (lo + hi))
-            wsl.append(0.5 * (hi - lo) * v)
-        return np.concatenate(zs), np.concatenate(wsl)
-
-    def evaluate(x, xi):
-        x_arr, xi_arr = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                            np.asarray(xi, dtype=float))
-        out = np.empty(x_arr.shape)
-        for idx in np.ndindex(x_arr.shape):
-            xx, zz = float(x_arr[idx]), float(xi_arr[idx])
-            zq, wq = z_rule(xx, zz)
-            Hv = kernel_matrix("H", p, np.array([xx]), zq, params.min_rel_dist)[0]
-            kv = np.asarray(kernel(zq, np.full_like(zq, zz)), dtype=float)
-            out[idx] = (np.asarray(kernel(xx, zz), dtype=float)
-                        + p.lam * float(np.sum(wq * Hv * kv)))
-        return out if out.ndim else float(out)
-
-    return evaluate
+    return _Workspace(params, problem).probe(candidates)
 
 
 def build_F1(f, params: MethodParams, grid: Grid1D | None = None) -> GridFunction:
     """F1 = -mu [f + lam int_0^1 H(x, xi) f(xi) d xi] on the solve grid."""
     if params.mu is None:
         raise ConfigError("build_F1 needs mu; run select_mu first")
-    require_lambda_valid(params.poisson, params.min_rel_dist)
-    p = params.poisson
-    grid = grid if grid is not None else gauss_legendre(params.n_out, 0.0, 1.0)
-    fv = np.asarray(f(grid.nodes), dtype=float)
-    Hw = kernel_matrix("H", p, grid.nodes, grid.nodes,
-                       params.min_rel_dist) * grid.weights[None, :]
-    return GridFunction(grid, -params.mu * (fv + p.lam * (Hw @ fv)))
+    ws = _Workspace(params, grid01=grid)
+    fv = np.asarray(f(ws.grid01.nodes), dtype=float)
+    return GridFunction(ws.grid01, ws.F1(params.mu, fv))
 
 
 def solve_psi1(problem: FirstKindProblem, params: MethodParams) -> GridFunction:
     """Solve the data-only second-kind equation for psi1."""
     if params.mu is None:
         raise ConfigError("solve_psi1 needs mu; run select_mu first")
-    ws = _Workspace(problem, params)
-    F1 = build_F1(problem.free_term, params, ws.grid01)
-    return ws.second_kind(params.mu, F1.values)
+    ws = _Workspace(params, problem)
+    return GridFunction(ws.grid01, ws.solve(params.mu, ws.F1(params.mu, ws.f_values())))
 
 
 def build_rho(psi1: GridFunction, params: MethodParams) -> GridFunction:
     """rho(x) = -lam int_0^1 h(x, xi) psi1(xi) d xi, sampled on [-1, 0]."""
-    p = params.poisson
-    gridm = gauss_legendre(params.n_out, -1.0, 0.0)
-    h = poisson_h(gridm.nodes[:, None], psi1.grid.nodes[None, :], p)
-    return GridFunction(gridm, -p.lam * (h @ (psi1.grid.weights * psi1.values)))
+    ws = _Workspace(params, grid01=psi1.grid)
+    return GridFunction(ws.gridm, ws.rho(psi1.values))
 
 
 def build_kappa(rho: GridFunction, params: MethodParams) -> GridFunction:
     """kappa = rho + Lambda int_-1^0 L(x, xi) rho(xi) d xi."""
-    require_lambda_valid(params.poisson, params.min_rel_dist)
-    p = params.poisson
-    Lw = kernel_matrix("L", p, rho.grid.nodes, rho.grid.nodes,
-                       params.min_rel_dist) * rho.grid.weights[None, :]
-    return GridFunction(rho.grid, rho.values + p.Lambda * (Lw @ rho.values))
+    return GridFunction(rho.grid, _Workspace(params, gridm=rho.grid).kappa(rho.values))
 
 
 def build_F0(kappa: GridFunction, params: MethodParams,
              grid: Grid1D | None = None) -> GridFunction:
     """F0(x) = lam int_-1^0 H(x, xi) kappa(xi) d xi on [0, 1]."""
-    require_lambda_valid(params.poisson, params.min_rel_dist)
-    p = params.poisson
-    grid = grid if grid is not None else gauss_legendre(params.n_out, 0.0, 1.0)
-    Hw = kernel_matrix("H", p, grid.nodes, kappa.grid.nodes,
-                       params.min_rel_dist) * kappa.grid.weights[None, :]
-    return GridFunction(grid, p.lam * (Hw @ kappa.values))
+    ws = _Workspace(params, grid01=grid, gridm=kappa.grid)
+    return GridFunction(ws.grid01, ws.F0(kappa.values))
 
 
 def method_v2(problem: FirstKindProblem, params: MethodParams,
               mu_candidates=None, verify_threshold: float = 0.05) -> PipelineState:
     """Run the full grid route and verify the output against A psi = f."""
-    ws = _Workspace(problem, params)
-    mu = params.mu
-    if mu is None:
-        candidates = list(DEFAULT_MU_CANDIDATES if mu_candidates is None else mu_candidates)
-        for cand in candidates:
-            svals = np.linalg.svd(np.eye(ws.grid01.n) - cand * ws.A_K, compute_uv=False)
-            if svals[-1] > _MU_PROBE_RTOL * svals[0]:
-                mu = float(cand)
-                break
-        if mu is None:
-            raise NoValidMuError(candidates)
-    p = params.poisson
-    fv = ws.f_values()
-    F1 = GridFunction(ws.grid01, -mu * (fv + p.lam * (ws.H_w @ fv)))
-    psi1 = ws.second_kind(mu, F1.values)
-    rho = GridFunction(ws.gridm, -p.lam * (ws.h_m01_w @ psi1.values))
-    kappa = GridFunction(ws.gridm, rho.values + p.Lambda * (ws.L_mm_w @ rho.values))
-    F0 = GridFunction(ws.grid01, p.lam * (ws.H_01m_w @ kappa.values))
-    psi0 = ws.second_kind(mu, F0.values)
-    psi = GridFunction(ws.grid01, psi0.values + psi1.values)
+    ws = _Workspace(params, problem)
+    mu = ws.probe(mu_candidates) if params.mu is None else params.mu
+    F1 = ws.F1(mu, ws.f_values())
+    psi1 = ws.solve(mu, F1)
+    rho = ws.rho(psi1)
+    kappa = ws.kappa(rho)
+    F0 = ws.F0(kappa)
+    psi0 = ws.solve(mu, F0)
+    g, gm = ws.grid01, ws.gridm
+    psi = GridFunction(g, psi0 + psi1)
     report = verify_solution(problem, psi, threshold=verify_threshold,
                              quad_order=max(96, params.quad_order))
     recon = None
     if problem.psi_star is not None:
-        target = np.asarray(problem.psi_star(ws.grid01.nodes), dtype=float)
-        recon = ws.grid01.l2_norm(psi.values - target)
-    return PipelineState(psi1=psi1, rho=rho, kappa=kappa, F0=F0, F1=F1,
-                         psi0=psi0, psi=psi,
+        recon = g.l2_norm(psi.values - np.asarray(problem.psi_star(g.nodes), dtype=float))
+    return PipelineState(psi1=GridFunction(g, psi1), rho=GridFunction(gm, rho),
+                         kappa=GridFunction(gm, kappa), F0=GridFunction(g, F0),
+                         F1=GridFunction(g, F1), psi0=GridFunction(g, psi0), psi=psi,
                          residual_l2=report.residual_l2,
                          relative_residual=report.relative,
                          mu=mu, reconstruction_error=recon)
 
 
 def method_v2_single(problem: FirstKindProblem, params: MethodParams,
-                     psi1: GridFunction | None = None) -> GridFunction:
+                     psi1: GridFunction | None = None) -> tuple[GridFunction, float | None]:
     """Single-solve route: after psi1, only integrations remain.
 
     psi = f' + Lambda int_0^1 L f' with f'(x) = -Lambda int_0^1 l(x, xi)
     psi1(xi) d xi; algebraically this reproduces the grid route's F0.
+    Without psi1 it solves for psi1, probing mu on the same workspace when
+    params.mu is None.  Returns psi and the mu used (params.mu when psi1 is
+    given).
     """
-    require_lambda_valid(params.poisson, params.min_rel_dist)
-    if psi1 is None:
-        psi1 = solve_psi1(problem, params)
-    p = params.poisson
-    g = psi1.grid
-    lw = kernel_matrix("l", p, g.nodes, g.nodes, params.min_rel_dist) * g.weights[None, :]
-    Lw = kernel_matrix("L", p, g.nodes, g.nodes, params.min_rel_dist) * g.weights[None, :]
-    fprime = -p.Lambda * (lw @ psi1.values)
-    return GridFunction(g, fprime + p.Lambda * (Lw @ fprime))
+    if psi1 is not None:
+        ws, mu = _Workspace(params, grid01=psi1.grid), params.mu
+    else:
+        ws = _Workspace(params, problem)
+        mu = ws.probe() if params.mu is None else params.mu
+        psi1 = GridFunction(ws.grid01, ws.solve(mu, ws.F1(mu, ws.f_values())))
+    return GridFunction(ws.grid01, ws.single(psi1.values)), mu
 
 
 # r = 1 exclusion points of the Fourier route
@@ -386,16 +342,24 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
 
 def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05,
                     quad_order: int = 96) -> ResidualReport:
-    """Substitute psi into the first-kind equation and threshold the residual.
-
-    solvable: 'no' above threshold, 'yes' below threshold/10, else 'unknown'.
-    """
+    """Substitute psi into the first-kind equation and threshold the residual."""
     grid = gauss_legendre(quad_order, 0.0, 1.0)
     forward = apply_operator(problem.kernel, grid.nodes, psi, lo=0.0, hi=1.0,
                              diag_split=problem.diag_split, quad_order=quad_order)
     fv = np.asarray(problem.free_term(grid.nodes), dtype=float)
-    residual = grid.l2_norm(forward - fv)
-    fnorm = grid.l2_norm(fv)
+    return _verdict(grid.l2_norm(forward - fv), grid.l2_norm(fv), threshold)
+
+
+def _verdict(residual: float, fnorm: float, threshold: float) -> ResidualReport:
+    """Relative residual and its verdict, shared by the 1D and 2D filters.
+
+    solvable: 'no' above threshold, 'yes' below threshold/10, else 'unknown'.
+    Raises NonFiniteValueError when the residual or ||f|| is not finite, so a
+    NaN never produces a verdict.
+    """
+    if not (np.isfinite(residual) and np.isfinite(fnorm)):
+        raise NonFiniteValueError(f"residual {residual} and free-term norm {fnorm} "
+                                  "must be finite")
     if fnorm > 0.0:
         relative = residual / fnorm
     else:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateProblemError, NoValidMuError,
-                     OnSpectrumError, UndefinedDeltaError)
-from .grid import (GridFunction, Grid1D, gauss_legendre, interp_matrix,
-                   operator_matrix)
-from .kernels import kernel_matrix, poisson_h, require_lambda_valid
-from .method_core import DEFAULT_MU_CANDIDATES, MethodParams, ResidualReport
+from .errors import ConfigError, DegenerateProblemError, UndefinedDeltaError
+from .fredholm2 import gated_system, probe_mu
+from .grid import (MIN_PRODUCT_ORDER, GridFunction, Grid1D, gauss_legendre,
+                   interp_matrix, operator_matrix)
+from .method_core import (DEFAULT_MU_CANDIDATES, MethodParams, ResidualReport,
+                          _verdict, _Workspace)
 
 __all__ = [
     "Bvp2DReduction",
@@ -123,11 +123,7 @@ def reduce_ode_fredholm(a, f, n: int = 64) -> tuple[GridFunction, GridFunction]:
         xi = np.asarray(xi, dtype=float)
         return np.asarray(a(x), dtype=float) * np.where(xi <= x, -(1.0 - x), -(1.0 - xi))
 
-    A = operator_matrix(kern, grid, diag_split=True)
-    M = np.eye(grid.n) - A
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise OnSpectrumError(1.0, float(svals[-1]))
+    M = gated_system(operator_matrix(kern, grid, diag_split=True), 1.0)
     psi = np.linalg.solve(M, np.asarray(f(grid.nodes), dtype=float))
     u = _volterra_cumulative(grid) @ psi - float((grid.weights * (1.0 - grid.nodes)) @ psi)
     return GridFunction(grid, psi), GridFunction(grid, u)
@@ -174,57 +170,35 @@ def reduce_heat(u0) -> Bvp2DReduction:
     )
 
 
-def _x_rows(reduction, y, x_grid: Grid1D, base) -> np.ndarray:
-    # product rows of xi -> tau1(x_i, y, xi) with a split at xi = x_i
-    t, v = base
-    n = x_grid.n
-    A = np.zeros((n, n))
-    for i, x in enumerate(x_grid.nodes):
-        zq, wq = _split(0.0, x, 1.0, t, v)
-        vals = np.asarray(reduction.tau1(x, y, zq), dtype=float)
-        A[i, :] = (vals * wq) @ interp_matrix(x_grid.nodes, zq)
-    return A
+def _blocks(kernel_at, grid: Grid1D, points, varies: bool, quad_order: int) -> list:
+    # product-integration matrix of kernel_at(s) on grid for each s in points;
+    # one shared matrix when the kernel does not vary with s
+    def build(s):
+        return operator_matrix(kernel_at(s), grid, diag_split=True, quad_order=quad_order)
+    return [build(s) for s in points] if varies else [build(points[0])] * len(points)
 
 
-def _y_rows(reduction, x, y_grid: Grid1D, base) -> np.ndarray:
-    t, v = base
-    n = y_grid.n
-    A = np.zeros((n, n))
-    for j, y in enumerate(y_grid.nodes):
-        zq, wq = _split(0.0, y, 1.0, t, v)
-        vals = np.asarray(reduction.tau2(x, y, zq), dtype=float)
-        A[j, :] = (vals * wq) @ interp_matrix(y_grid.nodes, zq)
-    return A
+def _tau1_blocks(reduction, gx: Grid1D, ys, quad_order: int) -> list:
+    """Matrices of xi -> tau1(x, y, xi) on gx, one per y in ys."""
+    return _blocks(lambda y: lambda x, xi: reduction.tau1(x, y, xi), gx, ys,
+                   reduction.tau1_depends_on_y(), quad_order)
 
 
-def _split(lo, mid, hi, t, v):
-    xs, ws = [], []
-    for p, q in ((lo, mid), (mid, hi)):
-        if q - p < 1e-14:
-            continue
-        xs.append(0.5 * (q - p) * t + 0.5 * (p + q))
-        ws.append(0.5 * (q - p) * v)
-    return np.concatenate(xs), np.concatenate(ws)
+def _tau2_blocks(reduction, gy: Grid1D, xs, quad_order: int) -> list:
+    """Matrices of eta -> tau2(x, y, eta) on gy, one per x in xs."""
+    return _blocks(lambda x: lambda y, eta: reduction.tau2(x, y, eta), gy, xs,
+                   reduction.tau2_depends_on_x(), quad_order)
 
 
 def forward2d(reduction: Bvp2DReduction, psi: GridFunction2D,
               quad_order: int = 32) -> GridFunction2D:
     """Left-hand side of the reduced first-kind equation, sampled on psi's grid."""
     gx, gy = psi.x_grid, psi.y_grid
-    base = np.polynomial.legendre.leggauss(int(quad_order))
     out = np.zeros((gx.n, gy.n))
-    tau1_y = reduction.tau1_depends_on_y()
-    tau2_x = reduction.tau2_depends_on_x()
-    rows_x = None
-    for j, y in enumerate(gy.nodes):
-        if rows_x is None or tau1_y:
-            rows_x = _x_rows(reduction, y, gx, base)
-        out[:, j] += rows_x @ psi.values[:, j]
-    rows_y = None
-    for i, x in enumerate(gx.nodes):
-        if rows_y is None or tau2_x:
-            rows_y = _y_rows(reduction, x, gy, base)
-        out[i, :] += rows_y @ psi.values[i, :]
+    for j, rows in enumerate(_tau1_blocks(reduction, gx, gy.nodes, quad_order)):
+        out[:, j] += rows @ psi.values[:, j]
+    for i, rows in enumerate(_tau2_blocks(reduction, gy, gx.nodes, quad_order)):
+        out[i, :] += rows @ psi.values[i, :]
     return GridFunction2D(gx, gy, out)
 
 
@@ -239,50 +213,39 @@ def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "
     if which not in ("x", "y"):
         raise ConfigError(f"route must be 'x' or 'y', got {which!r}")
     gx, gy = psi.x_grid, psi.y_grid
-    base = np.polynomial.legendre.leggauss(int(quad_order))
     vals = np.zeros((gx.n, gy.n))
     if which == "x":
-        tau1_y = reduction.tau1_depends_on_y()
-        rows = None
-        for j, y in enumerate(gy.nodes):
-            if rows is None or tau1_y:
-                rows = _x_rows(reduction, y, gx, base)
+        for j, rows in enumerate(_tau1_blocks(reduction, gx, gy.nodes, quad_order)):
             vals[:, j] = rows @ psi.values[:, j]
         if boundary_corrected:
-            vals = vals - _edge_blend_y(reduction, psi, base)
+            vals = vals - _edge_blend_y(reduction, psi, quad_order)
     else:
-        tau2_x = reduction.tau2_depends_on_x()
-        rows = None
         F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
-        for i, x in enumerate(gx.nodes):
-            if rows is None or tau2_x:
-                rows = _y_rows(reduction, x, gy, base)
+        for i, rows in enumerate(_tau2_blocks(reduction, gy, gx.nodes, quad_order)):
             vals[i, :] = F[i, :] - rows @ psi.values[i, :]
         if boundary_corrected:
-            vals = vals - _edge_blend_x(reduction, psi, base)
+            vals = vals - _edge_blend_x(reduction, psi, quad_order)
     return GridFunction2D(gx, gy, vals)
 
 
-def _edge_blend_y(reduction, psi, base):
+def _edge_blend_y(reduction, psi, quad_order):
     # (1 - y) u(x, 0) + y u(x, 1), edges evaluated from the same representation
     gx, gy = psi.x_grid, psi.y_grid
     Ly = interp_matrix(gy.nodes, np.array([0.0, 1.0]))
     edge = np.zeros((gx.n, 2))
-    for col, y in enumerate((0.0, 1.0)):
-        rows = _x_rows(reduction, y, gx, base)
+    for col, rows in enumerate(_tau1_blocks(reduction, gx, (0.0, 1.0), quad_order)):
         edge[:, col] = rows @ (psi.values @ Ly[col])
     y = gy.nodes[None, :]
     return edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y
 
 
-def _edge_blend_x(reduction, psi, base):
+def _edge_blend_x(reduction, psi, quad_order):
     gx, gy = psi.x_grid, psi.y_grid
     Lx = interp_matrix(gx.nodes, np.array([0.0, 1.0]))
     F = np.asarray(reduction.free_term(np.array([0.0, 1.0])[:, None], gy.nodes[None, :]),
                    dtype=float)
     edge = np.zeros((2, gy.n))
-    for row, x in enumerate((0.0, 1.0)):
-        rows = _y_rows(reduction, x, gy, base)
+    for row, rows in enumerate(_tau2_blocks(reduction, gy, (0.0, 1.0), quad_order)):
         edge[row, :] = F[row, :] - rows @ (Lx[row] @ psi.values)
     x = gx.nodes[:, None]
     return (1.0 - x) * edge[[0], :] + x * edge[[1], :]
@@ -303,71 +266,38 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
                    verify_threshold: float = 0.05) -> Method2DResult:
     """Grid-route reformulation of the 2D first-kind equation.
 
-    y acts as a parameter: the Poisson smoothing applies along x only.  The
-    Nystrom system couples all nx*ny unknowns densely (capped at
-    MAX_2D_UNKNOWNS).
+    y acts as a parameter: the Poisson smoothing applies along x only, through
+    the 1D route's workspace stages with x on axis 0.  The Nystrom system
+    couples all nx*ny unknowns densely (capped at MAX_2D_UNKNOWNS).
     """
-    require_lambda_valid(params.poisson, params.min_rel_dist)
-    if nx * ny > MAX_2D_UNKNOWNS:
-        raise ConfigError(f"{nx}x{ny} exceeds the dense cap of {MAX_2D_UNKNOWNS} unknowns")
-    p = params.poisson
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
-    gm = gauss_legendre(nx, -1.0, 0.0)
-    base = np.polynomial.legendre.leggauss(max(24, params.quad_order // 2))
-    mrd = params.min_rel_dist
-    H_w = kernel_matrix("H", p, gx.nodes, gx.nodes, mrd) * gx.weights[None, :]
-
-    tau1_y = reduction.tau1_depends_on_y()
-    tau2_x = reduction.tau2_depends_on_x()
-    NN = nx * ny
-    A = np.zeros((NN, NN))
-    rows_x = None
-    for j, y in enumerate(gy.nodes):
-        if rows_x is None or tau1_y:
-            rows_x = _x_rows(reduction, y, gx, base)
+    ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+    if nx * ny > MAX_2D_UNKNOWNS:
+        raise ConfigError(f"{nx}x{ny} exceeds the dense cap of {MAX_2D_UNKNOWNS} unknowns")
+    q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
+    tau2_rows = _tau2_blocks(reduction, gy, gx.nodes, q)
+    A = np.zeros((nx * ny, nx * ny))
+    for j, rows in enumerate(_tau1_blocks(reduction, gx, gy.nodes, q)):
         # N = tau1 + lam * H tau1; discrete composition along x
-        N_y = rows_x + p.lam * (H_w @ rows_x)
         idx = np.arange(nx) * ny + j
-        A[np.ix_(idx, idx)] += N_y
-    rows_y = None
-    M_per_x = []
-    for i, x in enumerate(gx.nodes):
-        if rows_y is None or tau2_x:
-            rows_y = _y_rows(reduction, x, gy, base)
-        M_per_x.append(rows_y)
+        A[np.ix_(idx, idx)] += ws.smooth(rows)
+    for i, rows in enumerate(tau2_rows):
         idx = i * ny + np.arange(ny)
-        A[np.ix_(idx, idx)] += rows_y
+        A[np.ix_(idx, idx)] += rows
     # cross block T = lam H(x, xi) tau2(xi, y, eta)
+    lam = params.poisson.lam
     for i in range(nx):
         for k in range(nx):
-            A[i * ny:(i + 1) * ny, k * ny:(k + 1) * ny] += p.lam * H_w[i, k] * M_per_x[k]
+            A[i * ny:(i + 1) * ny, k * ny:(k + 1) * ny] += lam * ws.H_w[i, k] * tau2_rows[k]
 
-    mu = params.mu
-    eye = np.eye(NN)
-    if mu is None:
-        candidates = list(DEFAULT_MU_CANDIDATES if mu_candidates is None else mu_candidates)
-        for cand in candidates:
-            svals = np.linalg.svd(eye - cand * A, compute_uv=False)
-            if svals[-1] > 1e-6 * svals[0]:
-                mu = float(cand)
-                break
-        if mu is None:
-            raise NoValidMuError(candidates)
-    M = eye - mu * A
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise OnSpectrumError(mu, float(svals[-1]))
-
+    if params.mu is None:
+        mu, M = probe_mu(A, DEFAULT_MU_CANDIDATES if mu_candidates is None else mu_candidates)
+    else:
+        mu, M = params.mu, gated_system(A, params.mu)
     F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
-    F1 = -mu * (F + p.lam * (H_w @ F))
-    psi1 = np.linalg.solve(M, F1.reshape(-1)).reshape(nx, ny)
-    h_m = poisson_h(gm.nodes[:, None], gx.nodes[None, :], p) * gx.weights[None, :]
-    rho = -p.lam * (h_m @ psi1)
-    L_mm = kernel_matrix("L", p, gm.nodes, gm.nodes, mrd) * gm.weights[None, :]
-    kappa = rho + p.Lambda * (L_mm @ rho)
-    H_0m = kernel_matrix("H", p, gx.nodes, gm.nodes, mrd) * gm.weights[None, :]
-    F0 = p.lam * (H_0m @ kappa)
+    psi1 = np.linalg.solve(M, ws.F1(mu, F).reshape(-1)).reshape(nx, ny)
+    F0 = ws.F0(ws.kappa(ws.rho(psi1)))
     psi0 = np.linalg.solve(M, F0.reshape(-1)).reshape(nx, ny)
     psi = GridFunction2D(gx, gy, psi0 + psi1)
     report = verify2d(reduction, psi, threshold=verify_threshold)
@@ -383,15 +313,5 @@ def verify2d(reduction: Bvp2DReduction, psi: GridFunction2D,
     lhs = forward2d(reduction, psi, quad_order=quad_order)
     F = np.asarray(reduction.free_term(psi.x_grid.nodes[:, None],
                                        psi.y_grid.nodes[None, :]), dtype=float)
-    diff = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F)
-    residual = diff.l2_norm()
-    fnorm = GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm()
-    relative = residual / fnorm if fnorm > 0 else (0.0 if residual == 0.0 else np.inf)
-    if relative > threshold:
-        verdict = "no"
-    elif relative < threshold / 10.0:
-        verdict = "yes"
-    else:
-        verdict = "unknown"
-    return ResidualReport(residual_l2=float(residual), relative=float(relative),
-                          solvable=verdict, threshold=float(threshold))
+    residual = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F).l2_norm()
+    return _verdict(residual, GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm(), threshold)

@@ -202,7 +202,7 @@ def test_criterion_08_cross_route_consistency():
         prob = m1_problem()
         params = MethodParams.create(r=0.5, lam=0.2, mu=0.02)
         state = fs.method_v2(prob, params)
-        single = fs.method_v2_single(prob, params, psi1=state.psi1)
+        single, _ = fs.method_v2_single(prob, params, psi1=state.psi1)
         dev = np.max(np.abs(single.values - state.psi0.values))
         print(f"    [logged] |single - psi0|_max = {dev:.3e}, "
               f"|single - (psi0+psi1)|_L2 = "

@@ -65,6 +65,12 @@ class TestSolveCommand:
         assert rc == 2
         assert "(1/2) r^-n" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+    def test_non_finite_free_term_exit_code_2(self, tmp_path, capsys):
+        assert main(["solve", "--f", "exp(1000*x)", "--out", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_zero_free_term(self, tmp_path):
         out = str(tmp_path)
         assert main(["solve", "--method", "v2", "--f", "0", "--mu", "0.05",
@@ -129,6 +135,13 @@ class TestBenchCommand:
         header, rows = read_csv(tmp_path / "bench.csv")
         assert rows[0][header.index("status")].startswith("excluded")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+    def test_non_finite_row_excluded(self, tmp_path):
+        assert main(["bench", "--methods", "v2", "--epsilons", "0", "--f", "exp(1000*x)",
+                     "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "bench.csv")
+        assert rows[0][header.index("status")] == "excluded: NonFiniteValueError"
+
 
 class TestReduceCommand:
     def test_membrane_kernels_csv(self, tmp_path):
@@ -148,6 +161,12 @@ class TestReduceCommand:
         for row in rows:
             x = float(row[header.index("x")])
             assert float(row[iu]) == pytest.approx(1 - math.cosh(x) / math.cosh(1), abs=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+    def test_ode_non_finite_writes_nothing(self, tmp_path):
+        assert main(["reduce", "ode", "--solve", "--f-expr", "exp(1000*x)",
+                     "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_membrane_solve_verify(self, tmp_path):
         out = str(tmp_path)

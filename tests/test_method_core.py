@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from fredsolve.errors import (NoValidMuError, ParameterExclusionError)
+from fredsolve.errors import (NonFiniteValueError, NoValidMuError,
+                              ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
-from fredsolve.method_core import (MethodParams, build_F0, build_F1, build_K,
+from fredsolve.method_core import (MethodParams, build_F0, build_F1,
                                    build_kappa, build_rho, method_v1,
                                    method_v2, method_v2_single, select_mu,
                                    solve_psi1, verify_solution)
 from fredsolve.problems import FirstKindProblem, make_manufactured
 
-from oracles import tri_green
+from oracles import build_K, tri_green
 
 LAM, R, MU = 0.2, 0.5, 0.1
 PARAMS = MethodParams.create(r=R, lam=LAM, mu=MU)
@@ -36,7 +37,7 @@ class TestSelectMu:
     def test_characteristic_number_rejected(self):
         # construct the hit from the discrete spectrum of the composed matrix
         from fredsolve.method_core import _Workspace
-        ws = _Workspace(m1_problem(), PARAMS)
+        ws = _Workspace(PARAMS, m1_problem())
         evals = np.linalg.eigvals(ws.A_K)
         evals = evals[np.abs(evals) > 1e-8]
         mu_hit = float(1.0 / evals[np.argmax(np.abs(evals))].real)
@@ -47,7 +48,7 @@ class TestSelectMu:
 class TestBuildK:
     def test_lambda_zero_reduces_to_kernel(self):
         params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
-        K = build_K(tri_green, params0, diag_split=True)
+        K = build_K(tri_green, params0)
         pts = np.linspace(0.05, 0.95, 7)
         for x in pts:
             for xi in pts:
@@ -56,7 +57,7 @@ class TestBuildK:
     def test_r_to_one_limit(self):
         # at r = 0.999 the composed kernel approaches (1 - lam)/(1 - 2 lam) k
         params = MethodParams.create(r=0.999, lam=LAM, mu=MU)
-        K = build_K(tri_green, params, diag_split=True)
+        K = build_K(tri_green, params)
         pts = np.linspace(0.1, 0.9, 5)
         scale = (1 - LAM) / (1 - 2 * LAM)
         ref = np.max(np.abs(scale * tri_green(pts[:, None], pts[None, :])))
@@ -66,10 +67,10 @@ class TestBuildK:
                 assert abs(K(x, xi) - target) <= 0.02 * ref
 
     def test_quad_order_self_consistency(self):
-        v64 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU, quad_order=64),
-                      diag_split=True)(0.3, 0.6)
-        v128 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU, quad_order=128),
-                       diag_split=True)(0.3, 0.6)
+        v64 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU,
+                                                     quad_order=64))(0.3, 0.6)
+        v128 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU,
+                                                      quad_order=128))(0.3, 0.6)
         assert abs(v64 - v128) < 1e-8
 
 
@@ -220,6 +221,20 @@ class TestMethodV2:
             with pytest.raises(ParameterExclusionError):
                 method_v2(m1_problem(), MethodParams.create(r=R, lam=lam, mu=MU))
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_stages_are_the_public_stage_functions(self, n):
+        # the tests of build_* check the path that method_v2 runs, bit for bit
+        prob = m1_problem()
+        params = MethodParams.create(r=R, lam=LAM, mu=MU, quad_order=n, n_out=n)
+        state = method_v2(prob, params)
+        pairs = ((state.F1, build_F1(prob.free_term, params)),
+                 (state.psi1, solve_psi1(prob, params)),
+                 (state.rho, build_rho(state.psi1, params)),
+                 (state.kappa, build_kappa(state.rho, params)),
+                 (state.F0, build_F0(state.kappa, params)))
+        for stage, public in pairs:
+            assert np.array_equal(stage.values, public.values)
+
     def test_stored_residual_matches_recompute(self):
         prob = m1_problem()
         state = method_v2(prob, PARAMS)
@@ -230,21 +245,29 @@ class TestMethodV2:
 
 class TestMethodV2Single:
     def test_zero_psi1(self):
-        out = method_v2_single(zero_kernel_problem(lambda x: 0.0 * x), PARAMS,
-                               psi1=GridFunction(GRID, np.zeros(GRID.n)))
+        out, _ = method_v2_single(zero_kernel_problem(lambda x: 0.0 * x), PARAMS,
+                                  psi1=GridFunction(GRID, np.zeros(GRID.n)))
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_constant_psi1(self):
         # constant eigencomponents: f' = -Lambda/(1-2 lam), psi = -Lambda/(1-2 lam-Lambda)
-        out = method_v2_single(m1_problem(), PARAMS, psi1=GridFunction(GRID, np.ones(GRID.n)))
+        out, _ = method_v2_single(m1_problem(), PARAMS,
+                                  psi1=GridFunction(GRID, np.ones(GRID.n)))
         expected = -LAM ** 2 / (1 - 2 * LAM - LAM ** 2)
         assert np.max(np.abs(out.values - expected)) < 1e-10
+
+    def test_picks_and_reports_mu(self):
+        params = MethodParams.create(r=R, lam=LAM)
+        out, mu = method_v2_single(m1_problem(), params)
+        assert mu == select_mu(m1_problem(), params)
+        given, _ = method_v2_single(m1_problem(), MethodParams.create(r=R, lam=LAM, mu=mu))
+        assert np.array_equal(out.values, given.values)
 
     def test_cross_route_consistency(self):
         # single-integration route vs the two-solve route's (psi0+psi1) - psi1
         params = MethodParams.create(r=R, lam=LAM, mu=0.02)
         state = method_v2(m1_problem(), params)
-        single = method_v2_single(m1_problem(), params, psi1=state.psi1)
+        single, _ = method_v2_single(m1_problem(), params, psi1=state.psi1)
         against_psi0 = np.max(np.abs(single.values - state.psi0.values))
         assert against_psi0 < 1e-6
         print(f"\n[cross-route] |single - psi0|_max={against_psi0:.3e} "
@@ -301,6 +324,10 @@ class TestVerifySolution:
         state = method_v2(prob, PARAMS)
         report = verify_solution(prob, state.psi, threshold=0.05)
         assert report.solvable == "no"
+
+    def test_nan_candidate_has_no_verdict(self):
+        with pytest.raises(NonFiniteValueError):
+            verify_solution(m1_problem(), GridFunction(GRID, np.full(GRID.n, np.nan)))
 
     def test_zero_candidate(self):
         prob = m1_problem()

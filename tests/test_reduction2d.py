@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredsolve.errors import ConfigError, UndefinedDeltaError
-from fredsolve.grid import gauss_legendre
+from fredsolve.errors import ConfigError, NonFiniteValueError, UndefinedDeltaError
+from fredsolve.grid import gauss_legendre, operator_matrix
 from fredsolve.method_core import MethodParams
 from fredsolve.reduction2d import (Bvp2DReduction, GridFunction2D,
                                    closure_delta, forward2d, method2d_solve,
@@ -197,12 +197,12 @@ class TestMethod2D:
         red = reduce_membrane()
         params0 = MethodParams.create(r=0.5, lam=0.0, mu=0.05, min_rel_dist=0.0)
         result = method2d_solve(red, params0, nx=10, ny=10)
-        from fredsolve.reduction2d import _x_rows, _y_rows
         gx = result.psi.x_grid
         gy = result.psi.y_grid
-        base = np.polynomial.legendre.leggauss(32)
-        Rx = _x_rows(red, gy.nodes[0], gx, base)
-        Ry = _y_rows(red, gx.nodes[0], gy, base)
+        Rx = operator_matrix(lambda x, xi: red.tau1(x, gy.nodes[0], xi), gx,
+                             diag_split=True, quad_order=32)
+        Ry = operator_matrix(lambda y, eta: red.tau2(gx.nodes[0], y, eta), gy,
+                             diag_split=True, quad_order=32)
         NN = gx.n * gy.n
         A = np.zeros((NN, NN))
         for j in range(gy.n):
@@ -246,6 +246,11 @@ class TestVerify2D:
         psi = _sample2d(lambda x, y: 0.0 * x * y)
         report = verify2d(red, psi, threshold=0.05)
         assert report.solvable == "no"
+
+    def test_nan_candidate_has_no_verdict(self):
+        psi = _sample2d(lambda x, y: np.nan * x * y)
+        with pytest.raises(NonFiniteValueError):
+            verify2d(reduce_membrane(), psi)
 
     def test_structurally_obstructed_free_term(self):
         # f = 1 violates f(x, 0) = 0 forced by the tau2 block; the residual
