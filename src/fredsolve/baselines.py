@@ -66,12 +66,31 @@ def _adjoint_matrix(A: np.ndarray, grid: Grid1D) -> np.ndarray:
     return (A.T * w[None, :]) / w[:, None]
 
 
+def _iterate(grid: Grid1D, A: np.ndarray, f: np.ndarray, psi0, step,
+             max_iter: int, stop: float | None) -> IterateHistory:
+    # the one-step loop psi_{k+1} = step(psi_k, A psi_k - f) shared by every
+    # iteration family; a step returning None has converged in place
+    psi = np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float).copy()
+    res = A @ psi - f
+    hist = IterateHistory(grid, [psi], [grid.l2_norm(res)])
+    for _ in range(max_iter):
+        nxt = step(psi, res)
+        if nxt is None:
+            hist.converged = True
+            break
+        res = A @ nxt - f
+        hist.iterates.append(nxt)
+        hist.residual_norms.append(grid.l2_norm(res))
+        if stop is not None and grid.l2_norm(nxt - psi) <= stop:
+            hist.converged = True
+            break
+        psi = nxt
+    return hist
+
+
 def lavrentiev(problem: FirstKindProblem, alpha: float, n: int = 64) -> GridFunction:
-    """Solve alpha psi + A psi = f by a dense solve."""
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    grid, A, f = _setup(problem, n)
-    return GridFunction(grid, np.linalg.solve(alpha * np.eye(grid.n) + A, f))
+    """Solve alpha psi + A psi = f: weighted Tikhonov with unit weight."""
+    return tikhonov_weighted(problem, alpha, np.ones_like, n)
 
 
 def tikhonov_weighted(problem: FirstKindProblem, alpha: float, p0, n: int = 64) -> GridFunction:
@@ -85,12 +104,6 @@ def tikhonov_weighted(problem: FirstKindProblem, alpha: float, p0, n: int = 64) 
     return GridFunction(grid, np.linalg.solve(alpha * np.diag(pv) + A, f))
 
 
-def _smallest_char_number(problem: FirstKindProblem, grid: Grid1D) -> float:
-    est = estimate_spectrum(problem.kernel, grid, count=1,
-                            diag_split=problem.diag_split)
-    return float(est.char_numbers[0])
-
-
 def fridman_iterate(problem: FirstKindProblem, lambda_step: float, psi0,
                     max_iter: int = 200, stop: float | None = None,
                     n: int = 64) -> IterateHistory:
@@ -100,22 +113,13 @@ def fridman_iterate(problem: FirstKindProblem, lambda_step: float, psi0,
     0 < lambda_step < 2 lambda_1 (lambda_1 measured from the grid spectrum).
     """
     grid, A, f = _setup(problem, n)
-    lam1 = _smallest_char_number(problem, grid)
+    lam1 = float(estimate_spectrum(problem.kernel, grid, count=1,
+                                   diag_split=problem.diag_split).char_numbers[0])
     if not 0.0 < lambda_step < 2.0 * lam1:
         raise ConfigError(
             f"step {lambda_step:g} outside (0, 2*lambda_1) with lambda_1 = {lam1:.6g}")
-    psi = np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float).copy()
-    hist = IterateHistory(grid, [psi.copy()], [grid.l2_norm(A @ psi - f)])
-    for _ in range(max_iter):
-        nxt = psi + lambda_step * (f - A @ psi)
-        hist.iterates.append(nxt.copy())
-        hist.residual_norms.append(grid.l2_norm(A @ nxt - f))
-        if stop is not None and grid.l2_norm(nxt - psi) <= stop:
-            hist.converged = True
-            psi = nxt
-            break
-        psi = nxt
-    return hist
+    return _iterate(grid, A, f, psi0, lambda psi, res: psi - lambda_step * res,
+                    max_iter, stop)
 
 
 def _power_norm(M: np.ndarray, steps: int = 50, tol: float = 1e-8) -> float:
@@ -145,18 +149,8 @@ def krasnoselskii_iterate(problem: FirstKindProblem, nu: float, psi0,
     if not 0.0 < nu < 2.0 / norm_A1:
         raise ConfigError(f"step {nu:g} outside (0, 2/||A*A||) with ||A*A|| = {norm_A1:.6g}")
     f1 = Astar @ f
-    psi = np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float).copy()
-    hist = IterateHistory(grid, [psi.copy()], [grid.l2_norm(A @ psi - f)])
-    for _ in range(max_iter):
-        nxt = psi - nu * (A1 @ psi) + nu * f1
-        hist.iterates.append(nxt.copy())
-        hist.residual_norms.append(grid.l2_norm(A @ nxt - f))
-        if stop is not None and grid.l2_norm(nxt - psi) <= stop:
-            hist.converged = True
-            psi = nxt
-            break
-        psi = nxt
-    return hist
+    return _iterate(grid, A, f, psi0, lambda psi, res: psi - nu * (A1 @ psi) + nu * f1,
+                    max_iter, stop)
 
 
 def averaged_iterate(problem: FirstKindProblem, lambda_step: float, phi0,
@@ -167,17 +161,8 @@ def averaged_iterate(problem: FirstKindProblem, lambda_step: float, phi0,
     """
     if m < 0:
         raise ConfigError("m must be >= 0")
-    grid, A, f = _setup(problem, n)
-    lam1 = _smallest_char_number(problem, grid)
-    if not 0.0 < lambda_step < 2.0 * lam1:
-        raise ConfigError(
-            f"step {lambda_step:g} outside (0, 2*lambda_1) with lambda_1 = {lam1:.6g}")
-    phi = np.asarray(phi0(grid.nodes) if callable(phi0) else phi0, dtype=float).copy()
-    acc = phi.copy()
-    for _ in range(m):
-        phi = phi + lambda_step * (f - A @ phi)
-        acc += phi
-    return GridFunction(grid, acc / (m + 1))
+    hist = fridman_iterate(problem, lambda_step, phi0, max_iter=m, n=n)
+    return GridFunction(hist.grid, np.sum(hist.iterates, axis=0) / (m + 1))
 
 
 def implicit_iterate(problem: FirstKindProblem, alpha: float, psi0,
@@ -192,18 +177,8 @@ def implicit_iterate(problem: FirstKindProblem, alpha: float, psi0,
         raise ConfigError(f"alpha must be positive, got {alpha}")
     grid, A, f = _setup(problem, n)
     M = np.linalg.inv(alpha * np.eye(grid.n) + A)
-    psi = np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float).copy()
-    hist = IterateHistory(grid, [psi.copy()], [grid.l2_norm(A @ psi - f)])
-    for _ in range(max_iter):
-        nxt = M @ (alpha * psi + f)
-        hist.iterates.append(nxt.copy())
-        hist.residual_norms.append(grid.l2_norm(A @ nxt - f))
-        if stop is not None and grid.l2_norm(nxt - psi) <= stop:
-            hist.converged = True
-            psi = nxt
-            break
-        psi = nxt
-    return hist
+    return _iterate(grid, A, f, psi0, lambda psi, res: M @ (alpha * psi + f),
+                    max_iter, stop)
 
 
 def steepest_descent(problem: FirstKindProblem, psi0, max_iter: int = 200,
@@ -215,25 +190,17 @@ def steepest_descent(problem: FirstKindProblem, psi0, max_iter: int = 200,
     """
     grid, A, f = _setup(problem, n)
     Astar = _adjoint_matrix(A, grid)
-    psi = np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float).copy()
-    hist = IterateHistory(grid, [psi.copy()], [grid.l2_norm(A @ psi - f)])
-    for _ in range(max_iter):
-        g = Astar @ (A @ psi - f)
+
+    def step(psi, res):
+        g = Astar @ res
         gnorm2 = np.sum(grid.weights * g * g)
         if gnorm2 <= 1e-30:
-            hist.converged = True
-            break
+            return None
         Ag = A @ g
         beta = gnorm2 / np.sum(grid.weights * Ag * Ag)
-        nxt = psi - beta * g
-        hist.iterates.append(nxt.copy())
-        hist.residual_norms.append(grid.l2_norm(A @ nxt - f))
-        if stop is not None and grid.l2_norm(nxt - psi) <= stop:
-            hist.converged = True
-            psi = nxt
-            break
-        psi = nxt
-    return hist
+        return psi - beta * g
+
+    return _iterate(grid, A, f, psi0, step, max_iter, stop)
 
 
 def quasisolution(problem: FirstKindProblem, R: float, n: int = 64,
@@ -246,7 +213,8 @@ def quasisolution(problem: FirstKindProblem, R: float, n: int = 64,
     """
     if R <= 0:
         raise InvalidRadiusError(f"radius must be positive, got {R}")
-    grid, A, f = _setup(problem, n)
+    grid = gauss_legendre(n, 0.0, 1.0)
+    f = np.asarray(problem.free_term(grid.nodes), dtype=float)
     est = estimate_spectrum(problem.kernel, grid, count=count or grid.n,
                             diag_split=problem.diag_split)
     lam = est.char_numbers

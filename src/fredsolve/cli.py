@@ -171,25 +171,21 @@ def _run_method(method, prob, args):
         psi = baselines.tikhonov_weighted(prob, args.alpha, lambda x: np.ones_like(x),
                                           n=args.grid)
     elif method == "fridman":
-        grid = gauss_legendre(args.grid, 0.0, 1.0)
         step = args.step if args.step is not None else math.pi ** 2
-        hist = baselines.fridman_iterate(prob, step, np.zeros(grid.n),
+        hist = baselines.fridman_iterate(prob, step, np.zeros(args.grid),
                                          max_iter=args.iters, n=args.grid)
         psi = hist.final()
     elif method == "krasnoselskii":
-        grid = gauss_legendre(args.grid, 0.0, 1.0)
         nu = args.step if args.step is not None else 1.0
-        hist = baselines.krasnoselskii_iterate(prob, nu, np.zeros(grid.n),
+        hist = baselines.krasnoselskii_iterate(prob, nu, np.zeros(args.grid),
                                                max_iter=args.iters, n=args.grid)
         psi = hist.final()
     elif method == "implicit":
-        grid = gauss_legendre(args.grid, 0.0, 1.0)
-        hist = baselines.implicit_iterate(prob, args.alpha, np.zeros(grid.n),
+        hist = baselines.implicit_iterate(prob, args.alpha, np.zeros(args.grid),
                                           max_iter=args.iters, n=args.grid)
         psi = hist.final()
     elif method == "steepest":
-        grid = gauss_legendre(args.grid, 0.0, 1.0)
-        hist = baselines.steepest_descent(prob, np.zeros(grid.n),
+        hist = baselines.steepest_descent(prob, np.zeros(args.grid),
                                           max_iter=args.iters, n=args.grid)
         psi = hist.final()
     elif method == "quasisolution":
@@ -336,20 +332,19 @@ def cmd_reduce(args):
         for y in g.nodes:
             rows.append([x, y, float(red.tau1(x, y, 0.5)), float(red.tau2(x, y, 0.5)),
                          float(np.asarray(red.free_term(x, y)))])
-    csv_path = os.path.join(args.out, f"{args.bvp}_kernels.csv")
-    write_csv(csv_path, ["x", "y", "tau1_at_xi_half", "tau2_at_eta_half", "f"], rows)
-    out_paths = [csv_path]
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteValueError(f"the {args.bvp} kernels or free term are not finite on the grid")
+    tables = [(f"{args.bvp}_kernels.csv", ["x", "y", "tau1_at_xi_half", "tau2_at_eta_half", "f"],
+               rows)]
     summary = {"bvp": args.bvp}
     if args.solve:
         params = _method_params(args)
         result = reduction2d.method2d_solve(red, params, nx=args.grid2d, ny=args.grid2d)
-        sol_path = os.path.join(args.out, f"{args.bvp}_solution.csv")
         sol_rows = []
         for i, x in enumerate(result.psi.x_grid.nodes):
             for j, y in enumerate(result.psi.y_grid.nodes):
                 sol_rows.append([x, y, result.psi.values[i, j]])
-        write_csv(sol_path, ["x", "y", "psi"], sol_rows)
-        out_paths.append(sol_path)
+        tables.append((f"{args.bvp}_solution.csv", ["x", "y", "psi"], sol_rows))
         summary.update({"mu": result.mu,
                         "residual_l2": result.report.residual_l2,
                         "relative_residual": result.report.relative})
@@ -361,8 +356,12 @@ def cmd_reduce(args):
             summary["closure_delta"] = reduction2d.closure_delta(u1, u2)
         except FredsolveError:
             summary["closure_delta"] = None
-    write_json(os.path.join(args.out, "reduce.json"), summary)
+    # nothing is written until every table and the solve are known to be good
+    out_paths = [os.path.join(args.out, name) for name, _, _ in tables]
+    for path, (_, header, table) in zip(out_paths, tables):
+        write_csv(path, header, table)
     out_paths.append(os.path.join(args.out, "reduce.json"))
+    write_json(out_paths[-1], summary)
     sys.stdout.write("\n".join(out_paths) + "\n")
     return 0
 

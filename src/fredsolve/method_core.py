@@ -302,26 +302,12 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
                                diag_split=problem.diag_split)
     g = mu * (1.0 - lam)
     d = 2.0 * (1.0 - 2.0 * lam)
-    dim = 2 * N + 1
-    A = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    A[0, 0] = d - g * pk.p00
-    A[0, 1:N + 1] = -2.0 * g * pk.row0_cos
-    A[0, N + 1:] = -2.0 * g * pk.row0_sin
-    b[0] = -2.0 * g * c.c0
-    for n in range(1, N + 1):
-        i = n
-        A[i, 0] = -g * pk.col0_cos[n - 1]
-        A[i, 1:N + 1] = -2.0 * g * pk.cc[n - 1, :]
-        A[i, N + 1:] = -2.0 * g * pk.cs[n - 1, :]
-        A[i, i] += d
-        b[i] = -2.0 * g * c.cn[n - 1]
-        j = N + n
-        A[j, 0] = -g * pk.col0_sin[n - 1]
-        A[j, 1:N + 1] = -2.0 * g * pk.sc[n - 1, :]
-        A[j, N + 1:] = -2.0 * g * pk.ss[n - 1, :]
-        A[j, j] += d
-        b[j] = -2.0 * g * c.cn_prime[n - 1]
+    # column 0 (the constant harmonic) carries -g, every other column -2g
+    A = np.block([[pk.p00, pk.row0_cos, pk.row0_sin],
+                  [pk.col0_cos[:, None], pk.cc, pk.cs],
+                  [pk.col0_sin[:, None], pk.sc, pk.ss]]) * np.r_[-g, np.full(2 * N, -2.0 * g)]
+    np.fill_diagonal(A, A.diagonal() + d)
+    b = -2.0 * g * np.concatenate(([c.c0], c.cn, c.cn_prime))
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12:
         raise NoValidMuError([mu])

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProblemError, UndefinedDeltaError
+from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
+                     UndefinedDeltaError)
 from .fredholm2 import gated_system, probe_mu
 from .grid import (MIN_PRODUCT_ORDER, GridFunction, Grid1D, gauss_legendre,
                    interp_matrix, operator_matrix)
@@ -153,7 +154,10 @@ def reduce_membrane() -> Bvp2DReduction:
 
 def reduce_heat(u0) -> Bvp2DReduction:
     """Heat conduction on [0,1] x [0,1] (t as second axis) from initial data u0."""
-    edge = max(abs(float(u0(0.0))), abs(float(u0(1.0))))
+    edges = np.abs([float(u0(0.0)), float(u0(1.0))])
+    if not np.all(np.isfinite(edges)):
+        raise NonFiniteValueError(f"u0 must be finite at both ends; |u0| = {edges}")
+    edge = edges.max()
     if edge > 1e-8:
         raise ConfigError(f"u0 must vanish at both ends; boundary value {edge:.3g}")
 

@@ -6,7 +6,7 @@ from fredsolve.baselines import (averaged_iterate, fridman_iterate,
                                  lavrentiev, quasisolution, steepest_descent,
                                  stopping_rule, tikhonov_weighted)
 from fredsolve.errors import ConfigError, InvalidRadiusError
-from fredsolve.grid import gauss_legendre
+from fredsolve.grid import gauss_legendre, operator_matrix
 from fredsolve.problems import FirstKindProblem, NoiseSpec, make_manufactured, perturb
 
 from oracles import lavrentiev_exact_m1
@@ -192,6 +192,68 @@ class TestSteepestDescent:
         g = (A.T * GRID.weights[None, :]) @ (-f) / GRID.weights
         beta = np.sum(GRID.weights * g * g) / np.sum(GRID.weights * (A @ g) ** 2)
         assert np.max(np.abs(hist.iterates[1] - (-beta) * g)) < 1e-12
+
+
+def _textbook_updates(prob):
+    # one step of each family written out from its formula, on the same
+    # matrix the methods assemble
+    A = operator_matrix(prob.kernel, GRID, diag_split=prob.diag_split)
+    f = np.asarray(prob.free_term(GRID.nodes), dtype=float)
+    w = GRID.weights
+    Astar = (A.T * w[None, :]) / w[:, None]
+    A1, f1 = Astar @ A, Astar @ f
+    M = np.linalg.inv(1.0 * np.eye(GRID.n) + A)
+
+    def steepest(psi):
+        g = Astar @ (A @ psi - f)
+        beta = np.sum(w * g * g) / np.sum(w * (A @ g) * (A @ g))
+        return psi - beta * g
+
+    return A, f, {
+        "fridman": (lambda p, psi0, k: fridman_iterate(p, 2.0, psi0, max_iter=k),
+                    lambda psi: psi + 2.0 * (f - A @ psi)),
+        "krasnoselskii": (lambda p, psi0, k: krasnoselskii_iterate(p, 1.0, psi0, max_iter=k),
+                          lambda psi: psi - 1.0 * (A1 @ psi) + 1.0 * f1),
+        "implicit": (lambda p, psi0, k: implicit_iterate(p, 1.0, psi0, max_iter=k),
+                     lambda psi: M @ (1.0 * psi + f)),
+        "steepest": (lambda p, psi0, k: steepest_descent(p, psi0, max_iter=k), steepest),
+    }
+
+
+class TestOneDriver:
+    """Every iteration family runs one loop; its history is its own update."""
+
+    @pytest.mark.parametrize("method", ["fridman", "krasnoselskii", "implicit", "steepest"])
+    def test_history_is_the_method_update(self, method):
+        prob = m1_problem()
+        A, f, updates = _textbook_updates(prob)
+        run, update = updates[method]
+        hist = run(prob, lambda x: x, 6)
+        assert len(hist.iterates) == 7 and not hist.converged
+        for prev, nxt in zip(hist.iterates[:-1], hist.iterates[1:]):
+            assert np.array_equal(nxt, update(prev))
+        for it, res in zip(hist.iterates, hist.residual_norms, strict=True):
+            assert res == GRID.l2_norm(A @ it - f)
+
+    def test_averaged_is_mean_of_residual_correction(self):
+        m = 7
+        avg = averaged_iterate(m1_problem(), 1.0, lambda x: x, m=m)
+        hist = fridman_iterate(m1_problem(), 1.0, lambda x: x, max_iter=m)
+        acc = hist.iterates[0].copy()
+        for it in hist.iterates[1:]:
+            acc += it
+        assert np.array_equal(avg.values, acc / (m + 1))
+
+    def test_lavrentiev_is_unit_weight_tikhonov(self):
+        prob = m1_problem()
+        a = tikhonov_weighted(prob, 1e-3, lambda x: np.ones_like(x))
+        assert np.array_equal(lavrentiev(prob, 1e-3).values, a.values)
+
+    def test_steepest_at_zero_residual_stops_with_one_iterate(self):
+        prob = make_manufactured("green_triangular", lambda x: 0.0 * np.asarray(x))
+        hist = steepest_descent(prob, np.zeros(GRID.n), max_iter=5)
+        assert hist.converged
+        assert len(hist.iterates) == 1 and hist.residual_norms == [0.0]
 
 
 class TestQuasisolution:

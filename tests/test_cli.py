@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fredsolve import cli
 from fredsolve.cli import main
 
 
@@ -143,6 +145,18 @@ class TestBenchCommand:
         assert rows[0][header.index("status")] == "excluded: NonFiniteValueError"
 
 
+    def test_rows_independent_of_pool_size(self, tmp_path, monkeypatch):
+        # the baseline rows run concurrently; one worker must give the same bytes
+        argv = ["bench", "--methods",
+                "lavrentiev,tikhonov,fridman,krasnoselskii,implicit,steepest,quasisolution"]
+        assert main(argv + ["--out", str(tmp_path / "pool")]) == 0
+        monkeypatch.setattr(cli, "ThreadPoolExecutor",
+                            lambda max_workers: concurrent.futures.ThreadPoolExecutor(1))
+        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        assert ((tmp_path / "pool" / "bench.csv").read_bytes()
+                == (tmp_path / "serial" / "bench.csv").read_bytes())
+
+
 class TestReduceCommand:
     def test_membrane_kernels_csv(self, tmp_path):
         out = str(tmp_path)
@@ -166,6 +180,16 @@ class TestReduceCommand:
     def test_ode_non_finite_writes_nothing(self, tmp_path):
         assert main(["reduce", "ode", "--solve", "--f-expr", "exp(1000*x)",
                      "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(...) overflows
+    @pytest.mark.parametrize("extra", [
+        ["--u0-expr", "sin(3.141592653589793*x)*exp(4000*x*(1-x))"],
+        ["--u0-expr", "sin(3.141592653589793*x)*exp(4000*x*(1-x))", "--solve"],
+        ["--u0-expr", "exp(1000*x)*0*x", "--solve"],
+    ])
+    def test_heat_non_finite_writes_nothing(self, tmp_path, extra):
+        assert main(["reduce", "heat", "--grid2d", "8", "--out", str(tmp_path)] + extra) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_membrane_solve_verify(self, tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredsolve.errors import (NonFiniteValueError, NoValidMuError,
                               ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
-from fredsolve.method_core import (MethodParams, build_F0, build_F1,
+from fredsolve.method_core import (MethodParams, _verdict, build_F0, build_F1,
                                    build_kappa, build_rho, method_v1,
                                    method_v2, method_v2_single, select_mu,
                                    solve_psi1, verify_solution)
@@ -324,6 +326,17 @@ class TestVerifySolution:
         state = method_v2(prob, PARAMS)
         report = verify_solution(prob, state.psi, threshold=0.05)
         assert report.solvable == "no"
+
+    @settings(max_examples=200, deadline=None)
+    @given(residuals=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=8),
+           fnorm=st.floats(min_value=1e-6, max_value=1e6),
+           threshold=st.floats(min_value=1e-6, max_value=10.0))
+    def test_verdict_monotone_in_residual(self, residuals, fnorm, threshold):
+        # for fixed ||f|| > 0 and threshold, a larger residual never gives a
+        # more favourable verdict: yes -> unknown -> no
+        rank = {"yes": 0, "unknown": 1, "no": 2}
+        verdicts = [rank[_verdict(r, fnorm, threshold).solvable] for r in sorted(residuals)]
+        assert verdicts == sorted(verdicts)
 
     def test_nan_candidate_has_no_verdict(self):
         with pytest.raises(NonFiniteValueError):

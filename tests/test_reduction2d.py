@@ -107,6 +107,11 @@ class TestHeatReduction:
         with pytest.raises(ConfigError):
             reduce_heat(lambda x: np.asarray(x) + 1.0)
 
+    def test_nan_edge_rejected(self):
+        # max(0.0, nan) is 0.0, so a magnitude check alone lets a NaN edge through
+        with pytest.raises(NonFiniteValueError):
+            reduce_heat(lambda x: np.nan * np.asarray(x))
+
 
 class TestReconstructU:
     def test_zero_psi_x_route(self):
