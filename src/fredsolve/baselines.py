@@ -113,8 +113,8 @@ def fridman_iterate(problem: FirstKindProblem, lambda_step: float, psi0,
     0 < lambda_step < 2 lambda_1 (lambda_1 measured from the grid spectrum).
     """
     grid, A, f = _setup(problem, n)
-    lam1 = float(estimate_spectrum(problem.kernel, grid, count=1,
-                                   diag_split=problem.diag_split).char_numbers[0])
+    lam1 = float(estimate_spectrum(problem.kernel, grid, count=1, diag_split=problem.diag_split,
+                                   matrix=A).char_numbers[0])
     if not 0.0 < lambda_step < 2.0 * lam1:
         raise ConfigError(
             f"step {lambda_step:g} outside (0, 2*lambda_1) with lambda_1 = {lam1:.6g}")

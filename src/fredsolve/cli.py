@@ -327,15 +327,14 @@ def cmd_reduce(args):
     else:
         raise ConfigError(f"unknown bvp {args.bvp!r}; known: ode, membrane, heat")
     g = gauss_legendre(args.grid2d, 0.0, 1.0)
-    rows = []
-    for x in g.nodes:
-        for y in g.nodes:
-            rows.append([x, y, float(red.tau1(x, y, 0.5)), float(red.tau2(x, y, 0.5)),
-                         float(np.asarray(red.free_term(x, y)))])
-    if not np.all(np.isfinite(rows)):
+    x, y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    columns = [x, y, red.tau1(x, y, 0.5), red.tau2(x, y, 0.5), red.free_term(x, y)]
+    table = np.stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape).ravel()
+                      for c in columns], axis=1)
+    if not np.all(np.isfinite(table)):
         raise NonFiniteValueError(f"the {args.bvp} kernels or free term are not finite on the grid")
     tables = [(f"{args.bvp}_kernels.csv", ["x", "y", "tau1_at_xi_half", "tau2_at_eta_half", "f"],
-               rows)]
+               table.tolist())]
     summary = {"bvp": args.bvp}
     if args.solve:
         params = _method_params(args)

@@ -124,11 +124,13 @@ def neumann_iterate(system: SecondKindSystem, max_iter: int = 1000,
     return GridFunction(g, psi)
 
 
-def estimate_spectrum(kernel, grid: Grid1D, count: int,
-                      diag_split: bool = True) -> SpectrumEstimate:
+def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
+                      matrix: np.ndarray | None = None) -> SpectrumEstimate:
     """Leading characteristic numbers/eigenfunctions of a symmetric kernel.
 
     Works on the weight-symmetrized Nystrom matrix S = W^1/2 A W^-1/2;
+    ``matrix`` passes an A the caller has already assembled with the same
+    ``diag_split``, which is then not built again;
     eigenfunctions come back L2-normalized on the grid, ordered by ascending
     |characteristic number|.  Eigenvalues with |lambda| <= tau, the rounding
     bound below, are reported as zero and dropped, so fewer than ``count``
@@ -168,7 +170,7 @@ def estimate_spectrum(kernel, grid: Grid1D, count: int,
     if asym > 1e-8:
         raise ConfigError(f"kernel asymmetry {asym:.3g} exceeds 1e-8")
     sw = np.sqrt(ws)
-    A = operator_matrix(kernel, grid, diag_split=diag_split)
+    A = operator_matrix(kernel, grid, diag_split=diag_split) if matrix is None else matrix
     S = sw[:, None] * A / sw[None, :]
     S = 0.5 * (S + S.T)  # assembly asymmetry is at rounding level
     evals, evecs = np.linalg.eigh(S)

@@ -251,27 +251,51 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     return A
 
 
+def _row_panels(x, lo: float, hi: float, diag_split: bool):
+    # per output row the panel ends (p, q), shape (n, 2), of its rule in order:
+    # (lo, x), (x, hi) when split at x, with a panel under 1e-14 dropped as in
+    # _split_rule; (lo, hi) alone otherwise.  Slots a row leaves unused repeat
+    # its first panel; ``count`` holds the panels in use.
+    split = diag_split & (lo < x) & (x < hi)
+    keep_left = ~split | (x - lo >= 1e-14)
+    keep_right = split & (hi - x >= 1e-14)
+    first_q = np.where(split, x, hi)
+    p = np.stack([np.where(keep_left, lo, x), x], axis=1)
+    q = np.stack([np.where(keep_left, first_q, hi), np.full_like(x, hi)], axis=1)
+    single = ~(keep_left & keep_right)
+    p[single, 1], q[single, 1] = p[single, 0], q[single, 0]
+    return p, q, keep_left.astype(int) + keep_right
+
+
 def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.0,
                    diag_split: bool = False, quad_order: int = 64) -> np.ndarray:
     """Evaluate x -> integral_lo^hi kernel(x, xi) g(xi) d xi at out_nodes.
 
     ``source`` is either a callable or a GridFunction (interpolated from its
-    own grid).  Split at xi = x when ``diag_split``.
+    own grid).  Split at xi = x when ``diag_split``.  Each row keeps its own
+    rule; the kernel and a callable source are evaluated once on the array
+    of every row's points.
     """
-    out_nodes = np.asarray(out_nodes, dtype=float)
+    x = np.asarray(out_nodes, dtype=float)
     t, v = np.polynomial.legendre.leggauss(int(quad_order))
+    p, q, count = _row_panels(x, lo, hi, diag_split)
+    panels = 2 if np.any(count == 2) else 1
+    half = 0.5 * (q[:, :panels] - p[:, :panels])
+    zq = (half[:, :, None] * t + (0.5 * (p[:, :panels] + q[:, :panels]))[:, :, None]
+          ).reshape(x.size, -1)
+    wq = (half[:, :, None] * v).reshape(x.size, -1)
+    kv = np.asarray(kernel(np.repeat(x[:, None], zq.shape[1], axis=1), zq), dtype=float)
     if isinstance(source, GridFunction):
-        g = lambda z: interp_matrix(source.grid.nodes, z) @ source.values
+        gv = np.zeros_like(zq)
+        for i, m in enumerate(count * t.size):
+            gv[i, :m] = interp_matrix(source.grid.nodes, zq[i, :m]) @ source.values
     else:
-        g = lambda z: np.asarray(source(z), dtype=float)
-    out = np.zeros(out_nodes.shape)
-    for i, x in enumerate(out_nodes):
-        if diag_split and lo < x < hi:
-            zq, wq = _split_rule(lo, x, hi, t, v)
-        else:
-            zq = 0.5 * (hi - lo) * t + 0.5 * (lo + hi)
-            wq = 0.5 * (hi - lo) * v
-        out[i] = np.sum(wq * np.asarray(kernel(np.full_like(zq, x), zq), dtype=float) * g(zq))
+        gv = np.asarray(source(zq), dtype=float)
+    terms = wq * kv * gv
+    out = np.zeros(x.shape)
+    for c in np.unique(count[count > 0]):
+        rows = count == c
+        out[rows] = np.sum(terms[rows, :c * t.size], axis=1)
     return out
 
 

@@ -7,6 +7,7 @@ eigen-expansions, and separation-of-variables series.
 
 import numpy as np
 
+from fredsolve.grid import interp_matrix
 from fredsolve.kernels import kernel_matrix
 
 
@@ -74,6 +75,55 @@ def build_K(kernel, params):
         return out if out.ndim else float(out)
 
     return evaluate
+
+
+def series_coeffs(kind, p):
+    """(c0, a_1..a_N) of h, H, l or L, from the series definitions."""
+    n = np.arange(1, p.n_trunc + 1)
+    rn = np.power(p.r, n)
+    lam, Lam = p.lam, p.Lambda
+    if kind == "h":
+        return 1.0, rn
+    if kind == "H":
+        return 1.0 / (1.0 - 2.0 * lam), rn / (1.0 - 2.0 * lam * rn)
+    if kind == "l":
+        return 1.0 / (1.0 - 2.0 * lam), rn * rn / (1.0 - 2.0 * lam * rn)
+    return 1.0 / (1.0 - 2.0 * lam - Lam), rn * rn / (1.0 - 2.0 * lam * rn - Lam * rn * rn)
+
+
+def series_kernel(kind, p, x, xi):
+    """c0 + 2 sum a_n cos(2 pi n u), u = x - xi: one cosine per point pair and mode."""
+    c0, a = series_coeffs(kind, p)
+    u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
+    out = np.full(u.shape, float(c0))
+    n = np.arange(1, a.size + 1)
+    step = max(1, int(1e6 // max(out.size, 1)))
+    for s in range(0, a.size, step):
+        out += 2.0 * (np.cos(2.0 * np.pi * np.multiply.outer(u, n[s:s + step])) @ a[s:s + step])
+    return out
+
+
+def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_order):
+    """x -> int_lo^hi kernel(x, xi) g(xi) d xi, one row and one rule at a time."""
+    t, v = np.polynomial.legendre.leggauss(int(quad_order))
+    out = np.zeros(len(out_nodes))
+    for i, x in enumerate(out_nodes):
+        if diag_split and lo < x < hi:
+            zs, ws = [], []
+            for p, q in ((lo, x), (x, hi)):
+                if q - p >= 1e-14:
+                    zs.append(0.5 * (q - p) * t + 0.5 * (p + q))
+                    ws.append(0.5 * (q - p) * v)
+            zq, wq = np.concatenate(zs), np.concatenate(ws)
+        else:
+            zq = 0.5 * (hi - lo) * t + 0.5 * (lo + hi)
+            wq = 0.5 * (hi - lo) * v
+        if callable(source):
+            g = np.asarray(source(zq), dtype=float)
+        else:
+            g = interp_matrix(source.grid.nodes, zq) @ source.values
+        out[i] = np.sum(wq * np.asarray(kernel(np.full_like(zq, x), zq), dtype=float) * g)
+    return out
 
 
 def tri_green(x, xi):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fredsolve import baselines, fredholm2
 from fredsolve.baselines import (averaged_iterate, fridman_iterate,
                                  implicit_iterate, krasnoselskii_iterate,
                                  lavrentiev, quasisolution, steepest_descent,
@@ -98,6 +99,18 @@ class TestFridman:
         hist = fridman_iterate(m1_problem(), np.pi ** 2, lambda x: x, max_iter=200)
         errs = np.array([GRID.l2_norm(it - exact_m1(GRID.nodes)) for it in hist.iterates])
         assert np.all(np.diff(errs) < 0)
+
+    def test_operator_assembled_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].n)
+            return operator_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "operator_matrix", counted)
+        monkeypatch.setattr(fredholm2, "operator_matrix", counted)
+        fridman_iterate(m1_problem(), 2.0, np.zeros(GRID.n), max_iter=2)
+        assert calls == [GRID.n]
 
     def test_step_bound_enforced(self):
         with pytest.raises(ConfigError) as exc:

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fredsolve import cli
+from fredsolve import cli, reduction2d
 from fredsolve.cli import main
+from fredsolve.expr import compile_expr
+from fredsolve.grid import gauss_legendre
 
 
 def read_csv(path):
@@ -166,6 +168,18 @@ class TestReduceCommand:
         for row in rows:
             assert float(row[i_f]) == pytest.approx(
                 0.5 * float(row[iy]) * (1 - float(row[iy])), abs=1e-12)
+
+    @pytest.mark.parametrize("bvp", ["membrane", "heat"])
+    def test_kernel_table_matches_pointwise_samples(self, tmp_path, bvp):
+        assert main(["reduce", bvp, "--out", str(tmp_path), "--grid2d", "6"]) == 0
+        red = (reduction2d.reduce_membrane() if bvp == "membrane"
+               else reduction2d.reduce_heat(compile_expr("sin(3.141592653589793*x)")))
+        nodes = gauss_legendre(6, 0.0, 1.0).nodes
+        want = [[cli._fmt(v) for v in (x, y, float(red.tau1(x, y, 0.5)),
+                                       float(red.tau2(x, y, 0.5)),
+                                       float(np.asarray(red.free_term(x, y))))]
+                for x in nodes for y in nodes]
+        assert read_csv(tmp_path / f"{bvp}_kernels.csv")[1] == want
 
     def test_ode_solve(self, tmp_path):
         out = str(tmp_path)

@@ -122,6 +122,16 @@ class TestEstimateSpectrum:
         for f in est.eigenfunctions:
             assert abs(f.l2_norm() - 1.0) < 1e-10
 
+    def test_given_matrix_is_used(self):
+        A = operator_matrix(tri_green, GRID, diag_split=True)
+        est = estimate_spectrum(tri_green, GRID, count=4)
+        given = estimate_spectrum(tri_green, GRID, count=4, matrix=A)
+        assert np.array_equal(given.char_numbers, est.char_numbers)
+        for a, b in zip(given.eigenfunctions, est.eigenfunctions):
+            assert np.array_equal(a.values, b.values)
+        halved = estimate_spectrum(tri_green, GRID, count=4, matrix=2.0 * A)
+        assert np.allclose(halved.char_numbers, est.char_numbers / 2.0, rtol=1e-12)
+
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(ConfigError):
             estimate_spectrum(lambda x, xi: x * (1 + 0.0 * xi), GRID, count=2)

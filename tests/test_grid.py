@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredsolve.errors import ConfigError
-from fredsolve.grid import (FourierCoeffs, Grid1D, GridFunction, fourier_coeffs,
-                            gauss_legendre, gauss_panels, integrate,
+from fredsolve.grid import (FourierCoeffs, Grid1D, GridFunction, apply_operator,
+                            fourier_coeffs, gauss_legendre, gauss_panels, integrate,
                             kernel_fourier_coeffs, operator_matrix)
 
-from oracles import split_gauss, tri_green
+from oracles import apply_operator_rows, split_gauss, tri_green
 
 
 class TestGaussLegendre:
@@ -159,3 +159,39 @@ class TestOperatorMatrix:
         split = operator_matrix(kern, g, diag_split=True)
         f = np.exp(g.nodes)
         assert np.max(np.abs(plain @ f - split @ f)) < 1e-12
+
+
+class TestApplyOperator:
+    # rows at the interval ends, within 1e-14 of them (a degenerate panel is
+    # dropped), inside, and outside (unsplit)
+    X = np.concatenate(([0.0, 5e-15, 2e-14, 0.5, 1.0 - 5e-15, 1.0 - 2e-14, 1.0, -0.25, 1.5],
+                        gauss_legendre(21, 0.0, 1.0).nodes))
+
+    @staticmethod
+    def psi(z):
+        return np.sin(np.pi * z) + z * z
+
+    @pytest.mark.parametrize("diag_split", [True, False])
+    @pytest.mark.parametrize("quad_order", [13, 64, 100])
+    @pytest.mark.parametrize("kind", ["callable", "grid"])
+    def test_rows_match_per_row_oracle_bit_for_bit(self, diag_split, quad_order, kind):
+        g = gauss_legendre(20, 0.0, 1.0)
+        source = self.psi if kind == "callable" else GridFunction.sample(self.psi, g)
+        got = apply_operator(tri_green, self.X, source, diag_split=diag_split,
+                             quad_order=quad_order)
+        want = apply_operator_rows(tri_green, self.X, source, 0.0, 1.0, diag_split, quad_order)
+        assert np.array_equal(got, want)
+
+    def test_kernel_and_source_evaluated_once(self):
+        calls = {"kernel": 0, "source": 0}
+
+        def kernel(x, xi):
+            calls["kernel"] += 1
+            return tri_green(x, xi)
+
+        def source(z):
+            calls["source"] += 1
+            return self.psi(z)
+
+        apply_operator(kernel, self.X, source, diag_split=True, quad_order=16)
+        assert calls == {"kernel": 1, "source": 1}

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fredsolve import kernels
 from fredsolve.errors import ConfigError, ParameterExclusionError
 from fredsolve.grid import gauss_legendre, gauss_panels
 from fredsolve.kernels import (PoissonParams, kernel_l, kernel_matrix,
                                poisson_h, poisson_h_series, resolvent_H,
                                resolvent_L, validate_lambda)
+
+from oracles import series_coeffs, series_kernel
 
 P = PoissonParams.create(r=0.5, lam=0.2)
 
@@ -209,3 +212,74 @@ def test_difference_kernel_symmetry_is_exact():
     for kind in ("h", "H", "l", "L"):
         M = kernel_matrix(kind, P, xs, xs)
         assert np.array_equal(M, M.T)
+
+
+def _series_rounding_bound(kind, p, x, xi):
+    """Bound on |factored series - oracle series|, both in double precision.
+
+    With u = eps / 2 and gamma_k = k u / (1 - k u), each of the two evaluates
+    c0 + 2 sum_{n<=N} a_n cos(theta_n):
+
+    * phase: 2 pi n x takes three roundings (n x, the rounded pi, the
+      product), the oracle's 2 pi n (x - xi) four; cos is 1-Lipschitz, so
+      term n moves by at most gamma_4 2 pi n (|x| + |xi|) 2 |a_n|;
+    * values: the coefficient (a power, two products, a difference, a
+      quotient), the factor 2, the cos/sin values and their product, at
+      most 10 roundings relative to |a_n|, since
+      |cos a cos b| + |sin a sin b| <= 1;
+    * summation: 2N + 1 terms in any order (a GEMM or a matrix-vector
+      product) plus the symmetrizing average, gamma_{2N+2} times
+      A = |c0| + 2 sum |a_n|.
+
+    The returned bound doubles the sum of the three, one for each side.
+    """
+    c0, a = series_coeffs(kind, p)
+    eps = np.finfo(float).eps / 2.0
+
+    def gamma(k):
+        return k * eps / (1.0 - k * eps)
+
+    n = np.arange(1, a.size + 1)
+    A = abs(c0) + 2.0 * np.sum(np.abs(a))
+    phase = gamma(4) * 2.0 * np.pi * (np.max(np.abs(x)) + np.max(np.abs(xi))) \
+        * 2.0 * np.sum(n * np.abs(a))
+    return 2.0 * ((gamma(2 * a.size + 2) + gamma(10)) * A + phase)
+
+
+def _factored(kind, p, x, xi):
+    # h through the series entry point (kernel_matrix samples its closed form)
+    if kind == "h":
+        return poisson_h_series(x[:, None], xi[None, :], p)
+    return kernel_matrix(kind, p, x, xi)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("kind", ["h", "H", "l", "L"])
+def test_factored_series_matches_difference_oracle(kind, r):
+    p = PoissonParams.create(r=r, lam=0.2)
+    x = gauss_legendre(40, 0.0, 1.0).nodes
+    xi = gauss_legendre(50, -1.0, 0.0).nodes
+    s = gauss_legendre(64, 0.0, 1.0).nodes
+    for a, b in ((x, xi), (xi, x), (s, s)):
+        dev = np.max(np.abs(_factored(kind, p, a, b) - series_kernel(kind, p, a[:, None], b[None, :])))
+        assert dev <= _series_rounding_bound(kind, p, a, b)
+
+
+def test_oracle_cases_span_more_than_one_chunk():
+    # at r = 0.99 both node pairings above sum the series over several chunks
+    n_trunc = PoissonParams.create(r=0.99, lam=0.2).n_trunc
+    assert n_trunc > kernels._CHUNK // (40 + 50) and n_trunc > kernels._CHUNK // (64 + 64)
+
+
+def test_pointwise_series_shapes():
+    # outer-product and paired broadcasts both agree with the matrix evaluator
+    p = PoissonParams.create(r=0.9, lam=0.2)
+    x = np.linspace(0.0, 1.0, 7)
+    xi = np.linspace(-1.0, 0.0, 5)
+    M = kernel_matrix("H", p, x, xi)
+    assert np.array_equal(resolvent_H(x[:, None], xi[None, :], p), M)
+    assert np.array_equal(resolvent_H(xi[None, :], x[:, None], p), kernel_matrix("H", p, xi, x).T)
+    paired = resolvent_H(x[:5], xi, p)
+    assert paired.shape == (5,)
+    assert np.max(np.abs(paired - np.diag(M[:5]))) <= _series_rounding_bound("H", p, x, xi)
+    assert isinstance(resolvent_H(0.3, 0.8, p), float)

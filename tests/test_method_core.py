@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from fredsolve.errors import (NonFiniteValueError, NoValidMuError,
                               ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
-from fredsolve.method_core import (MethodParams, _verdict, build_F0, build_F1,
-                                   build_kappa, build_rho, method_v1,
+from fredsolve.method_core import (MethodParams, _verdict, _Workspace, build_F0,
+                                   build_F1, build_kappa, build_rho, method_v1,
                                    method_v2, method_v2_single, select_mu,
                                    solve_psi1, verify_solution)
 from fredsolve.problems import FirstKindProblem, make_manufactured
@@ -243,6 +245,49 @@ class TestMethodV2:
         report = verify_solution(prob, state.psi)
         assert state.residual_l2 == pytest.approx(report.residual_l2, rel=1e-12)
         assert state.relative_residual == pytest.approx(report.relative, rel=1e-12)
+
+
+N_LIN = 32
+PARAMS_LIN = MethodParams.create(r=0.9, lam=LAM, mu=MU, n_out=N_LIN, quad_order=N_LIN)
+LIN_BASIS = (lambda x: np.sin(np.pi * x), lambda x: x * x - 0.3, np.exp)
+
+
+def lin_problem(f):
+    return FirstKindProblem(name="lin", kernel=tri_green, free_term=f, diag_split=True)
+
+
+@functools.lru_cache(maxsize=1)
+def lin_operator():
+    """psi = T f at fixed mu, T read off column by column from the stages,
+    with the condition number of I - mu A_K."""
+    ws = _Workspace(PARAMS_LIN, lin_problem(np.sin))
+
+    def column(e):
+        psi1 = ws.solve(MU, ws.F1(MU, e))
+        return ws.solve(MU, ws.F0(ws.kappa(ws.rho(psi1)))) + psi1
+
+    T = np.stack([column(e) for e in np.eye(N_LIN)], axis=1)
+    return T, np.linalg.cond(np.eye(N_LIN) - MU * ws.A_K)
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(-3, 3, allow_nan=False), b=st.floats(-3, 3, allow_nan=False),
+       i=st.integers(0, 2), j=st.integers(0, 2))
+def test_method_v2_is_linear_in_f(a, b, i, j):
+    f, g = LIN_BASIS[i], LIN_BASIS[j]
+    fg = lambda x: a * f(x) + b * g(x)
+    psi = [method_v2(lin_problem(h), PARAMS_LIN).psi.values for h in (f, g, fg)]
+    defect = np.linalg.norm(psi[2] - a * psi[0] - b * psi[1])
+    # Each run returns T v + e(v) for its free-term values v.  Two
+    # backward-stable solves with I - mu A_K and a chain of n-term matrix
+    # products give ||e(v)|| <= gamma_{4n} kappa(I - mu A_K) ||T|| ||v||
+    # (gamma_k = k u / (1 - k u), u = eps / 2); the defect sums three such
+    # errors.
+    T, kappa = lin_operator()
+    x = gauss_legendre(N_LIN, 0.0, 1.0).nodes
+    k = 4 * N_LIN * np.finfo(float).eps / 2.0
+    scale = sum(np.linalg.norm(v) for v in (a * f(x), b * g(x), fg(x)))
+    assert defect <= k / (1.0 - k) * kappa * np.linalg.norm(T, 2) * scale
 
 
 class TestMethodV2Single:
