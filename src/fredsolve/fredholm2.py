@@ -17,8 +17,9 @@ from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, operator_matrix
 __all__ = [
     "SecondKindSystem",
     "SpectrumEstimate",
+    "DEFAULT_MU_CANDIDATES",
     "gated_system",
-    "probe_mu",
+    "gate_mu",
     "solve_direct",
     "neumann_iterate",
     "estimate_spectrum",
@@ -33,6 +34,8 @@ ON_SPECTRUM_RTOL = 1e-10
 # a probed mu keeps a wider margin than the hard gate, so its system needs no
 # second check
 _MU_PROBE_RTOL = 1e-6
+
+DEFAULT_MU_CANDIDATES = (0.05, 0.1, 0.2, -0.1, 0.5)
 
 # rounded operations behind one term of the symmetrized matrix (see
 # estimate_spectrum's rounding bound)
@@ -81,9 +84,17 @@ def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL) -> np
     return M
 
 
-def probe_mu(A: np.ndarray, candidates) -> tuple[float, np.ndarray]:
-    """First candidate mu whose I - mu A clears the probe margin, with that matrix."""
-    candidates = list(candidates)
+def gate_mu(A: np.ndarray, mu: float | None = None,
+            candidates=None) -> tuple[float, np.ndarray]:
+    """mu and its I - mu A, checked once by ``gated_system``.
+
+    A given mu is gated at ON_SPECTRUM_RTOL.  Without one, the first of
+    ``candidates`` (default DEFAULT_MU_CANDIDATES) whose matrix clears the
+    wider _MU_PROBE_RTOL margin is taken; NoValidMuError when none does.
+    """
+    if mu is not None:
+        return mu, gated_system(A, mu)
+    candidates = list(DEFAULT_MU_CANDIDATES if candidates is None else candidates)
     if not candidates:
         raise ConfigError("the mu probe needs a nonempty candidate list")
     for mu in candidates:
@@ -95,9 +106,12 @@ def probe_mu(A: np.ndarray, candidates) -> tuple[float, np.ndarray]:
 
 
 def solve_direct(system: SecondKindSystem, matrix: np.ndarray | None = None) -> GridFunction:
-    """Dense solve of the Nystrom system (I - mu A) psi = F behind ``gated_system``."""
-    A = system.matrix() if matrix is None else matrix
-    M = gated_system(A, system.mu)
+    """Dense solve of the Nystrom system (I - mu A) psi = F.
+
+    ``matrix`` is an I - mu A already gated for this mu (by ``gate_mu``) and
+    is not checked again; without it A is assembled and gated here.
+    """
+    M = gated_system(system.matrix(), system.mu) if matrix is None else matrix
     return GridFunction(system.grid, np.linalg.solve(M, system.rhs()))
 
 

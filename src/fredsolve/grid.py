@@ -215,14 +215,29 @@ def interp_matrix(nodes, targets) -> np.ndarray:
     return L
 
 
-def _split_rule(lo, mid, hi, base_nodes, base_weights):
-    xs, ws = [], []
-    for p, q in ((lo, mid), (mid, hi)):
-        if q - p < 1e-14:
-            continue
-        xs.append(0.5 * (q - p) * base_nodes + 0.5 * (p + q))
-        ws.append(0.5 * (q - p) * base_weights)
-    return np.concatenate(xs), np.concatenate(ws)
+def _row_rule(kernel, x, lo: float, hi, diag_split: bool, order: int):
+    # the one product-integration rule: every output row's Gauss rule of
+    # ``order`` points per panel on [lo, hi] (hi may vary per row), split at
+    # xi = x_i when ``diag_split`` and lo < x_i < hi; a panel under 1e-14 is
+    # dropped.  Returns the points zq, the kernel values times weights kw,
+    # both (n, panels * order), and per row the leading entries in use
+    # (0 for an empty rule).  Slots a row leaves unused repeat its first panel.
+    t, v = np.polynomial.legendre.leggauss(int(order))
+    split = diag_split & (lo < x) & (x < hi)
+    first_q = np.where(split, x, hi)
+    keep_left = first_q - lo >= 1e-14
+    keep_right = split & (hi - x >= 1e-14)
+    p = np.stack([np.where(keep_left, lo, x), x], axis=1)
+    q = np.stack([np.where(keep_left, first_q, hi), np.full_like(x, hi)], axis=1)
+    single = ~(keep_left & keep_right)
+    p[single, 1], q[single, 1] = p[single, 0], q[single, 0]
+    panels = 2 if np.any(keep_left & keep_right) else 1
+    half = 0.5 * (q[:, :panels] - p[:, :panels])
+    zq = (half[:, :, None] * t + (0.5 * (p[:, :panels] + q[:, :panels]))[:, :, None]
+          ).reshape(x.size, -1)
+    wq = (half[:, :, None] * v).reshape(x.size, -1)
+    kv = np.asarray(kernel(np.repeat(x[:, None], zq.shape[1], axis=1), zq), dtype=float)
+    return zq, kv * wq, (keep_left.astype(int) + keep_right) * t.size
 
 
 def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
@@ -235,36 +250,14 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     taken as 0 for xi > x.
     """
     xs, ws = grid.nodes, grid.weights
-    n = grid.n
     if not diag_split and not volterra:
         return np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws[None, :]
-    m = int(quad_order or max(n, MIN_PRODUCT_ORDER))
-    t, v = np.polynomial.legendre.leggauss(m)
-    A = np.zeros((n, n))
-    for i, x in enumerate(xs):
-        hi = x if volterra else grid.b
-        if hi - grid.a < 1e-14:
-            continue
-        zq, wq = _split_rule(grid.a, min(x, hi), hi, t, v)
-        vals = np.asarray(kernel(np.full_like(zq, x), zq), dtype=float)
-        A[i, :] = (vals * wq) @ interp_matrix(xs, zq)
+    m = quad_order or max(grid.n, MIN_PRODUCT_ORDER)
+    zq, kw, used = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
+    A = np.zeros((grid.n, grid.n))
+    for i in np.flatnonzero(used):
+        A[i] = kw[i, :used[i]] @ interp_matrix(xs, zq[i, :used[i]])
     return A
-
-
-def _row_panels(x, lo: float, hi: float, diag_split: bool):
-    # per output row the panel ends (p, q), shape (n, 2), of its rule in order:
-    # (lo, x), (x, hi) when split at x, with a panel under 1e-14 dropped as in
-    # _split_rule; (lo, hi) alone otherwise.  Slots a row leaves unused repeat
-    # its first panel; ``count`` holds the panels in use.
-    split = diag_split & (lo < x) & (x < hi)
-    keep_left = ~split | (x - lo >= 1e-14)
-    keep_right = split & (hi - x >= 1e-14)
-    first_q = np.where(split, x, hi)
-    p = np.stack([np.where(keep_left, lo, x), x], axis=1)
-    q = np.stack([np.where(keep_left, first_q, hi), np.full_like(x, hi)], axis=1)
-    single = ~(keep_left & keep_right)
-    p[single, 1], q[single, 1] = p[single, 0], q[single, 0]
-    return p, q, keep_left.astype(int) + keep_right
 
 
 def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.0,
@@ -277,25 +270,18 @@ def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.
     of every row's points.
     """
     x = np.asarray(out_nodes, dtype=float)
-    t, v = np.polynomial.legendre.leggauss(int(quad_order))
-    p, q, count = _row_panels(x, lo, hi, diag_split)
-    panels = 2 if np.any(count == 2) else 1
-    half = 0.5 * (q[:, :panels] - p[:, :panels])
-    zq = (half[:, :, None] * t + (0.5 * (p[:, :panels] + q[:, :panels]))[:, :, None]
-          ).reshape(x.size, -1)
-    wq = (half[:, :, None] * v).reshape(x.size, -1)
-    kv = np.asarray(kernel(np.repeat(x[:, None], zq.shape[1], axis=1), zq), dtype=float)
+    zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, quad_order)
     if isinstance(source, GridFunction):
         gv = np.zeros_like(zq)
-        for i, m in enumerate(count * t.size):
-            gv[i, :m] = interp_matrix(source.grid.nodes, zq[i, :m]) @ source.values
+        for i, u in enumerate(used):
+            gv[i, :u] = interp_matrix(source.grid.nodes, zq[i, :u]) @ source.values
     else:
         gv = np.asarray(source(zq), dtype=float)
-    terms = wq * kv * gv
+    terms = kw * gv
     out = np.zeros(x.shape)
-    for c in np.unique(count[count > 0]):
-        rows = count == c
-        out[rows] = np.sum(terms[rows, :c * t.size], axis=1)
+    for u in np.unique(used[used > 0]):
+        rows = used == u
+        out[rows] = np.sum(terms[rows, :u], axis=1)
     return out
 
 
@@ -338,17 +324,15 @@ def kernel_fourier_coeffs(kernel, N: int, quad_order: int = 64,
         innerC = K @ cw.T                 # (q, N): int k cos(2m pi xi)
         innerS = K @ sw.T
     else:
-        t, v = np.polynomial.legendre.leggauss(int(quad_order))
+        zq, kw, used = _row_rule(kernel, g.nodes, 0.0, 1.0, True, quad_order)
         inner0 = np.zeros(g.n)
         innerC = np.zeros((g.n, N))
         innerS = np.zeros((g.n, N))
-        for i, x in enumerate(g.nodes):
-            zq, wq = _split_rule(0.0, x, 1.0, t, v)
-            kv = np.asarray(kernel(np.full_like(zq, x), zq), dtype=float) * wq
-            inner0[i] = kv.sum()
-            phase_z = 2.0 * np.pi * np.multiply.outer(zq, n)
-            innerC[i] = kv @ np.cos(phase_z)
-            innerS[i] = kv @ np.sin(phase_z)
+        for i, u in enumerate(used):
+            phase_z = 2.0 * np.pi * np.multiply.outer(zq[i, :u], n)
+            inner0[i] = kw[i, :u].sum()
+            innerC[i] = kw[i, :u] @ np.cos(phase_z)
+            innerS[i] = kw[i, :u] @ np.sin(phase_z)
     return KernelFourierCoeffs(
         p00=2.0 * float(w @ inner0),
         row0_cos=2.0 * (w @ innerC),

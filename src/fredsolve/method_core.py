@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (ConfigError, NoValidMuError, NonFiniteValueError,
                      ParameterExclusionError)
-from .fredholm2 import SecondKindSystem, probe_mu, solve_direct
+from .fredholm2 import SecondKindSystem, gate_mu, solve_direct
 from .grid import (FourierCoeffs, GridFunction, Grid1D, KernelFourierCoeffs,
                    apply_operator, fourier_coeffs, gauss_legendre,
                    kernel_fourier_coeffs, operator_matrix)
@@ -40,7 +40,6 @@ __all__ = [
     "PipelineState",
     "FourierState",
     "ResidualReport",
-    "DEFAULT_MU_CANDIDATES",
     "select_mu",
     "build_F1",
     "solve_psi1",
@@ -52,8 +51,6 @@ __all__ = [
     "method_v1",
     "verify_solution",
 ]
-
-DEFAULT_MU_CANDIDATES = (0.05, 0.1, 0.2, -0.1, 0.5)
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,8 @@ class MethodParams:
     def create(cls, r: float = 0.5, lam: float = 0.2, mu: float | None = None,
                quad_order: int = 64, n_out: int = 64,
                min_rel_dist: float = 1e-3) -> "MethodParams":
+        if not np.isfinite(lam) or (mu is not None and not np.isfinite(mu)):
+            raise NonFiniteValueError(f"lambda={lam} and mu={mu} must be finite")
         poisson = PoissonParams.create(r=r, lam=lam)
         require_lambda_valid(poisson, min_rel_dist)
         return cls(poisson=poisson, mu=mu, quad_order=quad_order, n_out=n_out,
@@ -123,7 +122,8 @@ class _Workspace:
 
     Each block is built when a stage first needs it (H_w and A_K are kept,
     the others serve one stage), so a request pays only for the stages it
-    runs.  The stages act along axis 0 (the grid), so values with trailing
+    runs.  I - mu A_K is gated once per mu and kept for every solve with that
+    mu.  The stages act along axis 0 (the grid), so values with trailing
     axes, such as the 2D route's (nx, ny) arrays, pass through unchanged.
     """
 
@@ -134,6 +134,7 @@ class _Workspace:
         self.problem = problem
         self.grid01 = grid01 if grid01 is not None else gauss_legendre(params.n_out, 0.0, 1.0)
         self.gridm = gridm if gridm is not None else gauss_legendre(params.n_out, -1.0, 0.0)
+        self.mu = self.M = None
 
     def _block(self, kind: str, out_grid: Grid1D, in_grid: Grid1D) -> np.ndarray:
         return kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes,
@@ -154,17 +155,20 @@ class _Workspace:
         """values + lam int_0^1 H(x, xi) values(xi) d xi."""
         return values + self.params.poisson.lam * (self.H_w @ values)
 
-    def probe(self, candidates=None) -> float:
-        """First candidate mu for which I - mu A_K passes the mu probe."""
-        return probe_mu(self.A_K, DEFAULT_MU_CANDIDATES if candidates is None else candidates)[0]
+    def gate(self, mu: float | None = None, candidates=None) -> float:
+        """Gate I - mu A_K for a given mu, or probe candidates when mu is None."""
+        self.mu, self.M = gate_mu(self.A_K, mu, candidates)
+        return self.mu
 
     def f_values(self) -> np.ndarray:
         return np.asarray(self.problem.free_term(self.grid01.nodes), dtype=float)
 
     def solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
+        if mu != self.mu:
+            self.gate(mu)
         system = SecondKindSystem(kernel=None, free_term=lambda x: rhs,
                                   mu=mu, grid=self.grid01)
-        return solve_direct(system, matrix=self.A_K).values
+        return solve_direct(system, matrix=self.M).values
 
     def F1(self, mu: float, f: np.ndarray) -> np.ndarray:
         return -mu * self.smooth(f)
@@ -186,7 +190,7 @@ class _Workspace:
 
 def select_mu(problem: FirstKindProblem, params: MethodParams, candidates=None) -> float:
     """First candidate for which I - mu A_K stays comfortably nonsingular."""
-    return _Workspace(params, problem).probe(candidates)
+    return _Workspace(params, problem).gate(None, candidates)
 
 
 def build_F1(f, params: MethodParams, grid: Grid1D | None = None) -> GridFunction:
@@ -228,7 +232,7 @@ def method_v2(problem: FirstKindProblem, params: MethodParams,
               mu_candidates=None, verify_threshold: float = 0.05) -> PipelineState:
     """Run the full grid route and verify the output against A psi = f."""
     ws = _Workspace(params, problem)
-    mu = ws.probe(mu_candidates) if params.mu is None else params.mu
+    mu = ws.gate(params.mu, mu_candidates)
     F1 = ws.F1(mu, ws.f_values())
     psi1 = ws.solve(mu, F1)
     rho = ws.rho(psi1)
@@ -264,7 +268,7 @@ def method_v2_single(problem: FirstKindProblem, params: MethodParams,
         ws, mu = _Workspace(params, grid01=psi1.grid), params.mu
     else:
         ws = _Workspace(params, problem)
-        mu = ws.probe() if params.mu is None else params.mu
+        mu = ws.gate(params.mu)
         psi1 = GridFunction(ws.grid01, ws.solve(mu, ws.F1(mu, ws.f_values())))
     return GridFunction(ws.grid01, ws.single(psi1.values)), mu
 

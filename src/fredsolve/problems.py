@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValueError
 from .grid import GridFunction, Grid1D, apply_operator, gauss_legendre
 
 __all__ = [
@@ -144,6 +144,8 @@ def load_tabulated_kernel(path: str):
         table = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     except ValueError as exc:
         raise ConfigError(f"tabulated kernel {path!r}: {exc}") from exc
+    if not all(np.all(np.isfinite(a)) for a in (xi_nodes, x_nodes, table)):
+        raise NonFiniteValueError(f"tabulated kernel {path!r} holds non-finite entries")
     if np.any(np.diff(x_nodes) <= 0) or np.any(np.diff(xi_nodes) <= 0):
         raise ConfigError(f"tabulated kernel {path!r}: node rows/columns must increase")
 

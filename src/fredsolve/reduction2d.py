@@ -20,11 +20,10 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
                      UndefinedDeltaError)
-from .fredholm2 import gated_system, probe_mu
+from .fredholm2 import SecondKindSystem, gate_mu, solve_direct
 from .grid import (MIN_PRODUCT_ORDER, GridFunction, Grid1D, gauss_legendre,
                    interp_matrix, operator_matrix)
-from .method_core import (DEFAULT_MU_CANDIDATES, MethodParams, ResidualReport,
-                          _verdict, _Workspace)
+from .method_core import MethodParams, ResidualReport, _verdict, _Workspace
 
 __all__ = [
     "Bvp2DReduction",
@@ -124,8 +123,7 @@ def reduce_ode_fredholm(a, f, n: int = 64) -> tuple[GridFunction, GridFunction]:
         xi = np.asarray(xi, dtype=float)
         return np.asarray(a(x), dtype=float) * np.where(xi <= x, -(1.0 - x), -(1.0 - xi))
 
-    M = gated_system(operator_matrix(kern, grid, diag_split=True), 1.0)
-    psi = np.linalg.solve(M, np.asarray(f(grid.nodes), dtype=float))
+    psi = solve_direct(SecondKindSystem(kern, f, 1.0, grid, diag_split=True)).values
     u = _volterra_cumulative(grid) @ psi - float((grid.weights * (1.0 - grid.nodes)) @ psi)
     return GridFunction(grid, psi), GridFunction(grid, u)
 
@@ -295,10 +293,7 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
         for k in range(nx):
             A[i * ny:(i + 1) * ny, k * ny:(k + 1) * ny] += lam * ws.H_w[i, k] * tau2_rows[k]
 
-    if params.mu is None:
-        mu, M = probe_mu(A, DEFAULT_MU_CANDIDATES if mu_candidates is None else mu_candidates)
-    else:
-        mu, M = params.mu, gated_system(A, params.mu)
+    mu, M = gate_mu(A, params.mu, mu_candidates)
     F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
     psi1 = np.linalg.solve(M, ws.F1(mu, F).reshape(-1)).reshape(nx, ny)
     F0 = ws.F0(ws.kappa(ws.rho(psi1)))

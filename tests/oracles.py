@@ -7,7 +7,7 @@ eigen-expansions, and separation-of-variables series.
 
 import numpy as np
 
-from fredsolve.grid import interp_matrix
+from fredsolve.grid import MIN_PRODUCT_ORDER, KernelFourierCoeffs, interp_matrix
 from fredsolve.kernels import kernel_matrix
 
 
@@ -22,15 +22,58 @@ def composite_gauss(a, b, panels, n_per_panel):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def split_gauss(a, mid, b, n_per_panel):
-    t, v = np.polynomial.legendre.leggauss(n_per_panel)
+def split_rule(lo, mid, hi, t, v):
+    """Gauss panels (lo, mid), (mid, hi) of the base rule (t, v); a panel
+    under 1e-14 is dropped."""
     xs, ws = [], []
-    for lo, hi in ((a, mid), (mid, b)):
-        if hi - lo < 1e-15:
+    for p, q in ((lo, mid), (mid, hi)):
+        if q - p < 1e-14:
             continue
-        xs.append(0.5 * (hi - lo) * t + 0.5 * (lo + hi))
-        ws.append(0.5 * (hi - lo) * v)
+        xs.append(0.5 * (q - p) * t + 0.5 * (p + q))
+        ws.append(0.5 * (q - p) * v)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def split_gauss(a, mid, b, n_per_panel):
+    return split_rule(a, mid, b, *np.polynomial.legendre.leggauss(n_per_panel))
+
+
+def operator_matrix_rows(kernel, grid, volterra=False, quad_order=None):
+    """Product-integration matrix, one row and one split rule at a time: the
+    rule split at xi = x_i, or ending there when ``volterra``."""
+    xs = grid.nodes
+    t, v = np.polynomial.legendre.leggauss(int(quad_order or max(grid.n, MIN_PRODUCT_ORDER)))
+    A = np.zeros((grid.n, grid.n))
+    for i, x in enumerate(xs):
+        hi = x if volterra else grid.b
+        if hi - grid.a < 1e-14:
+            continue
+        zq, wq = split_rule(grid.a, min(x, hi), hi, t, v)
+        vals = np.asarray(kernel(np.full_like(zq, x), zq), dtype=float)
+        A[i, :] = (vals * wq) @ interp_matrix(xs, zq)
+    return A
+
+
+def kernel_fourier_coeffs_rows(kernel, N, quad_order=64):
+    """The nine moment families with the inner xi-integral split at xi = x,
+    one outer node at a time."""
+    t, v = np.polynomial.legendre.leggauss(int(quad_order))
+    x, w = 0.5 * t + 0.5, 0.5 * v
+    n = np.arange(1, N + 1)
+    phase_x = 2.0 * np.pi * np.multiply.outer(n, x)
+    cw, sw = np.cos(phase_x) * w, np.sin(phase_x) * w
+    inner0, innerC, innerS = np.zeros(x.size), np.zeros((x.size, N)), np.zeros((x.size, N))
+    for i, xi in enumerate(x):
+        zq, wq = split_rule(0.0, xi, 1.0, t, v)
+        kv = np.asarray(kernel(np.full_like(zq, xi), zq), dtype=float) * wq
+        inner0[i] = kv.sum()
+        phase_z = 2.0 * np.pi * np.multiply.outer(zq, n)
+        innerC[i] = kv @ np.cos(phase_z)
+        innerS[i] = kv @ np.sin(phase_z)
+    return KernelFourierCoeffs(
+        p00=2.0 * float(w @ inner0), row0_cos=2.0 * (w @ innerC), row0_sin=2.0 * (w @ innerS),
+        col0_cos=2.0 * (cw @ inner0), col0_sin=2.0 * (sw @ inner0), cc=2.0 * (cw @ innerC),
+        cs=2.0 * (cw @ innerS), sc=2.0 * (sw @ innerC), ss=2.0 * (sw @ innerS))
 
 
 def build_K(kernel, params):
@@ -109,12 +152,7 @@ def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_orde
     out = np.zeros(len(out_nodes))
     for i, x in enumerate(out_nodes):
         if diag_split and lo < x < hi:
-            zs, ws = [], []
-            for p, q in ((lo, x), (x, hi)):
-                if q - p >= 1e-14:
-                    zs.append(0.5 * (q - p) * t + 0.5 * (p + q))
-                    ws.append(0.5 * (q - p) * v)
-            zq, wq = np.concatenate(zs), np.concatenate(ws)
+            zq, wq = split_rule(lo, x, hi, t, v)
         else:
             zq = 0.5 * (hi - lo) * t + 0.5 * (lo + hi)
             wq = 0.5 * (hi - lo) * v

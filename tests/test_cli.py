@@ -75,6 +75,27 @@ class TestSolveCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1"])
+    @pytest.mark.parametrize("flag", [["--mu", "nan"], ["--mu", "inf"], ["--lambda", "nan"]])
+    def test_non_finite_parameter_exit_code_2(self, tmp_path, capsys, method, flag):
+        assert main(["solve", "--method", method, "--out", str(tmp_path / "o")] + flag) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1", "fridman", "quasisolution"])
+    @pytest.mark.parametrize("header,cell", [("0,0.5,1", "nan"), ("0,nan,1", "1"),
+                                             ("0,0.5,1", "-inf")])
+    def test_non_finite_tabulated_kernel_exit_code_2(self, tmp_path, capsys, method,
+                                                      header, cell):
+        table = tmp_path / "k.csv"
+        table.write_text(f"x,{header}\n0,1,1,1\n0.5,1,{cell},1\n1,1,1,1\n")
+        spec = tmp_path / "case.prob"
+        spec.write_text(f"kernel=tabulated\ncsv={table}\nf_expr=x\n")
+        assert main(["solve", "--method", method, "--problem", str(spec), "--grid", "16",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_free_term(self, tmp_path):
         out = str(tmp_path)
         assert main(["solve", "--method", "v2", "--f", "0", "--mu", "0.05",
@@ -204,6 +225,11 @@ class TestReduceCommand:
     ])
     def test_heat_non_finite_writes_nothing(self, tmp_path, extra):
         assert main(["reduce", "heat", "--grid2d", "8", "--out", str(tmp_path)] + extra) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_membrane_non_finite_mu_writes_nothing(self, tmp_path):
+        assert main(["reduce", "membrane", "--solve", "--mu", "nan", "--grid2d", "8",
+                     "--out", str(tmp_path)]) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_membrane_solve_verify(self, tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fredsolve.errors import ConfigError, ContractionError, OnSpectrumError
-from fredsolve.fredholm2 import (SecondKindSystem, deflate_on_spectrum,
-                                 estimate_spectrum, neumann_iterate,
-                                 solve_direct, solve_volterra2)
+from fredsolve.errors import (ConfigError, ContractionError, NoValidMuError,
+                              OnSpectrumError)
+from fredsolve.fredholm2 import (DEFAULT_MU_CANDIDATES, SecondKindSystem,
+                                 deflate_on_spectrum, estimate_spectrum, gate_mu,
+                                 neumann_iterate, solve_direct, solve_volterra2)
 from fredsolve.grid import GridFunction, gauss_legendre, operator_matrix
 
 from oracles import tri_green
@@ -49,6 +50,34 @@ class TestSolveDirect:
         sys_ = SecondKindSystem(tri_green, np.sin, mu=mu_hit, grid=GRID, diag_split=True)
         with pytest.raises(OnSpectrumError):
             solve_direct(sys_)
+
+
+class TestGateMu:
+    @staticmethod
+    def matrix(ratio):
+        # I - A = diag(1, ratio): sigma_min / sigma_max = ratio at mu = 1
+        return np.diag([0.0, 1.0 - ratio])
+
+    def test_given_mu_gated_at_the_hard_bound(self):
+        A = self.matrix(1e-8)
+        mu, M = gate_mu(A, 1.0)
+        assert mu == 1.0 and np.array_equal(M, np.eye(2) - A)
+        with pytest.raises(OnSpectrumError):
+            gate_mu(self.matrix(1e-12), 1.0)
+
+    def test_probe_keeps_the_wider_margin(self):
+        with pytest.raises(NoValidMuError):
+            gate_mu(self.matrix(1e-8), candidates=[1.0])
+        assert gate_mu(self.matrix(1e-8), candidates=[1.0, 0.5])[0] == 0.5
+
+    def test_default_candidates(self):
+        assert gate_mu(np.zeros((2, 2)))[0] == DEFAULT_MU_CANDIDATES[0]
+
+    def test_gated_matrix_is_solved_without_a_second_check(self, monkeypatch):
+        sys_ = SecondKindSystem(tri_green, np.sin, mu=0.5, grid=GRID, diag_split=True)
+        _, M = gate_mu(sys_.matrix(), sys_.mu)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert np.array_equal(solve_direct(sys_, M).values, np.linalg.solve(M, sys_.rhs()))
 
 
 class TestNeumannIterate:

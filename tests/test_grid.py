@@ -8,7 +8,21 @@ from fredsolve.grid import (FourierCoeffs, Grid1D, GridFunction, apply_operator,
                             fourier_coeffs, gauss_legendre, gauss_panels, integrate,
                             kernel_fourier_coeffs, operator_matrix)
 
-from oracles import apply_operator_rows, split_gauss, tri_green
+from fredsolve.problems import green_triangular
+from fredsolve.reduction2d import reduce_membrane
+
+from oracles import (apply_operator_rows, kernel_fourier_coeffs_rows,
+                     operator_matrix_rows, split_gauss, tri_green)
+
+# kinked kernels of the product-integration rule: the string influence
+# kernel, the ODE Fredholm reduction's kernel (a = 1 + x^2), the membrane
+# tau1 at one y, and the Volterra kernel x - xi
+SPLIT_KERNELS = {
+    "green_triangular": green_triangular,
+    "ode_fredholm": lambda x, xi: (1.0 + x * x) * np.where(xi <= x, -(1.0 - x), -(1.0 - xi)),
+    "membrane_tau1": lambda x, xi: reduce_membrane().tau1(x, 0.3, xi),
+    "x_minus_xi": lambda x, xi: x - xi,
+}
 
 
 class TestGaussLegendre:
@@ -143,6 +157,15 @@ class TestKernelFourierCoeffs:
         assert oracle == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert p.p00 == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("quad_order", [32, 64])
+    @pytest.mark.parametrize("name", sorted(SPLIT_KERNELS))
+    def test_split_moments_match_per_row_oracle_bit_for_bit(self, name, quad_order):
+        got = kernel_fourier_coeffs(SPLIT_KERNELS[name], 8, quad_order, diag_split=True)
+        want = kernel_fourier_coeffs_rows(SPLIT_KERNELS[name], 8, quad_order)
+        for field in ("p00", "row0_cos", "row0_sin", "col0_cos", "col0_sin",
+                      "cc", "cs", "sc", "ss"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
     def test_symmetric_kernel_moment_symmetry(self):
         kern = lambda x, xi: np.exp(-np.abs(0.0 * x) ) * (1.0 + 0.3 * np.cos(2 * np.pi * (x - xi)))
         p = kernel_fourier_coeffs(kern, N=4)
@@ -159,6 +182,31 @@ class TestOperatorMatrix:
         split = operator_matrix(kern, g, diag_split=True)
         f = np.exp(g.nodes)
         assert np.max(np.abs(plain @ f - split @ f)) < 1e-12
+
+    @pytest.mark.parametrize("volterra", [False, True])
+    @pytest.mark.parametrize("quad_order", [None, 40])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("name", sorted(SPLIT_KERNELS))
+    def test_rows_match_per_row_oracle_bit_for_bit(self, name, n, quad_order, volterra):
+        kernel, g = SPLIT_KERNELS[name], gauss_legendre(n, 0.0, 1.0)
+        got = operator_matrix(kernel, g, diag_split=not volterra, volterra=volterra,
+                              quad_order=quad_order)
+        assert np.array_equal(got, operator_matrix_rows(kernel, g, volterra, quad_order))
+
+    @pytest.mark.parametrize("volterra", [False, True])
+    def test_nodes_on_the_interval_ends(self, volterra):
+        # trapezoid grid: the end rows drop a panel, the first Volterra row is empty
+        x = np.linspace(0.0, 1.0, 17)
+        w = np.full(17, 1.0 / 16.0)
+        w[[0, -1]] *= 0.5
+        g = Grid1D(x, w, 0.0, 1.0)
+        kernel = SPLIT_KERNELS["x_minus_xi"]
+        got = operator_matrix(kernel, g, diag_split=not volterra, volterra=volterra)
+        assert np.array_equal(got, operator_matrix_rows(kernel, g, volterra))
+        if volterra:
+            assert not np.any(got[0])
+        else:
+            assert np.all(np.any(got, axis=1))
 
 
 class TestApplyOperator:

@@ -1,11 +1,12 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredsolve.errors import (NonFiniteValueError, NoValidMuError,
+from fredsolve.errors import (NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
 from fredsolve.method_core import (MethodParams, _verdict, _Workspace, build_F0,
@@ -13,6 +14,7 @@ from fredsolve.method_core import (MethodParams, _verdict, _Workspace, build_F0,
                                    method_v2, method_v2_single, select_mu,
                                    solve_psi1, verify_solution)
 from fredsolve.problems import FirstKindProblem, make_manufactured
+from fredsolve.reduction2d import method2d_solve, reduce_membrane
 
 from oracles import build_K, tri_green
 
@@ -28,6 +30,14 @@ def m1_problem():
 def zero_kernel_problem(f):
     return FirstKindProblem(name="zero", kernel=lambda x, xi: 0.0 * x * xi,
                             free_term=f, provenance="test")
+
+
+class TestMethodParams:
+    @pytest.mark.parametrize("bad", [{"mu": np.nan}, {"mu": np.inf}, {"lam": np.nan},
+                                     {"lam": -np.inf}])
+    def test_non_finite_mu_or_lambda_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            MethodParams.create(**bad)
 
 
 class TestSelectMu:
@@ -245,6 +255,37 @@ class TestMethodV2:
         report = verify_solution(prob, state.psi)
         assert state.residual_l2 == pytest.approx(report.residual_l2, rel=1e-12)
         assert state.relative_residual == pytest.approx(report.relative, rel=1e-12)
+
+
+class TestOneGatePerMatrix:
+    """Each I - mu A is checked by one values-only SVD; its solves reuse it."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        return calls
+
+    RUNS = {
+        "v2_probed": lambda: method_v2(m1_problem(), replace(PARAMS, mu=None)),
+        "v2_given": lambda: method_v2(m1_problem(), PARAMS),
+        "v2_single_probed": lambda: method_v2_single(m1_problem(), replace(PARAMS, mu=None)),
+        "select_mu": lambda: select_mu(m1_problem(), PARAMS),
+        "method2d_probed": lambda: method2d_solve(reduce_membrane(), replace(PARAMS, mu=None),
+                                                  nx=8, ny=8),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_one_svd_per_request(self, svd_calls, run):
+        self.RUNS[run]()
+        assert len(svd_calls) == 1
+
+    def test_given_mu_on_the_spectrum_is_still_rejected(self):
+        ws = _Workspace(PARAMS, m1_problem())
+        evals = np.linalg.eigvals(ws.A_K)
+        mu_hit = float(1.0 / evals[np.argmax(np.abs(evals))].real)
+        with pytest.raises(OnSpectrumError):
+            method_v2(m1_problem(), replace(PARAMS, mu=mu_hit))
 
 
 N_LIN = 32
