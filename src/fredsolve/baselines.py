@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRadiusError
+from .errors import ConfigError, InvalidRadiusError, require_finite
 from .fredholm2 import estimate_spectrum
 from .grid import GridFunction, Grid1D, gauss_legendre, operator_matrix
 from .problems import FirstKindProblem
@@ -112,6 +112,7 @@ def fridman_iterate(problem: FirstKindProblem, lambda_step: float, psi0,
     Requires a symmetric positive-definite kernel and
     0 < lambda_step < 2 lambda_1 (lambda_1 measured from the grid spectrum).
     """
+    require_finite(step=lambda_step)
     grid, A, f = _setup(problem, n)
     lam1 = float(estimate_spectrum(problem.kernel, grid, count=1, diag_split=problem.diag_split,
                                    matrix=A).char_numbers[0])
@@ -142,6 +143,7 @@ def krasnoselskii_iterate(problem: FirstKindProblem, nu: float, psi0,
                           max_iter: int = 200, stop: float | None = None,
                           n: int = 64) -> IterateHistory:
     """Normal-equation relaxation psi <- (I - nu A* A) psi + nu A* f."""
+    require_finite(step=nu)
     grid, A, f = _setup(problem, n)
     Astar = _adjoint_matrix(A, grid)
     A1 = Astar @ A

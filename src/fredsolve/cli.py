@@ -114,35 +114,28 @@ def _load_problem_file(path):
 
 
 def _problem_from_args(args):
-    name = args.problem
+    """One builder for both sources: a problem file's keys, else the same keys from flags."""
+    name, label = args.problem, None
+    spec = {"kernel": name, "r": args.r, "csv": args.csv, "psi_expr": args.psi, "f_expr": args.f}
     if os.sep in name or name.endswith((".prob", ".txt")) or os.path.exists(name):
-        spec = _load_problem_file(name)
-        kernel_name = spec.get("kernel", "green_triangular")
-        r = float(spec["r"]) if "r" in spec else args.r
-        csv_path = spec.get("csv")
-        if "psi_expr" in spec:
-            prob = problems.make_manufactured(kernel_name, compile_expr(spec["psi_expr"]),
-                                              r=r, csv_path=csv_path, label=name)
-        elif "f_expr" in spec:
-            kern, split = problems.get_kernel(kernel_name, r=r, csv_path=csv_path)
-            prob = problems.FirstKindProblem(
-                name=name, kernel=kern, free_term=compile_expr(spec["f_expr"]),
-                provenance=f"problem file {name}", diag_split=split)
-        else:
+        spec, label = {"kernel": "green_triangular", "r": args.r, **_load_problem_file(name)}, name
+        if "psi_expr" not in spec and "f_expr" not in spec:
             raise ConfigError(f"{name}: need psi_expr or f_expr")
-        eps = float(spec.get("noise.epsilon", 0.0))
-        if eps > 0.0:
-            prob = problems.perturb(prob, NoiseSpec(eps, float(spec.get("noise.omega", math.pi))))
-        return prob
-    if args.psi is not None:
-        return problems.make_manufactured(name, compile_expr(args.psi), r=args.r)
-    if args.f is not None:
-        kern, split = problems.get_kernel(name, r=args.r)
-        return problems.FirstKindProblem(name=name, kernel=kern,
-                                         free_term=compile_expr(args.f),
-                                         provenance="free term from --f", diag_split=split)
-    # default benchmark input: the manufactured m=1 problem
-    return problems.make_manufactured(name, lambda x: np.sin(np.pi * np.asarray(x)), r=args.r)
+    noise = NoiseSpec(float(spec.get("noise.epsilon", 0.0)),
+                      float(spec.get("noise.omega", math.pi)))
+    kernel_name, r, csv_path = spec["kernel"], float(spec["r"]), spec.get("csv")
+    psi_expr, f_expr = spec.get("psi_expr"), spec.get("f_expr")
+    if psi_expr is None and f_expr is not None:
+        kern, split = problems.get_kernel(kernel_name, r=r, csv_path=csv_path)
+        prob = problems.FirstKindProblem(
+            name=label or name, kernel=kern, free_term=compile_expr(f_expr), diag_split=split,
+            provenance=f"problem file {name}" if label else "free term from --f")
+    else:
+        # without an expression: the default benchmark input, the manufactured m=1 problem
+        psi = (compile_expr(psi_expr) if psi_expr is not None
+               else lambda x: np.sin(np.pi * np.asarray(x)))
+        prob = problems.make_manufactured(kernel_name, psi, r=r, csv_path=csv_path, label=label)
+    return problems.perturb(prob, noise) if noise.epsilon > 0.0 else prob
 
 
 def _method_params(args):
@@ -251,13 +244,13 @@ def cmd_solve(args):
     return 0
 
 
-def _bench_one(method, eps, omega, base_problem, args):
-    row = {"method": method, "epsilon": eps, "omega": omega,
+def _bench_one(method, noise, base_problem, args):
+    row = {"method": method, "epsilon": noise.epsilon, "omega": noise.omega,
            "residual": None, "reconstruction_error": None, "status": "ok"}
     try:
         prob = base_problem
-        if eps > 0.0:
-            prob = problems.perturb(base_problem, NoiseSpec(eps, omega))
+        if noise.epsilon > 0.0:
+            prob = problems.perturb(base_problem, noise)
         psi, summary = _run_method(method, prob, args)
         row["residual"] = summary["residual_l2"]
         if base_problem.psi_star is not None:
@@ -276,10 +269,12 @@ def cmd_bench(args):
     omegas = [float(v) for v in args.omegas.split(",") if v.strip()]
     if not methods or not epsilons or not omegas:
         raise ConfigError("bench needs nonempty --methods, --epsilons, --omegas")
+    # every noise level is validated before the first row runs
+    noises = [NoiseSpec(e, o) for e in epsilons for o in omegas]
     base_problem = _problem_from_args(args)
-    jobs = [(m, e, o) for m in methods for e in epsilons for o in omegas]
+    jobs = [(m, noise) for m in methods for noise in noises]
     with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        rows = list(pool.map(lambda j: _bench_one(j[0], j[1], j[2], base_problem, args), jobs))
+        rows = list(pool.map(lambda j: _bench_one(j[0], j[1], base_problem, args), jobs))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bench.csv")
     write_csv(csv_path, ["method", "epsilon", "omega", "residual",
@@ -338,7 +333,8 @@ def cmd_reduce(args):
     summary = {"bvp": args.bvp}
     if args.solve:
         params = _method_params(args)
-        result = reduction2d.method2d_solve(red, params, nx=args.grid2d, ny=args.grid2d)
+        result = reduction2d.method2d_solve(red, params, nx=args.grid2d, ny=args.grid2d,
+                                            verify_threshold=args.threshold)
         sol_rows = []
         for i, x in enumerate(result.psi.x_grid.nodes):
             for j, y in enumerate(result.psi.y_grid.nodes):

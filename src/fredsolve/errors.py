@@ -3,6 +3,8 @@
 CLI exit-code mapping: ConfigError -> 1, NumericalParameterError -> 2.
 """
 
+import math
+
 
 class FredsolveError(Exception):
     """Base class for all package errors."""
@@ -82,3 +84,11 @@ class InvalidRadiusError(NumericalParameterError):
 
 class UndefinedDeltaError(NumericalParameterError):
     """Closure error delta is undefined because both fields vanish."""
+
+
+def require_finite(**values) -> None:
+    """Raise NonFiniteValueError naming every value that is not finite; None passes."""
+    bad = ", ".join(f"{name}={value}" for name, value in values.items()
+                    if value is not None and not math.isfinite(value))
+    if bad:
+        raise NonFiniteValueError(f"{bad} must be finite")

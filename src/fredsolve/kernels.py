@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterExclusionError
+from .errors import ConfigError, ParameterExclusionError, require_finite
 
 __all__ = [
     "PoissonParams",
@@ -87,6 +87,7 @@ class PoissonParams:
     @classmethod
     def create(cls, r: float = 0.5, lam: float = 0.2, series_tol: float = 1e-12,
                n_trunc: int | None = None) -> "PoissonParams":
+        require_finite(r=r)
         if not 0.0 < r < 1.0:
             raise ConfigError(f"r must lie in (0, 1), got {r}")
         if n_trunc is None:

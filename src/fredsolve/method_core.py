@@ -26,8 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, NoValidMuError, NonFiniteValueError,
-                     ParameterExclusionError)
+from .errors import ConfigError, NoValidMuError, ParameterExclusionError, require_finite
 from .fredholm2 import SecondKindSystem, gate_mu, solve_direct
 from .grid import (FourierCoeffs, GridFunction, Grid1D, KernelFourierCoeffs,
                    apply_operator, fourier_coeffs, gauss_legendre,
@@ -67,8 +66,7 @@ class MethodParams:
     def create(cls, r: float = 0.5, lam: float = 0.2, mu: float | None = None,
                quad_order: int = 64, n_out: int = 64,
                min_rel_dist: float = 1e-3) -> "MethodParams":
-        if not np.isfinite(lam) or (mu is not None and not np.isfinite(mu)):
-            raise NonFiniteValueError(f"lambda={lam} and mu={mu} must be finite")
+        require_finite(lam=lam, mu=mu)
         poisson = PoissonParams.create(r=r, lam=lam)
         require_lambda_valid(poisson, min_rel_dist)
         return cls(poisson=poisson, mu=mu, quad_order=quad_order, n_out=n_out,
@@ -344,12 +342,10 @@ def _verdict(residual: float, fnorm: float, threshold: float) -> ResidualReport:
     """Relative residual and its verdict, shared by the 1D and 2D filters.
 
     solvable: 'no' above threshold, 'yes' below threshold/10, else 'unknown'.
-    Raises NonFiniteValueError when the residual or ||f|| is not finite, so a
-    NaN never produces a verdict.
+    Raises NonFiniteValueError when the residual, ||f|| or the threshold is
+    not finite, so a NaN never produces a verdict.
     """
-    if not (np.isfinite(residual) and np.isfinite(fnorm)):
-        raise NonFiniteValueError(f"residual {residual} and free-term norm {fnorm} "
-                                  "must be finite")
+    require_finite(residual=residual, free_term_norm=fnorm, threshold=threshold)
     if fnorm > 0.0:
         relative = residual / fnorm
     else:

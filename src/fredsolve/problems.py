@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValueError
+from .errors import ConfigError, NonFiniteValueError, require_finite
 from .grid import GridFunction, Grid1D, apply_operator, gauss_legendre
 
 __all__ = [
@@ -64,6 +64,7 @@ class NoiseSpec:
     omega: float
 
     def __post_init__(self):
+        require_finite(epsilon=self.epsilon, omega=self.omega)
         if self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
 
@@ -95,6 +96,7 @@ def _registry():
 
 
 def _poisson_restricted(r):
+    require_finite(r=r)
     if not 0.0 < r < 1.0:
         raise ConfigError(f"poisson_r needs 0 < r < 1, got {r}")
 

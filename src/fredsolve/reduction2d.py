@@ -172,36 +172,49 @@ def reduce_heat(u0) -> Bvp2DReduction:
     )
 
 
-def _blocks(kernel_at, grid: Grid1D, points, varies: bool, quad_order: int) -> list:
-    # product-integration matrix of kernel_at(s) on grid for each s in points;
-    # one shared matrix when the kernel does not vary with s
-    def build(s):
-        return operator_matrix(kernel_at(s), grid, diag_split=True, quad_order=quad_order)
-    return [build(s) for s in points] if varies else [build(points[0])] * len(points)
+def _tau_stack(reduction, axis: str, grid: Grid1D, points, quad_order: int) -> np.ndarray:
+    """T1 (axis 'x') or T2 (axis 'y'), one matrix per point: (len(points), n, n).
+
+    T1[j] is xi -> tau1(x, points[j], xi) on grid and T2[i] is eta ->
+    tau2(points[i], y, eta); a read-only broadcast of one matrix when tau does
+    not vary with the point.
+    """
+    if axis == "x":
+        kernel_at, varies = (lambda p: lambda x, xi: reduction.tau1(x, p, xi),
+                             reduction.tau1_depends_on_y())
+    else:
+        kernel_at, varies = (lambda p: lambda y, eta: reduction.tau2(p, y, eta),
+                             reduction.tau2_depends_on_x())
+    build = lambda p: operator_matrix(kernel_at(p), grid, diag_split=True, quad_order=quad_order)
+    if varies:
+        return np.stack([build(p) for p in points])
+    return np.broadcast_to(build(points[0]), (len(points), grid.n, grid.n))
 
 
-def _tau1_blocks(reduction, gx: Grid1D, ys, quad_order: int) -> list:
-    """Matrices of xi -> tau1(x, y, xi) on gx, one per y in ys."""
-    return _blocks(lambda y: lambda x, xi: reduction.tau1(x, y, xi), gx, ys,
-                   reduction.tau1_depends_on_y(), quad_order)
+# Each contraction is one batched matrix-vector product per column (along x)
+# or per row (along y); a single GEMM would round differently.
+def _along_x(reduction, gx: Grid1D, ys, values, quad_order: int) -> np.ndarray:
+    """Column j is int_0^1 tau1(x, ys[j], xi) values(xi, j) d xi on gx."""
+    T1 = _tau_stack(reduction, "x", gx, ys, quad_order)
+    return np.matmul(T1, values.T[:, :, None])[:, :, 0].T
 
 
-def _tau2_blocks(reduction, gy: Grid1D, xs, quad_order: int) -> list:
-    """Matrices of eta -> tau2(x, y, eta) on gy, one per x in xs."""
-    return _blocks(lambda x: lambda y, eta: reduction.tau2(x, y, eta), gy, xs,
-                   reduction.tau2_depends_on_x(), quad_order)
+def _along_y(reduction, gy: Grid1D, xs, values, quad_order: int) -> np.ndarray:
+    """Row i is int_0^1 tau2(xs[i], y, eta) values(i, eta) d eta on gy."""
+    T2 = _tau_stack(reduction, "y", gy, xs, quad_order)
+    return np.matmul(T2, values[:, :, None])[:, :, 0]
+
+
+def _free_term(reduction, xs, ys) -> np.ndarray:
+    return np.asarray(reduction.free_term(xs[:, None], ys[None, :]), dtype=float)
 
 
 def forward2d(reduction: Bvp2DReduction, psi: GridFunction2D,
               quad_order: int = 32) -> GridFunction2D:
     """Left-hand side of the reduced first-kind equation, sampled on psi's grid."""
-    gx, gy = psi.x_grid, psi.y_grid
-    out = np.zeros((gx.n, gy.n))
-    for j, rows in enumerate(_tau1_blocks(reduction, gx, gy.nodes, quad_order)):
-        out[:, j] += rows @ psi.values[:, j]
-    for i, rows in enumerate(_tau2_blocks(reduction, gy, gx.nodes, quad_order)):
-        out[i, :] += rows @ psi.values[i, :]
-    return GridFunction2D(gx, gy, out)
+    gx, gy, v = psi.x_grid, psi.y_grid, psi.values
+    return GridFunction2D(gx, gy, _along_x(reduction, gx, gy.nodes, v, quad_order)
+                          + _along_y(reduction, gy, gx.nodes, v, quad_order))
 
 
 def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "x",
@@ -210,47 +223,31 @@ def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "
 
     'x' integrates tau1 against psi (vanishes where tau1 does); 'y' uses
     f - the tau2 integral.  Boundary correction subtracts the linear blend of
-    the values on the other pair of edges.
+    the values on the other pair of edges, evaluated from the same
+    representation.
     """
     if which not in ("x", "y"):
         raise ConfigError(f"route must be 'x' or 'y', got {which!r}")
-    gx, gy = psi.x_grid, psi.y_grid
-    vals = np.zeros((gx.n, gy.n))
+    gx, gy, v = psi.x_grid, psi.y_grid, psi.values
+    ends = np.array([0.0, 1.0])
     if which == "x":
-        for j, rows in enumerate(_tau1_blocks(reduction, gx, gy.nodes, quad_order)):
-            vals[:, j] = rows @ psi.values[:, j]
+        vals = _along_x(reduction, gx, gy.nodes, v, quad_order)
         if boundary_corrected:
-            vals = vals - _edge_blend_y(reduction, psi, quad_order)
+            # psi on y = 0 and y = 1, one matrix-vector product per edge (see _along_x)
+            on_edges = np.matmul(v, interp_matrix(gy.nodes, ends)[:, :, None])[:, :, 0].T
+            edge = _along_x(reduction, gx, ends, on_edges, quad_order)
+            y = gy.nodes[None, :]
+            vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
     else:
-        F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
-        for i, rows in enumerate(_tau2_blocks(reduction, gy, gx.nodes, quad_order)):
-            vals[i, :] = F[i, :] - rows @ psi.values[i, :]
+        vals = (_free_term(reduction, gx.nodes, gy.nodes)
+                - _along_y(reduction, gy, gx.nodes, v, quad_order))
         if boundary_corrected:
-            vals = vals - _edge_blend_x(reduction, psi, quad_order)
+            on_edges = np.matmul(interp_matrix(gx.nodes, ends)[:, None, :], v)[:, 0, :]
+            edge = (_free_term(reduction, ends, gy.nodes)
+                    - _along_y(reduction, gy, ends, on_edges, quad_order))
+            x = gx.nodes[:, None]
+            vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
     return GridFunction2D(gx, gy, vals)
-
-
-def _edge_blend_y(reduction, psi, quad_order):
-    # (1 - y) u(x, 0) + y u(x, 1), edges evaluated from the same representation
-    gx, gy = psi.x_grid, psi.y_grid
-    Ly = interp_matrix(gy.nodes, np.array([0.0, 1.0]))
-    edge = np.zeros((gx.n, 2))
-    for col, rows in enumerate(_tau1_blocks(reduction, gx, (0.0, 1.0), quad_order)):
-        edge[:, col] = rows @ (psi.values @ Ly[col])
-    y = gy.nodes[None, :]
-    return edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y
-
-
-def _edge_blend_x(reduction, psi, quad_order):
-    gx, gy = psi.x_grid, psi.y_grid
-    Lx = interp_matrix(gx.nodes, np.array([0.0, 1.0]))
-    F = np.asarray(reduction.free_term(np.array([0.0, 1.0])[:, None], gy.nodes[None, :]),
-                   dtype=float)
-    edge = np.zeros((2, gy.n))
-    for row, rows in enumerate(_tau2_blocks(reduction, gy, (0.0, 1.0), quad_order)):
-        edge[row, :] = F[row, :] - rows @ (Lx[row] @ psi.values)
-    x = gx.nodes[:, None]
-    return (1.0 - x) * edge[[0], :] + x * edge[[1], :]
 
 
 def closure_delta(U1: GridFunction2D, U2: GridFunction2D) -> float:
@@ -278,23 +275,19 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     if nx * ny > MAX_2D_UNKNOWNS:
         raise ConfigError(f"{nx}x{ny} exceeds the dense cap of {MAX_2D_UNKNOWNS} unknowns")
     q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
-    tau2_rows = _tau2_blocks(reduction, gy, gx.nodes, q)
+    T2 = _tau_stack(reduction, "y", gy, gx.nodes, q)
+    # A[i, j, k, l] couples psi(x_i, y_j) to psi(x_k, y_l)
     A = np.zeros((nx * ny, nx * ny))
-    for j, rows in enumerate(_tau1_blocks(reduction, gx, gy.nodes, q)):
-        # N = tau1 + lam * H tau1; discrete composition along x
-        idx = np.arange(nx) * ny + j
-        A[np.ix_(idx, idx)] += ws.smooth(rows)
-    for i, rows in enumerate(tau2_rows):
-        idx = i * ny + np.arange(ny)
-        A[np.ix_(idx, idx)] += rows
+    A4 = A.reshape(nx, ny, nx, ny)
+    jj, ii = np.arange(ny), np.arange(nx)
+    # N = tau1 + lam * H tau1, composed along x for each y_j
+    A4[:, jj, :, jj] += ws.smooth(_tau_stack(reduction, "x", gx, gy.nodes, q))
+    A4[ii, :, ii, :] += T2
     # cross block T = lam H(x, xi) tau2(xi, y, eta)
-    lam = params.poisson.lam
-    for i in range(nx):
-        for k in range(nx):
-            A[i * ny:(i + 1) * ny, k * ny:(k + 1) * ny] += lam * ws.H_w[i, k] * tau2_rows[k]
+    A4 += (params.poisson.lam * ws.H_w)[:, None, :, None] * T2.transpose(1, 0, 2)[None]
 
     mu, M = gate_mu(A, params.mu, mu_candidates)
-    F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
+    F = _free_term(reduction, gx.nodes, gy.nodes)
     psi1 = np.linalg.solve(M, ws.F1(mu, F).reshape(-1)).reshape(nx, ny)
     F0 = ws.F0(ws.kappa(ws.rho(psi1)))
     psi0 = np.linalg.solve(M, F0.reshape(-1)).reshape(nx, ny)
@@ -310,7 +303,6 @@ def verify2d(reduction: Bvp2DReduction, psi: GridFunction2D,
              threshold: float = 0.05, quad_order: int = 32) -> ResidualReport:
     """Substitute psi into the 2D first-kind equation and threshold the residual."""
     lhs = forward2d(reduction, psi, quad_order=quad_order)
-    F = np.asarray(reduction.free_term(psi.x_grid.nodes[:, None],
-                                       psi.y_grid.nodes[None, :]), dtype=float)
+    F = _free_term(reduction, psi.x_grid.nodes, psi.y_grid.nodes)
     residual = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F).l2_norm()
     return _verdict(residual, GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm(), threshold)

@@ -7,8 +7,10 @@ eigen-expansions, and separation-of-variables series.
 
 import numpy as np
 
-from fredsolve.grid import MIN_PRODUCT_ORDER, KernelFourierCoeffs, interp_matrix
+from fredsolve.grid import (MIN_PRODUCT_ORDER, KernelFourierCoeffs, gauss_legendre,
+                            interp_matrix, operator_matrix)
 from fredsolve.kernels import kernel_matrix
+from fredsolve.method_core import _Workspace
 
 
 def composite_gauss(a, b, panels, n_per_panel):
@@ -162,6 +164,83 @@ def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_orde
             g = interp_matrix(source.grid.nodes, zq) @ source.values
         out[i] = np.sum(wq * np.asarray(kernel(np.full_like(zq, x), zq), dtype=float) * g)
     return out
+
+
+def tau_blocks(reduction, direction, grid, points, quad_order):
+    """One tau1 (direction 'x') or tau2 ('y') matrix per point, as a list; the
+    same matrix object repeated when tau does not vary with the point."""
+    if direction == "x":
+        kernel_at = lambda y: lambda x, xi: reduction.tau1(x, y, xi)
+        varies = reduction.tau1_depends_on_y()
+    else:
+        kernel_at = lambda x: lambda y, eta: reduction.tau2(x, y, eta)
+        varies = reduction.tau2_depends_on_x()
+
+    def build(s):
+        return operator_matrix(kernel_at(s), grid, diag_split=True, quad_order=quad_order)
+    return [build(s) for s in points] if varies else [build(points[0])] * len(points)
+
+
+def forward2d_loops(reduction, psi, quad_order=32):
+    """Values of the 2D left-hand side, one row or column block at a time."""
+    gx, gy = psi.x_grid, psi.y_grid
+    out = np.zeros((gx.n, gy.n))
+    for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes, quad_order)):
+        out[:, j] += rows @ psi.values[:, j]
+    for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes, quad_order)):
+        out[i, :] += rows @ psi.values[i, :]
+    return out
+
+
+def reconstruct_u_loops(reduction, psi, which, boundary_corrected, quad_order=32):
+    """Values of either u route, with the edge blend built edge by edge."""
+    gx, gy = psi.x_grid, psi.y_grid
+    ends = np.array([0.0, 1.0])
+    vals = np.zeros((gx.n, gy.n))
+    if which == "x":
+        for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes, quad_order)):
+            vals[:, j] = rows @ psi.values[:, j]
+        if boundary_corrected:
+            Ly = interp_matrix(gy.nodes, ends)
+            edge = np.zeros((gx.n, 2))
+            for col, rows in enumerate(tau_blocks(reduction, "x", gx, (0.0, 1.0), quad_order)):
+                edge[:, col] = rows @ (psi.values @ Ly[col])
+            y = gy.nodes[None, :]
+            vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
+        return vals
+    F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
+    for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes, quad_order)):
+        vals[i, :] = F[i, :] - rows @ psi.values[i, :]
+    if boundary_corrected:
+        Lx = interp_matrix(gx.nodes, ends)
+        Fe = np.asarray(reduction.free_term(ends[:, None], gy.nodes[None, :]), dtype=float)
+        edge = np.zeros((2, gy.n))
+        for row, rows in enumerate(tau_blocks(reduction, "y", gy, (0.0, 1.0), quad_order)):
+            edge[row, :] = Fe[row, :] - rows @ (Lx[row] @ psi.values)
+        x = gx.nodes[:, None]
+        vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
+    return vals
+
+
+def method2d_matrix_blocks(reduction, params, nx, ny):
+    """The 2D Nystrom matrix, added block by block into the flat (nx ny)^2 array."""
+    gx = gauss_legendre(nx, 0.0, 1.0)
+    gy = gauss_legendre(ny, 0.0, 1.0)
+    ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+    q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
+    tau2_rows = tau_blocks(reduction, "y", gy, gx.nodes, q)
+    A = np.zeros((nx * ny, nx * ny))
+    for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes, q)):
+        idx = np.arange(nx) * ny + j
+        A[np.ix_(idx, idx)] += ws.smooth(rows)
+    for i, rows in enumerate(tau2_rows):
+        idx = i * ny + np.arange(ny)
+        A[np.ix_(idx, idx)] += rows
+    lam = params.poisson.lam
+    for i in range(nx):
+        for k in range(nx):
+            A[i * ny:(i + 1) * ny, k * ny:(k + 1) * ny] += lam * ws.H_w[i, k] * tau2_rows[k]
+    return A
 
 
 def tri_green(x, xi):

@@ -96,6 +96,36 @@ class TestSolveCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--threshold", "nan"], ["--threshold", "inf"],
+        ["--r", "nan"], ["--r", "nan", "--problem", "poisson_r"],
+        ["--method", "fridman", "--step", "nan"], ["--method", "fridman", "--step", "inf"],
+        ["--method", "krasnoselskii", "--step", "nan"],
+        ["--method", "krasnoselskii", "--step", "inf"],
+    ], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+    def test_non_finite_threshold_r_or_step_exit_code_2(self, tmp_path, capsys, argv):
+        argv = ["solve", "--method", "lavrentiev"] + argv
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_tabulated_csv_flag_matches_problem_file(self, tmp_path, command):
+        # --problem tabulated --csv builds the problem a file's csv= line builds
+        table = tmp_path / "k.csv"
+        table.write_text("x,0,0.5,1\n0,1,0.5,0\n0.5,0.5,1,0.5\n1,0,0.5,1\n")
+        spec = tmp_path / "case.prob"
+        spec.write_text(f"kernel=tabulated\ncsv={table}\nf_expr=1+x\n")
+        extra = ["--methods", "lavrentiev", "--epsilons", "0,0.001"] if command == "bench" else []
+        argv = [command, "--method", "lavrentiev"] + extra
+        assert main(argv + ["--problem", "tabulated", "--csv", str(table), "--f", "1+x",
+                            "--out", str(tmp_path / "flags")]) == 0
+        assert main(argv + ["--problem", str(spec), "--out", str(tmp_path / "file")]) == 0
+        name = "bench.csv" if command == "bench" else "solution.csv"
+        flags = (tmp_path / "flags" / name).read_bytes()
+        assert flags == (tmp_path / "file" / name).read_bytes()
+        assert b"error:" not in flags and b"excluded" not in flags and b"nan" not in flags
+
     def test_zero_free_term(self, tmp_path):
         out = str(tmp_path)
         assert main(["solve", "--method", "v2", "--f", "0", "--mu", "0.05",
@@ -167,6 +197,25 @@ class TestBenchCommand:
         header, rows = read_csv(tmp_path / "bench.csv")
         assert rows[0][header.index("status")] == "excluded: NonFiniteValueError"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--epsilons", "nan,0"], 2), (["--epsilons", "0,inf"], 2), (["--epsilons=-0.01"], 1),
+        (["--omegas", "nan"], 2), (["--epsilons", "0", "--omegas", "3,-inf"], 2),
+    ], ids=["eps-nan", "eps-inf", "eps-negative", "omega-nan", "omega-minus-inf"])
+    def test_invalid_noise_level_writes_nothing(self, tmp_path, capsys, argv, code):
+        assert main(["bench", "--methods", "lavrentiev", "--out", str(tmp_path / "o")]
+                    + argv) == code
+        err = capsys.readouterr().err
+        assert "epsilon" in err or "omega" in err
+        assert not (tmp_path / "o" / "bench.csv").exists()
+
+    @pytest.mark.parametrize("line,code", [("noise.epsilon=nan", 2), ("noise.epsilon=-1", 1),
+                                           ("noise.omega=inf", 2)])
+    def test_invalid_problem_file_noise_writes_nothing(self, tmp_path, line, code):
+        spec = tmp_path / "case.prob"
+        spec.write_text(f"kernel=green_triangular\npsi_expr=sin(3.141592653589793*x)\n{line}\n")
+        assert main(["bench", "--methods", "lavrentiev", "--problem", str(spec),
+                     "--out", str(tmp_path / "o")]) == code
+        assert not (tmp_path / "o" / "bench.csv").exists()
 
     def test_rows_independent_of_pool_size(self, tmp_path, monkeypatch):
         # the baseline rows run concurrently; one worker must give the same bytes
@@ -230,6 +279,13 @@ class TestReduceCommand:
     def test_membrane_non_finite_mu_writes_nothing(self, tmp_path):
         assert main(["reduce", "membrane", "--solve", "--mu", "nan", "--grid2d", "8",
                      "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_membrane_non_finite_threshold_writes_nothing(self, tmp_path, capsys, threshold):
+        assert main(["reduce", "membrane", "--solve", "--threshold", threshold, "--grid2d", "8",
+                     "--out", str(tmp_path)]) == 2
+        assert "threshold" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_membrane_solve_verify(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredsolve.errors import ConfigError
+from fredsolve.errors import ConfigError, NonFiniteValueError
 from fredsolve.grid import gauss_legendre
 from fredsolve.problems import (NoiseSpec, forward_apply, get_kernel,
                                 green_triangular, load_tabulated_kernel,
@@ -106,6 +106,12 @@ class TestPerturb:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ConfigError):
             NoiseSpec(-1.0, 1.0)
+
+    @pytest.mark.parametrize("eps,omega", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan),
+                                           (1e-3, -np.inf)])
+    def test_non_finite_rejected(self, eps, omega):
+        with pytest.raises(NonFiniteValueError):
+            NoiseSpec(eps, omega)
 
 
 class TestRegistry:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredsolve import reduction2d
 from fredsolve.errors import ConfigError, NonFiniteValueError, UndefinedDeltaError
 from fredsolve.grid import gauss_legendre, operator_matrix
 from fredsolve.method_core import MethodParams
@@ -12,7 +13,8 @@ from fredsolve.reduction2d import (Bvp2DReduction, GridFunction2D,
                                    reduce_ode_fredholm, reduce_ode_volterra,
                                    verify2d)
 
-from oracles import heat_mode, membrane_psi, membrane_u, split_gauss
+from oracles import (forward2d_loops, heat_mode, membrane_psi, membrane_u,
+                     method2d_matrix_blocks, reconstruct_u_loops, split_gauss)
 
 PARAMS = MethodParams.create(r=0.5, lam=0.2, mu=0.05)
 
@@ -268,3 +270,70 @@ class TestVerify2D:
                      lambda x, y: membrane_psi(x, y, n_terms=12)):
             report = verify2d(red, _sample2d(cand), threshold=0.05)
             assert report.solvable == "no"
+
+
+def _varying_reduction():
+    # tau1 varies with y and tau2 with x, so both directions stack one matrix per point
+    base = reduce_membrane()
+    return Bvp2DReduction(
+        name="varying",
+        tau1=lambda x, y, xi: (1.0 + np.asarray(y, dtype=float)) * base.tau1(x, y, xi),
+        tau2=lambda x, y, eta: (1.0 + np.asarray(x, dtype=float) ** 2) * base.tau2(x, y, eta),
+        free_term=base.free_term)
+
+
+REDUCTIONS = {
+    "membrane": reduce_membrane,
+    "heat": lambda: reduce_heat(lambda x: np.sin(np.pi * np.asarray(x))),
+    "varying": _varying_reduction,
+}
+
+
+def _psi_rect():
+    # nx != ny, so a swapped axis cannot pass
+    return _sample2d(lambda x, y: np.sin(3.0 * x) * (1.0 + y * y) - x * y, nx=11, ny=7)
+
+
+class TestTensorForm:
+    def test_dependence_probes(self):
+        red = _varying_reduction()
+        assert red.tau1_depends_on_y() and red.tau2_depends_on_x()
+        for name in ("membrane", "heat"):
+            red = REDUCTIONS[name]()
+            assert not red.tau1_depends_on_y() and not red.tau2_depends_on_x()
+
+    def test_constant_direction_is_one_read_only_matrix(self):
+        gx = gauss_legendre(9, 0.0, 1.0)
+        T1 = reduction2d._tau_stack(reduce_membrane(), "x", gx, np.linspace(0.0, 1.0, 5), 32)
+        assert T1.shape == (5, 9, 9) and T1.strides[0] == 0 and not T1.flags.writeable
+        T1 = reduction2d._tau_stack(_varying_reduction(), "x", gx, np.linspace(0.0, 1.0, 5), 32)
+        assert T1.shape == (5, 9, 9) and T1.strides[0] != 0
+        assert not np.array_equal(T1[0], T1[4])
+
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    def test_forward2d_matches_block_loops_bit_for_bit(self, name):
+        red, psi = REDUCTIONS[name](), _psi_rect()
+        assert np.array_equal(forward2d(red, psi).values, forward2d_loops(red, psi))
+
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_reconstruct_u_matches_block_loops_bit_for_bit(self, name, which, corrected):
+        red, psi = REDUCTIONS[name](), _psi_rect()
+        got = reconstruct_u(red, psi, which, boundary_corrected=corrected).values
+        assert np.array_equal(got, reconstruct_u_loops(red, psi, which, corrected))
+
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    def test_method2d_matrix_matches_block_loops_bit_for_bit(self, name, monkeypatch):
+        seen = []
+
+        def spy(A, mu, candidates):
+            seen.append(A.copy())
+            return gate_mu(A, mu, candidates)
+
+        gate_mu = reduction2d.gate_mu
+        monkeypatch.setattr(reduction2d, "gate_mu", spy)
+        red = REDUCTIONS[name]()
+        method2d_solve(red, PARAMS, nx=9, ny=6)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], method2d_matrix_blocks(red, PARAMS, 9, 6))
