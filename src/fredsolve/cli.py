@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, method_core, problems, reduction2d
 from .errors import (ConfigError, FredsolveError, NonFiniteValueError,
-                     NumericalParameterError)
+                     NumericalParameterError, require_finite)
 from .expr import compile_expr
 from .grid import GridFunction, gauss_legendre
 from .method_core import MethodParams
@@ -113,6 +113,14 @@ def _load_problem_file(path):
     return spec
 
 
+def _number(spec, key, default):
+    value = spec.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _problem_from_args(args):
     """One builder for both sources: a problem file's keys, else the same keys from flags."""
     name, label = args.problem, None
@@ -121,9 +129,8 @@ def _problem_from_args(args):
         spec, label = {"kernel": "green_triangular", "r": args.r, **_load_problem_file(name)}, name
         if "psi_expr" not in spec and "f_expr" not in spec:
             raise ConfigError(f"{name}: need psi_expr or f_expr")
-    noise = NoiseSpec(float(spec.get("noise.epsilon", 0.0)),
-                      float(spec.get("noise.omega", math.pi)))
-    kernel_name, r, csv_path = spec["kernel"], float(spec["r"]), spec.get("csv")
+    noise = NoiseSpec(_number(spec, "noise.epsilon", 0.0), _number(spec, "noise.omega", math.pi))
+    kernel_name, r, csv_path = spec["kernel"], _number(spec, "r", args.r), spec.get("csv")
     psi_expr, f_expr = spec.get("psi_expr"), spec.get("f_expr")
     if psi_expr is None and f_expr is not None:
         kern, split = problems.get_kernel(kernel_name, r=r, csv_path=csv_path)
@@ -219,9 +226,13 @@ def cmd_problems(args):
 
 
 def cmd_forward(args):
-    kern, split = problems.get_kernel(args.problem, r=args.r, csv_path=args.csv)
-    psi = compile_expr(args.psi if args.psi is not None else "0")
-    f = problems.forward_apply(kern, psi, quad_order=args.grid, diag_split=split)
+    # without --psi, forward maps psi = 0 (solve and bench default to sin(pi x))
+    args.psi = "0" if args.psi is None else args.psi
+    prob = _problem_from_args(args)
+    if prob.psi_star is None:
+        raise ConfigError(f"forward needs psi_expr and no noise: {prob.name} has no psi to map")
+    f = problems.forward_apply(prob.kernel, prob.psi_star, quad_order=args.grid,
+                               diag_split=prob.diag_split)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forward.csv")
     write_csv(path, ["x", "f"], list(zip(f.grid.nodes, f.values)))
@@ -269,8 +280,9 @@ def cmd_bench(args):
     omegas = [float(v) for v in args.omegas.split(",") if v.strip()]
     if not methods or not epsilons or not omegas:
         raise ConfigError("bench needs nonempty --methods, --epsilons, --omegas")
-    # every noise level is validated before the first row runs
+    # every noise level and the threshold are validated before the first row runs
     noises = [NoiseSpec(e, o) for e in epsilons for o in omegas]
+    require_finite(threshold=args.threshold)
     base_problem = _problem_from_args(args)
     jobs = [(m, noise) for m in methods for noise in noises]
     with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:

@@ -173,10 +173,13 @@ def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
 
     So tau = gamma_N kappa L sqrt(n') + n eps |lambda_max| with (N, n') =
     (8, 1) plain and (2m + 8, n) for product integration.  The bound assumes
-    each term's data is accurate to rounding; it exceeds the spurious
-    eigenvalues measured for smooth rank-1..3 kernels from n = 16 to 384 by a
-    factor of 7 or more, and at n = 256 it lies three decades below the
-    smallest eigenvalue of green_triangular (5.6e-9 |lambda_max|).
+    each term's data is accurate to rounding.  ``operator_matrix`` forms these
+    sums in Legendre form rather than term by term; on that assembly the bound
+    still exceeds the spurious eigenvalues measured for smooth rank-1..3
+    kernels from n = 16 to 384 by a factor of 7.7 or more (the floor is the
+    one the term-by-term sums left, within 1.3%), and at n = 256 it lies three
+    decades below the smallest eigenvalue of green_triangular
+    (5.6e-9 |lambda_max|).
     """
     xs, ws = grid.nodes, grid.weights
     K = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float)

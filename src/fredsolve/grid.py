@@ -4,14 +4,15 @@ Everything downstream moves through two carriers: ``Grid1D`` (Gauss nodes and
 weights on an interval) and ``GridFunction`` (values sampled on such a grid).
 Integral operators are discretized either with the plain Nystrom rule
 (kernel values times weights) or, for kernels with an interior kink, with
-product integration: per-row split Gauss panels whose values are pulled back
-to the grid through barycentric polynomial interpolation.  The split restores
+product integration: per-row split Gauss panels integrate the grid's
+interpolating polynomial, taken in Legendre form.  The split restores
 spectral accuracy that a global rule loses at a C0 kink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,6 +157,16 @@ class KernelFourierCoeffs:
         return self.row0_cos.size
 
 
+@lru_cache(maxsize=64)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the n-point Gauss-Legendre nodes and weights on [-1, 1], solved once per
+    # order and shared read-only
+    t, v = np.polynomial.legendre.leggauss(n)
+    t.setflags(write=False)
+    v.setflags(write=False)
+    return t, v
+
+
 def gauss_legendre(n: int, a: float, b: float) -> Grid1D:
     """Gauss-Legendre rule with n nodes mapped to [a, b].
 
@@ -165,7 +176,7 @@ def gauss_legendre(n: int, a: float, b: float) -> Grid1D:
         raise ConfigError(f"quadrature order must be >= 1, got {n}")
     if a >= b:
         raise ConfigError(f"empty interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _gauss_rule(int(n))
     return Grid1D(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w, float(a), float(b))
 
 
@@ -175,7 +186,7 @@ def gauss_panels(breaks, n_per_panel: int) -> Grid1D:
     if breaks.size < 2:
         raise ConfigError("need at least two breakpoints")
     xs, ws = [], []
-    t, v = np.polynomial.legendre.leggauss(int(n_per_panel))
+    t, v = _gauss_rule(int(n_per_panel))
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         xs.append(0.5 * (hi - lo) * t + 0.5 * (lo + hi))
         ws.append(0.5 * (hi - lo) * v)
@@ -188,12 +199,21 @@ def integrate(f: GridFunction) -> float:
 
 
 def _bary_weights(nodes):
+    return _bary_weights_of(np.ascontiguousarray(nodes, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=8)
+def _bary_weights_of(key: bytes) -> np.ndarray:
+    # one read-only weight vector per node set, keyed by the nodes' bytes
+    nodes = np.frombuffer(key)
     d = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(d, 1.0)
     # scale guards overflow for n ~ 100 nodes on short intervals
-    scale = 4.0 / (nodes[-1] - nodes[0])
+    scale = 4.0 / (nodes[-1] - nodes[0]) if nodes.size > 1 else 1.0
     w = 1.0 / np.prod(d * scale, axis=1)
-    return w / np.max(np.abs(w))
+    w /= np.max(np.abs(w))
+    w.setflags(write=False)
+    return w
 
 
 def interp_matrix(nodes, targets) -> np.ndarray:
@@ -222,7 +242,7 @@ def _row_rule(kernel, x, lo: float, hi, diag_split: bool, order: int):
     # dropped.  Returns the points zq, the kernel values times weights kw,
     # both (n, panels * order), and per row the leading entries in use
     # (0 for an empty rule).  Slots a row leaves unused repeat its first panel.
-    t, v = np.polynomial.legendre.leggauss(int(order))
+    t, v = _gauss_rule(int(order))
     split = diag_split & (lo < x) & (x < hi)
     first_q = np.where(split, x, hi)
     keep_left = first_q - lo >= 1e-14
@@ -240,6 +260,23 @@ def _row_rule(kernel, x, lo: float, hi, diag_split: bool, order: int):
     return zq, kv * wq, (keep_left.astype(int) + keep_right) * t.size
 
 
+def _legendre_moments(z, kw, n: int) -> np.ndarray:
+    # G[i, k] = sum_q kw[i, q] P_k(z[i, q]) for k < n, by the three-term
+    # recurrence (k + 1) P_{k+1} = (2k + 1) z P_k - k P_{k-1} carried on the
+    # products kw P_k: two of them alive at a time, plus one buffer
+    G = np.empty((kw.shape[0], n))
+    prev, cur, buf = np.zeros_like(kw), kw.copy(), np.empty_like(kw)
+    G[:, 0] = cur.sum(axis=1)
+    for k in range(1, n):
+        np.multiply(z, cur, out=buf)
+        buf *= (2 * k - 1) / k
+        prev *= (k - 1) / k
+        buf -= prev
+        prev, cur, buf = cur, buf, prev
+        G[:, k] = cur.sum(axis=1)
+    return G
+
+
 def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
                     volterra: bool = False, quad_order: int | None = None) -> np.ndarray:
     """Nystrom matrix A with (A g)[i] ~ integral of kernel(x_i, xi) g(xi).
@@ -248,16 +285,26 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     xi = x_i (product integration; spectrally accurate through a diagonal
     kink).  With ``volterra`` the upper limit is x_i and kernel(x, xi) is
     taken as 0 for xi > x.
+
+    Product integration integrates the grid's interpolating polynomial in
+    Legendre form: A = G (Pi L).  G[i, k] is row i's split rule applied to
+    k(x_i, .) P_k, L = interp_matrix(nodes, s) takes grid values to the
+    n-point Gauss nodes s of [a, b] (the identity when the grid is that
+    rule), and Pi[k, j] = (k + 1/2) P_k(t_j) v_j is that rule's exact
+    projection onto P_0..P_{n-1}.
     """
     xs, ws = grid.nodes, grid.weights
     if not diag_split and not volterra:
         return np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws[None, :]
-    m = quad_order or max(grid.n, MIN_PRODUCT_ORDER)
+    n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
+    m = quad_order or max(n, MIN_PRODUCT_ORDER)
     zq, kw, used = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
-    A = np.zeros((grid.n, grid.n))
-    for i in np.flatnonzero(used):
-        A[i] = kw[i, :used[i]] @ interp_matrix(xs, zq[i, :used[i]])
-    return A
+    z = (zq - mid) / half
+    unused = np.arange(zq.shape[1]) >= used[:, None]
+    z[unused], kw[unused] = 0.0, 0.0
+    t, v = _gauss_rule(n)
+    proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
+    return _legendre_moments(z, kw, n) @ (proj @ interp_matrix(xs, half * t + mid))
 
 
 def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.0,

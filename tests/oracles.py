@@ -40,20 +40,25 @@ def split_gauss(a, mid, b, n_per_panel):
     return split_rule(a, mid, b, *np.polynomial.legendre.leggauss(n_per_panel))
 
 
-def operator_matrix_rows(kernel, grid, volterra=False, quad_order=None):
-    """Product-integration matrix, one row and one split rule at a time: the
-    rule split at xi = x_i, or ending there when ``volterra``."""
-    xs = grid.nodes
+def product_rows(kernel, grid, volterra=False, quad_order=None):
+    """Each row's product-integration rule: the points z and the kernel values
+    times weights, split at xi = x_i or ending there when ``volterra`` (empty
+    when the rule's interval is under 1e-14)."""
     t, v = np.polynomial.legendre.leggauss(int(quad_order or max(grid.n, MIN_PRODUCT_ORDER)))
-    A = np.zeros((grid.n, grid.n))
-    for i, x in enumerate(xs):
+    for x in grid.nodes:
         hi = x if volterra else grid.b
         if hi - grid.a < 1e-14:
+            yield np.empty(0), np.empty(0)
             continue
         zq, wq = split_rule(grid.a, min(x, hi), hi, t, v)
-        vals = np.asarray(kernel(np.full_like(zq, x), zq), dtype=float)
-        A[i, :] = (vals * wq) @ interp_matrix(xs, zq)
-    return A
+        yield zq, np.asarray(kernel(np.full_like(zq, x), zq), dtype=float) * wq
+
+
+def operator_matrix_rows(kernel, grid, volterra=False, quad_order=None):
+    """Product-integration matrix, one row and one barycentric interpolation
+    matrix at a time."""
+    return np.array([kw @ interp_matrix(grid.nodes, zq)
+                     for zq, kw in product_rows(kernel, grid, volterra, quad_order)])
 
 
 def kernel_fourier_coeffs_rows(kernel, N, quad_order=64):

@@ -53,6 +53,26 @@ class TestForwardCommand:
         assert main(["forward", "--psi", "sin(", "--out", str(tmp_path)]) == 1
         assert "column 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernel", ["green_triangular", "poisson_r"])
+    def test_problem_file_matches_flags(self, tmp_path, kernel):
+        spec = tmp_path / "case.prob"
+        spec.write_text(f"kernel={kernel}\nr=0.7\npsi_expr=sin(3.141592653589793*x)\n")
+        assert main(["forward", "--problem", str(spec), "--grid", "32",
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["forward", "--problem", kernel, "--r", "0.7", "--grid", "32",
+                     "--psi", "sin(3.141592653589793*x)", "--out", str(tmp_path / "flags")]) == 0
+        assert ((tmp_path / "file" / "forward.csv").read_bytes()
+                == (tmp_path / "flags" / "forward.csv").read_bytes())
+
+    @pytest.mark.parametrize("lines", ["f_expr=x\n",
+                                       "psi_expr=x\nnoise.epsilon=0.001\n"])
+    def test_problem_file_without_psi_to_map_exit_code_1(self, tmp_path, capsys, lines):
+        spec = tmp_path / "case.prob"
+        spec.write_text("kernel=green_triangular\n" + lines)
+        assert main(["forward", "--problem", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert "forward needs psi_expr" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSolveCommand:
     def test_lavrentiev_summary(self, tmp_path):
@@ -151,6 +171,15 @@ class TestSolveCommand:
         redumped = json.dumps(json.loads(raw), indent=2, sort_keys=True, allow_nan=True) + "\n"
         assert redumped == raw
 
+    @pytest.mark.parametrize("line", ["r=abc", "noise.epsilon=abc", "noise.omega=1e"])
+    def test_non_numeric_problem_file_value_exit_code_1(self, tmp_path, capsys, line):
+        spec = tmp_path / "case.prob"
+        spec.write_text(f"kernel=poisson_r\npsi_expr=sin(3.141592653589793*x)\n{line}\n")
+        assert main(["solve", "--problem", str(spec), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split("=")[0] + " must be a number" in err
+        assert not (tmp_path / "o").exists()
+
     def test_problem_spec_file(self, tmp_path):
         spec = tmp_path / "case.prob"
         spec.write_text("kernel=green_triangular\npsi_expr=sin(3.141592653589793*x)\n"
@@ -207,6 +236,16 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "epsilon" in err or "omega" in err
         assert not (tmp_path / "o" / "bench.csv").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_refused_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                         threshold):
+        ran = []
+        monkeypatch.setattr(cli, "_bench_one", lambda *args: ran.append(args))
+        assert main(["bench", "--methods", "lavrentiev,v2", "--threshold", threshold,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "threshold" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line,code", [("noise.epsilon=nan", 2), ("noise.epsilon=-1", 1),
                                            ("noise.omega=inf", 2)])

@@ -1,18 +1,91 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredsolve import grid as grid_module
 from fredsolve.errors import ConfigError
-from fredsolve.grid import (FourierCoeffs, Grid1D, GridFunction, apply_operator,
-                            fourier_coeffs, gauss_legendre, gauss_panels, integrate,
-                            kernel_fourier_coeffs, operator_matrix)
+from fredsolve.grid import (MIN_PRODUCT_ORDER, FourierCoeffs, Grid1D, GridFunction,
+                            apply_operator, fourier_coeffs, gauss_legendre, gauss_panels,
+                            integrate, interp_matrix, kernel_fourier_coeffs, operator_matrix)
 
 from fredsolve.problems import green_triangular
 from fredsolve.reduction2d import reduce_membrane
 
 from oracles import (apply_operator_rows, kernel_fourier_coeffs_rows,
-                     operator_matrix_rows, split_gauss, tri_green)
+                     operator_matrix_rows, product_rows, split_gauss, tri_green)
+
+EPS = np.finfo(float).eps
+
+
+def _gamma(k):
+    return k * EPS / (1.0 - k * EPS)
+
+
+def _trapezoid(n):
+    w = np.full(n, 1.0 / (n - 1))
+    w[[0, -1]] *= 0.5
+    return Grid1D(np.linspace(0.0, 1.0, n), w, 0.0, 1.0)
+
+
+# Gauss grids, where interp_matrix(x, s) is I, and two other node sets, where
+# it is the barycentric map
+GRIDS = {"gauss16": gauss_legendre(16, 0.0, 1.0), "gauss64": gauss_legendre(64, 0.0, 1.0),
+         "gauss128": gauss_legendre(128, 0.0, 1.0), "trapezoid": _trapezoid(17),
+         "panels": gauss_panels([0.0, 0.3, 1.0], 8)}
+
+
+def _entry_bound(kernel, grid, volterra=False, quad_order=None):
+    """(c, kappa, pi) with |A^_ij - A_ij| <= c kappa_i pi_j for both assemblies.
+
+    Entry (i, j) sums the Q products kw_iq ell_j(z_iq) of row i's split rule
+    (kernel values times weights kw, points z) with the grid's Lagrange basis
+    ell_j.  In Legendre form ell_j(z) = sum_k (Pi L)_kj P_k(z^) with
+    |P_k| <= 1 on [a, b], so |ell_j| <= pi_j = sum_k (|Pi| |L|)_kj, where
+    Pi[k, j] = (k + 1/2) P_k(t_j) v_j and L = interp_matrix(x, s) (s the
+    n-point Gauss nodes on [a, b]).  The modal assembly rounds three times
+    per recurrence step (n steps), Q times in each moment sum, n times in
+    each of its two products, and L carries the barycentric error below.
+    The per-row oracle evaluates ell_j by the second barycentric formula,
+    within gamma_{3n+4} (1 + Lambda) |ell_j| (Higham, IMA J. Numer. Anal. 24
+    (2004), Thm 3.1 with f = e_j; Lambda bounds the Lebesgue function on the
+    rule's points), then sums Q terms.  So each entry is within
+    c kappa_i pi_j of the exact sum, c = gamma_N (1 + Lambda),
+    N = 8n + Q + 4, kappa_i = sum_q |kw_iq|.
+    """
+    rows = list(product_rows(kernel, grid, volterra, quad_order))
+    kappa = np.array([np.sum(np.abs(kw)) for _, kw in rows])
+    lebesgue = max(np.max(np.sum(np.abs(interp_matrix(grid.nodes, zq)), axis=1))
+                   for zq, _ in rows if zq.size)
+    n = grid.n
+    t, v = np.polynomial.legendre.leggauss(n)
+    proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
+    L = interp_matrix(grid.nodes, 0.5 * (grid.b - grid.a) * t + 0.5 * (grid.a + grid.b))
+    pi = np.sum(np.abs(proj) @ np.abs(L), axis=0)
+    quad = 2 * int(quad_order or max(n, MIN_PRODUCT_ORDER))
+    return _gamma(8 * n + quad + 4) * (1.0 + lebesgue), kappa, pi
+
+
+def _green_moment(x, p):
+    # int_0^1 green_triangular(x, xi) xi^p d xi
+    return ((1 - x) * x ** (p + 2) / (p + 2)
+            + x * (Fraction(1, p + 1) - Fraction(1, p + 2)
+                   - x ** (p + 1) / (p + 1) + x ** (p + 2) / (p + 2)))
+
+
+# kernel, Volterra branch, exact int k(x, xi) xi^p d xi over the rule's
+# interval (evaluated in rational arithmetic at the float node x)
+CLOSED_FORMS = {
+    "green_triangular": (green_triangular, False, _green_moment),
+    "x_minus_xi": (lambda x, xi: x - xi, False,
+                   lambda x, p: x / (p + 1) - Fraction(1, p + 2)),
+    "volterra_x_minus_xi": (lambda x, xi: x - xi, True,
+                            lambda x, p: x ** (p + 2) / ((p + 1) * (p + 2))),
+    "volterra_green_triangular": (green_triangular, True,
+                                  lambda x, p: (1 - x) * x ** (p + 2) / (p + 2)),
+}
 
 # kinked kernels of the product-integration rule: the string influence
 # kernel, the ODE Fredholm reduction's kernel (a = 1 + x^2), the membrane
@@ -185,28 +258,89 @@ class TestOperatorMatrix:
 
     @pytest.mark.parametrize("volterra", [False, True])
     @pytest.mark.parametrize("quad_order", [None, 40])
-    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("name", sorted(SPLIT_KERNELS))
-    def test_rows_match_per_row_oracle_bit_for_bit(self, name, n, quad_order, volterra):
-        kernel, g = SPLIT_KERNELS[name], gauss_legendre(n, 0.0, 1.0)
+    def test_rows_match_per_row_oracle_within_rounding(self, name, grid, quad_order, volterra):
+        kernel, g = SPLIT_KERNELS[name], GRIDS[grid]
         got = operator_matrix(kernel, g, diag_split=not volterra, volterra=volterra,
                               quad_order=quad_order)
-        assert np.array_equal(got, operator_matrix_rows(kernel, g, volterra, quad_order))
+        want = operator_matrix_rows(kernel, g, volterra, quad_order)
+        scale, kappa, pi = _entry_bound(kernel, g, volterra, quad_order)
+        assert np.linalg.norm(got - want) <= 2.0 * scale * np.linalg.norm(kappa) * np.linalg.norm(pi)
 
     @pytest.mark.parametrize("volterra", [False, True])
     def test_nodes_on_the_interval_ends(self, volterra):
         # trapezoid grid: the end rows drop a panel, the first Volterra row is empty
-        x = np.linspace(0.0, 1.0, 17)
-        w = np.full(17, 1.0 / 16.0)
-        w[[0, -1]] *= 0.5
-        g = Grid1D(x, w, 0.0, 1.0)
+        g = GRIDS["trapezoid"]
         kernel = SPLIT_KERNELS["x_minus_xi"]
         got = operator_matrix(kernel, g, diag_split=not volterra, volterra=volterra)
-        assert np.array_equal(got, operator_matrix_rows(kernel, g, volterra))
+        want = operator_matrix_rows(kernel, g, volterra)
+        scale, kappa, pi = _entry_bound(kernel, g, volterra)
+        assert np.all(np.abs(got - want) <= 2.0 * scale * np.outer(kappa, pi))
         if volterra:
             assert not np.any(got[0])
         else:
             assert np.all(np.any(got, axis=1))
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_exact_on_polynomials_below_degree_n(self, case, grid):
+        # the split rule is exact for (piecewise) polynomial integrands of
+        # degree <= 2m - 1 and the grid interpolates g of degree < n exactly,
+        # so only rounding separates A g from the integral
+        (kernel, volterra, exact), g = CLOSED_FORMS[case], GRIDS[grid]
+        A = operator_matrix(kernel, g, diag_split=not volterra, volterra=volterra)
+        scale, kappa, pi = _entry_bound(kernel, g, volterra)
+        gamma = _gamma(g.n + 2)
+        for p in sorted({0, 1, 2, g.n // 2, g.n - 1}):
+            gv = g.nodes ** p
+            want = np.array([float(exact(Fraction(x), p)) for x in g.nodes])
+            tol = (scale * kappa * (pi @ np.abs(gv)) + gamma * (np.abs(A) @ np.abs(gv))
+                   + EPS * np.abs(want))
+            assert np.all(np.abs(A @ gv - want) <= tol), p
+
+    @pytest.mark.parametrize("ab", [(0.0, 1.0), (-1.0, 1.0), (0.25, 3.5)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 128])
+    def test_gauss_nodes_interpolate_to_themselves_exactly(self, n, ab):
+        # the Gauss rule s of operator_matrix's projection, built here from leggauss
+        a, b = ab
+        t, _ = np.polynomial.legendre.leggauss(n)
+        s = 0.5 * (b - a) * t + 0.5 * (a + b)
+        assert np.array_equal(interp_matrix(gauss_legendre(n, a, b).nodes, s), np.eye(n))
+
+
+class TestCaches:
+    def test_gauss_rule_is_solved_once_and_read_only(self):
+        t, v = grid_module._gauss_rule(12)
+        assert grid_module._gauss_rule(12)[0] is t
+        want = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(t, want[0]) and np.array_equal(v, want[1])
+        assert not t.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        g = gauss_legendre(12, -1.0, 1.0)
+        assert g.nodes.flags.writeable and not np.shares_memory(g.nodes, t)
+
+    def test_barycentric_weights_one_entry_per_node_set(self):
+        x = gauss_legendre(20, 0.0, 1.0).nodes
+        w = grid_module._bary_weights(x)
+        assert grid_module._bary_weights(x.copy()) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        # node sets one ulp apart, and more of them than the cache holds
+        sets = [x] + [np.where(np.arange(20) == k, np.nextafter(x, 2.0), x) for k in range(12)]
+        for nodes in sets + sets[::-1]:
+            got = grid_module._bary_weights(nodes)
+            uncached = grid_module._bary_weights_of.__wrapped__(nodes.tobytes())
+            assert np.array_equal(got, uncached)
+        entries = [grid_module._bary_weights(nodes) for nodes in sets[-4:]]
+        assert len({id(e) for e in entries}) == 4
+
+    def test_one_node_interpolates_constants(self):
+        assert np.array_equal(grid_module._bary_weights(np.array([0.3])), [1.0])
+        assert np.array_equal(interp_matrix(np.array([0.3]), np.array([0.0, 0.3, 1.0])),
+                              np.ones((3, 1)))
 
 
 class TestApplyOperator:
