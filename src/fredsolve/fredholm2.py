@@ -71,35 +71,48 @@ class SpectrumEstimate:
     eigenfunctions: list = field(default_factory=list)
 
 
-def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL) -> np.ndarray:
-    """The matrix I - mu A, checked by one values-only SVD.
+def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL,
+                 norm_bound: float | None = None) -> np.ndarray:
+    """The matrix I - mu A, checked by one values-only SVD or a norm bound.
 
     Raises OnSpectrumError when its smallest singular value is at most rtol
     times its largest.
+
+    ``norm_bound`` is an optional upper bound b >= ||A||_2.  When
+    q = |mu| b <= 1/2 the matrix is accepted without the SVD: by Weyl's
+    inequality for singular values, sigma_min(I - mu A) >= 1 - q >= 1/2 and
+    sigma_max(I - mu A) <= 1 + q <= 3/2, so their ratio is at least 1/3.
+    That is far above both thresholds used here (_MU_PROBE_RTOL = 1e-6,
+    ON_SPECTRUM_RTOL = 1e-10), and the gap absorbs the rounding of the
+    assembled entries and of b.  Such a matrix is provably nonsingular
+    (q < 1), so the shortcut never accepts what the SVD would reject.
     """
     M = np.eye(A.shape[0]) - mu * A
+    if norm_bound is not None and abs(mu) * norm_bound <= 0.5:
+        return M
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[-1] <= rtol * svals[0]:
         raise OnSpectrumError(mu, float(svals[-1]))
     return M
 
 
-def gate_mu(A: np.ndarray, mu: float | None = None,
-            candidates=None) -> tuple[float, np.ndarray]:
+def gate_mu(A: np.ndarray, mu: float | None = None, candidates=None,
+            norm_bound: float | None = None) -> tuple[float, np.ndarray]:
     """mu and its I - mu A, checked once by ``gated_system``.
 
     A given mu is gated at ON_SPECTRUM_RTOL.  Without one, the first of
     ``candidates`` (default DEFAULT_MU_CANDIDATES) whose matrix clears the
     wider _MU_PROBE_RTOL margin is taken; NoValidMuError when none does.
+    ``norm_bound`` (an upper bound on ||A||_2) is passed to every check.
     """
     if mu is not None:
-        return mu, gated_system(A, mu)
+        return mu, gated_system(A, mu, norm_bound=norm_bound)
     candidates = list(DEFAULT_MU_CANDIDATES if candidates is None else candidates)
     if not candidates:
         raise ConfigError("the mu probe needs a nonempty candidate list")
     for mu in candidates:
         try:
-            return float(mu), gated_system(A, mu, _MU_PROBE_RTOL)
+            return float(mu), gated_system(A, mu, _MU_PROBE_RTOL, norm_bound)
         except OnSpectrumError:
             pass
     raise NoValidMuError(candidates)

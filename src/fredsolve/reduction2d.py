@@ -260,6 +260,22 @@ def closure_delta(U1: GridFunction2D, U2: GridFunction2D) -> float:
     return 2.0 * diff.l2_norm() / denom
 
 
+def _kronecker_norm_bound(N0: np.ndarray, lamH: np.ndarray, M0: np.ndarray) -> float:
+    """Upper bound on ||A||_2 when neither tau stack varies.
+
+    Then A = N0 (x) I + (I + lamH) (x) M0, and ||X (x) Y||_2 = ||X||_2 ||Y||_2
+    gives ||A||_2 <= ||N0||_2 + (1 + ||lamH||_2) ||M0||_2.  The three norms
+    come from one batched values-only SVD; the nx- and ny-square factors are
+    zero-padded to a common size, which leaves each 2-norm unchanged.
+    """
+    size = max(N0.shape[0], M0.shape[0])
+    factors = np.zeros((3, size, size))
+    for k, X in enumerate((N0, lamH, M0)):
+        factors[k, :X.shape[0], :X.shape[1]] = X
+    n_norm, h_norm, m_norm = np.linalg.svd(factors, compute_uv=False)[:, 0]
+    return float(n_norm + (1.0 + h_norm) * m_norm)
+
+
 def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
                    nx: int = 24, ny: int = 24, mu_candidates=None,
                    verify_threshold: float = 0.05) -> Method2DResult:
@@ -267,7 +283,11 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
 
     y acts as a parameter: the Poisson smoothing applies along x only, through
     the 1D route's workspace stages with x on axis 0.  The Nystrom system
-    couples all nx*ny unknowns densely (capped at MAX_2D_UNKNOWNS).
+    couples all nx*ny unknowns densely (capped at MAX_2D_UNKNOWNS).  When
+    neither tau stack varies, the gate of I - mu A is certified from a bound
+    on ||A||_2 built from its Kronecker factors (``_kronecker_norm_bound``)
+    and needs no SVD of the nx*ny-square matrix unless |mu| times that bound
+    exceeds 1/2.
     """
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
@@ -275,18 +295,24 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     if nx * ny > MAX_2D_UNKNOWNS:
         raise ConfigError(f"{nx}x{ny} exceeds the dense cap of {MAX_2D_UNKNOWNS} unknowns")
     q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
+    T1 = _tau_stack(reduction, "x", gx, gy.nodes, q)
     T2 = _tau_stack(reduction, "y", gy, gx.nodes, q)
+    # N = tau1 + lam * H tau1, composed along x for each y_j
+    N = ws.smooth(T1)
+    lamH = params.poisson.lam * ws.H_w
     # A[i, j, k, l] couples psi(x_i, y_j) to psi(x_k, y_l)
     A = np.zeros((nx * ny, nx * ny))
     A4 = A.reshape(nx, ny, nx, ny)
     jj, ii = np.arange(ny), np.arange(nx)
-    # N = tau1 + lam * H tau1, composed along x for each y_j
-    A4[:, jj, :, jj] += ws.smooth(_tau_stack(reduction, "x", gx, gy.nodes, q))
+    A4[:, jj, :, jj] += N
     A4[ii, :, ii, :] += T2
     # cross block T = lam H(x, xi) tau2(xi, y, eta)
-    A4 += (params.poisson.lam * ws.H_w)[:, None, :, None] * T2.transpose(1, 0, 2)[None]
+    A4 += lamH[:, None, :, None] * T2.transpose(1, 0, 2)[None]
 
-    mu, M = gate_mu(A, params.mu, mu_candidates)
+    bound = None
+    if T1.strides[0] == 0 and T2.strides[0] == 0:
+        bound = _kronecker_norm_bound(N[0], lamH, T2[0])
+    mu, M = gate_mu(A, params.mu, mu_candidates, norm_bound=bound)
     F = _free_term(reduction, gx.nodes, gy.nodes)
     psi1 = np.linalg.solve(M, ws.F1(mu, F).reshape(-1)).reshape(nx, ny)
     F0 = ws.F0(ws.kappa(ws.rho(psi1)))

@@ -279,6 +279,9 @@ class TestOneGatePerMatrix:
     def test_one_svd_per_request(self, svd_calls, run):
         self.RUNS[run]()
         assert len(svd_calls) == 1
+        if run == "method2d_probed":
+            # certified from its Kronecker factors: no SVD of the 64-square matrix
+            assert all(np.shape(a[0])[-1] <= 8 for a in svd_calls)
 
     def test_given_mu_on_the_spectrum_is_still_rejected(self):
         ws = _Workspace(PARAMS, m1_problem())

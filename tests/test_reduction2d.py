@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredsolve import reduction2d
-from fredsolve.errors import ConfigError, NonFiniteValueError, UndefinedDeltaError
+from fredsolve.errors import (ConfigError, NonFiniteValueError, OnSpectrumError,
+                             UndefinedDeltaError)
+from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
 from fredsolve.grid import gauss_legendre, operator_matrix
 from fredsolve.method_core import MethodParams
 from fredsolve.reduction2d import (Bvp2DReduction, GridFunction2D,
@@ -327,9 +329,9 @@ class TestTensorForm:
     def test_method2d_matrix_matches_block_loops_bit_for_bit(self, name, monkeypatch):
         seen = []
 
-        def spy(A, mu, candidates):
+        def spy(A, mu, candidates, **kwargs):
             seen.append(A.copy())
-            return gate_mu(A, mu, candidates)
+            return gate_mu(A, mu, candidates, **kwargs)
 
         gate_mu = reduction2d.gate_mu
         monkeypatch.setattr(reduction2d, "gate_mu", spy)
@@ -337,3 +339,65 @@ class TestTensorForm:
         method2d_solve(red, PARAMS, nx=9, ny=6)
         assert len(seen) == 1
         assert np.array_equal(seen[0], method2d_matrix_blocks(red, PARAMS, 9, 6))
+
+
+class TestCertifiedGate:
+    """Constant tau stacks certify I - mu A from a Kronecker bound on ||A||_2."""
+
+    @staticmethod
+    def _gate_calls(monkeypatch):
+        calls, gate_mu = [], reduction2d.gate_mu
+
+        def spy(A, mu, candidates, **kwargs):
+            calls.append((A.copy(), kwargs["norm_bound"]))
+            return gate_mu(A, mu, candidates, **kwargs)
+
+        monkeypatch.setattr(reduction2d, "gate_mu", spy)
+        return calls
+
+    @staticmethod
+    def _dense_svds(monkeypatch):
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *r, **k: shapes.append(np.shape(a)) or svd(a, *r, **k))
+        return shapes
+
+    @pytest.mark.parametrize("name", ["membrane", "heat"])
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    @pytest.mark.parametrize("lam", [0.2, 0.7])
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (24, 24)])
+    def test_bound_covers_the_spectral_norm(self, monkeypatch, name, r, lam, nx, ny):
+        calls = self._gate_calls(monkeypatch)
+        method2d_solve(REDUCTIONS[name](), MethodParams.create(r=r, lam=lam, mu=0.05),
+                       nx=nx, ny=ny)
+        (A, bound), = calls
+        assert bound is not None and bound >= np.linalg.norm(A, 2)
+
+    def test_given_mu_on_the_spectrum_is_still_rejected(self):
+        red = reduce_membrane()
+        evals = np.linalg.eigvals(method2d_matrix_blocks(red, PARAMS, 8, 8))
+        mu_hit = float(1.0 / evals[np.argmax(np.abs(evals))].real)
+        with pytest.raises(OnSpectrumError):
+            method2d_solve(red, MethodParams.create(r=0.5, lam=0.2, mu=mu_hit), nx=8, ny=8)
+
+    @pytest.mark.parametrize("red, params", [
+        (_varying_reduction(), PARAMS),
+        (REDUCTIONS["heat"](), MethodParams.create(r=0.9, lam=0.7, mu=0.05)),
+    ], ids=["varying", "heat_l07_r09"])
+    def test_dense_svd_runs_where_no_certificate_holds(self, monkeypatch, red, params):
+        shapes = self._dense_svds(monkeypatch)
+        method2d_solve(red, params, nx=12, ny=12)
+        assert (144, 144) in shapes
+
+    @pytest.mark.parametrize("name", ["membrane", "heat"])
+    @pytest.mark.parametrize("stop", range(1, len(DEFAULT_MU_CANDIDATES) + 1))
+    def test_certified_and_dense_gates_pick_the_same_mu(self, monkeypatch, name, stop):
+        red, params = REDUCTIONS[name](), MethodParams.create(r=0.5, lam=0.2)
+        candidates = DEFAULT_MU_CANDIDATES[:stop]
+        certified = method2d_solve(red, params, nx=9, ny=6, mu_candidates=candidates)
+        gate_mu = reduction2d.gate_mu
+        monkeypatch.setattr(reduction2d, "gate_mu",
+                            lambda A, mu, cands, norm_bound: gate_mu(A, mu, cands))
+        dense = method2d_solve(red, params, nx=9, ny=6, mu_candidates=candidates)
+        assert certified.mu == dense.mu
+        assert np.array_equal(certified.psi.values, dense.psi.values)
