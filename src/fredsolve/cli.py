@@ -373,10 +373,18 @@ def cmd_reduce(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1); subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="fredsolve",
-                                     description="first-kind integral equations: "
-                                                 "reformulation, baselines, reductions")
+    parser = _Parser(prog="fredsolve",
+                     description="first-kind integral equations: "
+                                 "reformulation, baselines, reductions")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -402,7 +410,7 @@ def build_parser():
 
     p = sub.add_parser("problems", help="list registered kernels")
     common(p)
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_problems)
 
     p = sub.add_parser("forward", help="evaluate the direct problem f = A psi")

@@ -239,9 +239,11 @@ def _row_rule(kernel, x, lo: float, hi, diag_split: bool, order: int):
     # the one product-integration rule: every output row's Gauss rule of
     # ``order`` points per panel on [lo, hi] (hi may vary per row), split at
     # xi = x_i when ``diag_split`` and lo < x_i < hi; a panel under 1e-14 is
-    # dropped.  Returns the points zq, the kernel values times weights kw,
-    # both (n, panels * order), and per row the leading entries in use
-    # (0 for an empty rule).  Slots a row leaves unused repeat its first panel.
+    # dropped.  Returns the points zq (n, panels * order), the kernel values
+    # times weights kw (with any leading axes of the kernel's values), and per
+    # row the leading entries in use (0 for an empty rule).  Unused slots
+    # repeat the first panel's points with kw = 0, set after the product so
+    # that a kernel not finite at an empty row's degenerate point leaks nothing.
     t, v = _gauss_rule(int(order))
     split = diag_split & (lo < x) & (x < hi)
     first_q = np.where(split, x, hi)
@@ -257,23 +259,24 @@ def _row_rule(kernel, x, lo: float, hi, diag_split: bool, order: int):
           ).reshape(x.size, -1)
     wq = (half[:, :, None] * v).reshape(x.size, -1)
     kv = np.asarray(kernel(np.repeat(x[:, None], zq.shape[1], axis=1), zq), dtype=float)
-    return zq, kv * wq, (keep_left.astype(int) + keep_right) * t.size
+    used = (keep_left.astype(int) + keep_right) * t.size
+    return zq, np.where(np.arange(zq.shape[1]) < used[:, None], kv * wq, 0.0), used
 
 
 def _legendre_moments(z, kw, n: int) -> np.ndarray:
-    # G[i, k] = sum_q kw[i, q] P_k(z[i, q]) for k < n, by the three-term
-    # recurrence (k + 1) P_{k+1} = (2k + 1) z P_k - k P_{k-1} carried on the
-    # products kw P_k: two of them alive at a time, plus one buffer
-    G = np.empty((kw.shape[0], n))
+    # G[..., i, k] = sum_q kw[..., i, q] P_k(z[i, q]) for k < n, by the
+    # three-term recurrence (k + 1) P_{k+1} = (2k + 1) z P_k - k P_{k-1}
+    # carried on the products kw P_k: two of them alive at a time, plus one buffer
+    G = np.empty(kw.shape[:-1] + (n,))
     prev, cur, buf = np.zeros_like(kw), kw.copy(), np.empty_like(kw)
-    G[:, 0] = cur.sum(axis=1)
+    G[..., 0] = cur.sum(axis=-1)
     for k in range(1, n):
         np.multiply(z, cur, out=buf)
         buf *= (2 * k - 1) / k
         prev *= (k - 1) / k
         buf -= prev
         prev, cur, buf = cur, buf, prev
-        G[:, k] = cur.sum(axis=1)
+        G[..., k] = cur.sum(axis=-1)
     return G
 
 
@@ -291,20 +294,24 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     k(x_i, .) P_k, L = interp_matrix(nodes, s) takes grid values to the
     n-point Gauss nodes s of [a, b] (the identity when the grid is that
     rule), and Pi[k, j] = (k + 1/2) P_k(t_j) v_j is that rule's exact
-    projection onto P_0..P_{n-1}.
+    projection onto P_0..P_{n-1}.  That one global interpolant breaks down
+    on many-panel grids; a matrix that is not finite raises NonFiniteValueError.
+    Kernel values (B, n, P) on the (n, P) points give a (B, n, n) stack, one
+    matrix per leading index, from the same single moment sweep.
     """
     xs, ws = grid.nodes, grid.weights
     if not diag_split and not volterra:
-        return np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws[None, :]
-    n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
-    m = quad_order or max(n, MIN_PRODUCT_ORDER)
-    zq, kw, used = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
-    z = (zq - mid) / half
-    unused = np.arange(zq.shape[1]) >= used[:, None]
-    z[unused], kw[unused] = 0.0, 0.0
-    t, v = _gauss_rule(n)
-    proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
-    return _legendre_moments(z, kw, n) @ (proj @ interp_matrix(xs, half * t + mid))
+        A = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws
+    else:
+        n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
+        m = quad_order or max(n, MIN_PRODUCT_ORDER)
+        zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
+        t, v = _gauss_rule(n)
+        proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
+        A = _legendre_moments((zq - mid) / half, kw, n) @ (proj @ interp_matrix(xs, half * t + mid))
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteValueError(f"the Nystrom matrix on {grid.n} nodes must be finite")
+    return A
 
 
 def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.0,

@@ -211,11 +211,6 @@ def poisson_h_series(x, xi, p: PoissonParams, n_terms: int | None = None):
     return _series_at(1.0, p.r ** np.arange(1, N + 1), x, xi)
 
 
-def _h_coeffs(p):
-    n = np.arange(1, p.n_trunc + 1)
-    return 1.0, p.r ** n
-
-
 def _H_coeffs(p):
     n = np.arange(1, p.n_trunc + 1)
     rn = p.r ** n
@@ -253,17 +248,16 @@ def resolvent_L(x, xi, p: PoissonParams, min_rel_dist: float = 1e-3):
     return _series_at(*_L_coeffs(p), x, xi)
 
 
-_KINDS = {"h": _h_coeffs, "H": _H_coeffs, "l": _l_coeffs, "L": _L_coeffs}
+_KINDS = {"H": _H_coeffs, "l": _l_coeffs, "L": _L_coeffs}
 
 
 def kernel_matrix(kind: str, p: PoissonParams, out_nodes, in_nodes,
                   min_rel_dist: float = 1e-3) -> np.ndarray:
     """Dense cross matrix kind(out_i, in_j) for kind in {'h', 'H', 'l', 'L'}."""
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown kernel kind {kind!r}")
-    if kind != "h":
-        require_lambda_valid(p, min_rel_dist)
     if kind == "h":
         return poisson_h(np.asarray(out_nodes, float)[:, None],
                          np.asarray(in_nodes, float)[None, :], p)
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown kernel kind {kind!r}")
+    require_lambda_valid(p, min_rel_dist)
     return _cosine_series(*_KINDS[kind](p), out_nodes, in_nodes)

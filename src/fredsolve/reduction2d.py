@@ -45,20 +45,13 @@ MAX_2D_UNKNOWNS = 4096
 
 @dataclass(frozen=True)
 class Bvp2DReduction:
-    """Kernels and free term of the reduced 2D first-kind equation."""
+    """Kernels and free term of the reduced 2D first-kind equation; all three
+    must broadcast in every argument (``_tau_stack`` relies on it)."""
 
     name: str
     tau1: object
     tau2: object
     free_term: object
-
-    def tau1_depends_on_y(self) -> bool:
-        probe = [self.tau1(0.37, y, 0.61) for y in (0.21, 0.84)]
-        return abs(float(probe[0]) - float(probe[1])) > 1e-14
-
-    def tau2_depends_on_x(self) -> bool:
-        probe = [self.tau2(x, 0.37, 0.21) for x in (0.29, 0.73)]
-        return abs(float(probe[0]) - float(probe[1])) > 1e-14
 
 
 @dataclass(frozen=True)
@@ -176,19 +169,15 @@ def _tau_stack(reduction, axis: str, grid: Grid1D, points, quad_order: int) -> n
     """T1 (axis 'x') or T2 (axis 'y'), one matrix per point: (len(points), n, n).
 
     T1[j] is xi -> tau1(x, points[j], xi) on grid and T2[i] is eta ->
-    tau2(points[i], y, eta); a read-only broadcast of one matrix when tau does
-    not vary with the point.
+    tau2(points[i], y, eta), from one operator_matrix call with the points on
+    a leading axis.  A tau whose values do not broadcast over that axis cannot
+    vary with the point; its one matrix comes back as a read-only broadcast.
     """
-    if axis == "x":
-        kernel_at, varies = (lambda p: lambda x, xi: reduction.tau1(x, p, xi),
-                             reduction.tau1_depends_on_y())
-    else:
-        kernel_at, varies = (lambda p: lambda y, eta: reduction.tau2(p, y, eta),
-                             reduction.tau2_depends_on_x())
-    build = lambda p: operator_matrix(kernel_at(p), grid, diag_split=True, quad_order=quad_order)
-    if varies:
-        return np.stack([build(p) for p in points])
-    return np.broadcast_to(build(points[0]), (len(points), grid.n, grid.n))
+    p = np.asarray(points, dtype=float)[:, None, None]
+    kernel = ((lambda x, xi: reduction.tau1(x, p, xi)) if axis == "x"
+              else (lambda y, eta: reduction.tau2(p, y, eta)))
+    T = operator_matrix(kernel, grid, diag_split=True, quad_order=quad_order)
+    return T if T.ndim == 3 else np.broadcast_to(T, (p.shape[0],) + T.shape)
 
 
 # Each contraction is one batched matrix-vector product per column (along x)

@@ -172,18 +172,14 @@ def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_orde
 
 
 def tau_blocks(reduction, direction, grid, points, quad_order):
-    """One tau1 (direction 'x') or tau2 ('y') matrix per point, as a list; the
-    same matrix object repeated when tau does not vary with the point."""
+    """One tau1 (direction 'x') or tau2 ('y') matrix per point, as a list,
+    each from its own scalar-point assembly."""
     if direction == "x":
         kernel_at = lambda y: lambda x, xi: reduction.tau1(x, y, xi)
-        varies = reduction.tau1_depends_on_y()
     else:
         kernel_at = lambda x: lambda y, eta: reduction.tau2(x, y, eta)
-        varies = reduction.tau2_depends_on_x()
-
-    def build(s):
-        return operator_matrix(kernel_at(s), grid, diag_split=True, quad_order=quad_order)
-    return [build(s) for s in points] if varies else [build(points[0])] * len(points)
+    return [operator_matrix(kernel_at(s), grid, diag_split=True, quad_order=quad_order)
+            for s in points]
 
 
 def forward2d_loops(reduction, psi, quad_order=32):

@@ -34,6 +34,24 @@ class TestProblemsCommand:
         assert "/data/kern.csv" in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [], ["plate"], ["solve", "--grid", "abc"], ["solve", "--no-such-flag"],
+        ["reduce", "plate"], ["problems", "--format", "svg"]],
+        ids=["no_command", "unknown_command", "bad_int", "unknown_flag", "unknown_bvp", "svg_format"])
+    def test_exit_1_with_an_error_line(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)] if argv else argv) == 1
+        assert "error: fredsolve" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: fredsolve" in capsys.readouterr().out
+
+
 class TestForwardCommand:
     def test_sine_forward(self, tmp_path):
         out = str(tmp_path)
@@ -336,5 +354,4 @@ class TestReduceCommand:
         assert "closure_delta" in summary
 
     def test_unknown_bvp(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["reduce", "plate", "--out", str(tmp_path)])
+        assert main(["reduce", "plate", "--out", str(tmp_path)]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredsolve import grid as grid_module
-from fredsolve.errors import ConfigError
+from fredsolve.errors import ConfigError, NonFiniteValueError
 from fredsolve.grid import (MIN_PRODUCT_ORDER, FourierCoeffs, Grid1D, GridFunction,
                             apply_operator, fourier_coeffs, gauss_legendre, gauss_panels,
                             integrate, interp_matrix, kernel_fourier_coeffs, operator_matrix)
@@ -307,6 +307,35 @@ class TestOperatorMatrix:
         t, _ = np.polynomial.legendre.leggauss(n)
         s = 0.5 * (b - a) * t + 0.5 * (a + b)
         assert np.array_equal(interp_matrix(gauss_legendre(n, a, b).nodes, s), np.eye(n))
+
+    @pytest.mark.parametrize("volterra", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_leading_axis_gives_one_matrix_per_index_bit_for_bit(self, grid, volterra):
+        # kernel values (3, n, P) give a (3, n, n) stack from one moment sweep
+        g, base = GRIDS[grid], SPLIT_KERNELS["green_triangular"]
+        scales = np.array([0.5, 1.0, 2.5])
+        kernel_at = lambda s: lambda x, xi: (1.0 + s * x) * base(x, xi)
+        got = operator_matrix(kernel_at(scales[:, None, None]), g,
+                              diag_split=not volterra, volterra=volterra)
+        want = [operator_matrix(kernel_at(s), g, diag_split=not volterra, volterra=volterra)
+                for s in scales]
+        assert got.shape == (3, g.n, g.n)
+        assert all(np.array_equal(got[b], want[b]) for b in range(3))
+
+    def test_empty_volterra_row_ignores_a_non_finite_kernel_there(self):
+        # x ln(x - xi) is NaN at (0, 0), the only point of the empty first row
+        def kernel(x, xi):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return x * np.log(x - xi)
+
+        A = operator_matrix(kernel, GRIDS["trapezoid"], volterra=True)
+        assert np.all(np.isfinite(A)) and np.array_equal(A[0], np.zeros(A.shape[1]))
+
+    def test_many_panel_grid_raises_instead_of_returning_nan(self):
+        # one global interpolant through 4 panels of 16 nodes cancels to 0/0
+        g = gauss_panels(np.linspace(0.0, 1.0, 5), 16)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValueError, match="must be finite"):
+            operator_matrix(green_triangular, g, diag_split=True)
 
 
 class TestCaches:

@@ -284,10 +284,22 @@ def _varying_reduction():
         free_term=base.free_term)
 
 
+def _two_point_blind_reduction():
+    # tau1 varies with y but takes equal values at y = 0.21 and y = 0.84
+    base = reduce_membrane()
+    scale = lambda y: 1.0 + (np.asarray(y, dtype=float) - 0.21) * (np.asarray(y, dtype=float) - 0.84)
+    return Bvp2DReduction(
+        name="two_point_blind",
+        tau1=lambda x, y, xi: scale(y) * base.tau1(x, y, xi),
+        tau2=base.tau2,
+        free_term=base.free_term)
+
+
 REDUCTIONS = {
     "membrane": reduce_membrane,
     "heat": lambda: reduce_heat(lambda x: np.sin(np.pi * np.asarray(x))),
     "varying": _varying_reduction,
+    "two_point_blind": _two_point_blind_reduction,
 }
 
 
@@ -297,12 +309,13 @@ def _psi_rect():
 
 
 class TestTensorForm:
-    def test_dependence_probes(self):
-        red = _varying_reduction()
-        assert red.tau1_depends_on_y() and red.tau2_depends_on_x()
-        for name in ("membrane", "heat"):
-            red = REDUCTIONS[name]()
-            assert not red.tau1_depends_on_y() and not red.tau2_depends_on_x()
+    @pytest.mark.parametrize("name, varies", [
+        ("membrane", (False, False)), ("heat", (False, False)),
+        ("varying", (True, True)), ("two_point_blind", (True, False))])
+    def test_variation_is_read_from_the_broadcast_shape(self, name, varies):
+        red, g, points = REDUCTIONS[name](), gauss_legendre(7, 0.0, 1.0), np.linspace(0.0, 1.0, 5)
+        strides = [reduction2d._tau_stack(red, axis, g, points, 32).strides[0] for axis in "xy"]
+        assert [s != 0 for s in strides] == list(varies)
 
     def test_constant_direction_is_one_read_only_matrix(self):
         gx = gauss_legendre(9, 0.0, 1.0)
