@@ -20,6 +20,7 @@ __all__ = [
     "DEFAULT_MU_CANDIDATES",
     "gated_system",
     "gate_mu",
+    "certified_mu",
     "solve_direct",
     "neumann_iterate",
     "estimate_spectrum",
@@ -88,7 +89,7 @@ def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL,
     (q < 1), so the shortcut never accepts what the SVD would reject.
     """
     M = np.eye(A.shape[0]) - mu * A
-    if norm_bound is not None and abs(mu) * norm_bound <= 0.5:
+    if _certified(mu, norm_bound):
         return M
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[-1] <= rtol * svals[0]:
@@ -107,15 +108,37 @@ def gate_mu(A: np.ndarray, mu: float | None = None, candidates=None,
     """
     if mu is not None:
         return mu, gated_system(A, mu, norm_bound=norm_bound)
-    candidates = list(DEFAULT_MU_CANDIDATES if candidates is None else candidates)
-    if not candidates:
-        raise ConfigError("the mu probe needs a nonempty candidate list")
+    candidates = _candidate_list(candidates)
     for mu in candidates:
         try:
             return float(mu), gated_system(A, mu, _MU_PROBE_RTOL, norm_bound)
         except OnSpectrumError:
             pass
     raise NoValidMuError(candidates)
+
+
+def certified_mu(mu: float | None = None, candidates=None,
+                 norm_bound: float | None = None) -> float | None:
+    """The mu that ``gate_mu`` accepts on the certificate alone, or None.
+
+    That is the given mu, or else the first candidate, when
+    |mu| * norm_bound <= 1/2 (see ``gated_system``).  ``gate_mu`` then returns
+    it without reading A, so a caller that can solve without the dense
+    I - mu A need not build A at all.  Otherwise the caller runs ``gate_mu``.
+    """
+    first = mu if mu is not None else float(_candidate_list(candidates)[0])
+    return first if _certified(first, norm_bound) else None
+
+
+def _certified(mu: float, norm_bound: float | None) -> bool:
+    return norm_bound is not None and abs(mu) * norm_bound <= 0.5
+
+
+def _candidate_list(candidates) -> list:
+    candidates = list(DEFAULT_MU_CANDIDATES if candidates is None else candidates)
+    if not candidates:
+        raise ConfigError("the mu probe needs a nonempty candidate list")
+    return candidates
 
 
 def solve_direct(system: SecondKindSystem, matrix: np.ndarray | None = None) -> GridFunction:

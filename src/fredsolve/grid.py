@@ -294,7 +294,12 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     k(x_i, .) P_k, L = interp_matrix(nodes, s) takes grid values to the
     n-point Gauss nodes s of [a, b] (the identity when the grid is that
     rule), and Pi[k, j] = (k + 1/2) P_k(t_j) v_j is that rule's exact
-    projection onto P_0..P_{n-1}.  That one global interpolant breaks down
+    projection onto P_0..P_{n-1}.  The split rule has
+    m = max(quad_order, n) points per half (quad_order defaults to
+    MIN_PRODUCT_ORDER).  Exact to degree 2m - 1 >= 2n - 1, it integrates
+    k(x_i, .) P_k exactly for every k < n whenever the kernel is a polynomial
+    of degree at most n on each side of the split, whatever quad_order a
+    caller passes.  That one global interpolant breaks down
     on many-panel grids; a matrix that is not finite raises NonFiniteValueError.
     Kernel values (B, n, P) on the (n, P) points give a (B, n, n) stack, one
     matrix per leading index, from the same single moment sweep.
@@ -304,7 +309,7 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
         A = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws
     else:
         n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
-        m = quad_order or max(n, MIN_PRODUCT_ORDER)
+        m = max(quad_order or MIN_PRODUCT_ORDER, n)
         zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
         t, v = _gauss_rule(n)
         proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
                      UndefinedDeltaError)
-from .fredholm2 import SecondKindSystem, gate_mu, solve_direct
+from .fredholm2 import SecondKindSystem, certified_mu, gate_mu, solve_direct
 from .grid import (MIN_PRODUCT_ORDER, GridFunction, Grid1D, gauss_legendre,
                    interp_matrix, operator_matrix)
 from .method_core import MethodParams, ResidualReport, _verdict, _Workspace
@@ -95,8 +95,8 @@ def reduce_ode_volterra(a, f, n: int = 64) -> tuple[GridFunction, GridFunction]:
     M = np.eye(grid.n) - V
     av = np.asarray(a(grid.nodes), dtype=float)
     fv = np.asarray(f(grid.nodes), dtype=float)
-    psi_f = np.linalg.solve(M, fv)      # response to the load term
-    psi_a = np.linalg.solve(M, av)      # response to the c0 a(x) term
+    # responses to the load term and to the c0 a(x) term, from one solve
+    psi_f, psi_a = np.linalg.solve(M, np.stack([fv, av], axis=1)).T
     wt = grid.weights * (1.0 - grid.nodes)
     denom = 1.0 + float(wt @ psi_a)
     if abs(denom) <= 1e-10:
@@ -265,6 +265,46 @@ def _kronecker_norm_bound(N0: np.ndarray, lamH: np.ndarray, M0: np.ndarray) -> f
     return float(n_norm + (1.0 + h_norm) * m_norm)
 
 
+def _fast_solver(P: np.ndarray, T: np.ndarray, M: np.ndarray, mu: float, w: np.ndarray):
+    """Solver of (I - mu A) X = B by fast diagonalization, or None.
+
+    Constant tau stacks give A X = P (T X + X M^T) with P = I + lam H_w,
+    T = T1[0] and M = T2[0].  So (I - mu A) X = B is the Sylvester equation
+    C X - mu X M^T = P^-1 B with C = P^-1 - mu T.  tau1 and H are symmetric
+    kernels, so C is weight-symmetric: S = W^1/2 C W^-1/2 is symmetric up to
+    rounding, and its ``eigh`` S = Q Theta Q^T gives C = V Theta V^-1 with
+    V = W^-1/2 Q, kappa_2(V) <= sqrt(w_max / w_min).  Row i of Y = V^-1 X
+    then solves (theta_i I - mu M) y_i = (V^-1 P^-1 B)_i; all nx rows go to
+    one batched solve.  M is never diagonalized: heat's M is Volterra-like
+    and far from normal.
+
+    ``eigh`` reads the symmetric part of S, so the asymmetry must be
+    rounding.  The computed P^-1 carries a forward error of order
+    nx eps kappa(P) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 14), and T's sums round far below that; so this
+    returns None, and the caller takes the dense route, when
+    ||S - S^T||_F > nx eps kappa_F(P) ||S||_F with
+    kappa_F(P) = ||P||_F ||P^-1||_F >= kappa_2(P).  On membrane and heat the
+    asymmetry stays below 1% of that bound from nx = 8 to 128; a product rule
+    too short for the grid left 6e-4 at nx = 128.
+    """
+    sw, P_inv = np.sqrt(w), np.linalg.inv(P)
+    S = sw[:, None] * (P_inv - mu * T) / sw[None, :]
+    kappa = np.linalg.norm(P) * np.linalg.norm(P_inv)
+    if np.linalg.norm(S - S.T) > P.shape[0] * np.finfo(float).eps * kappa * np.linalg.norm(S):
+        return None
+    theta, Q = np.linalg.eigh(0.5 * (S + S.T))
+    to_modes = (Q.T * sw) @ P_inv                       # V^-1 P^-1
+    K = np.broadcast_to(-mu * M, (theta.size,) + M.shape).copy()
+    diag = np.arange(M.shape[0])
+    K[:, diag, diag] += theta[:, None]
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        Y = np.linalg.solve(K, (to_modes @ B)[:, :, None])[:, :, 0]
+        return (Q / sw[:, None]) @ Y
+    return solve
+
+
 def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
                    nx: int = 24, ny: int = 24, mu_candidates=None,
                    verify_threshold: float = 0.05) -> Method2DResult:
@@ -272,40 +312,64 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
 
     y acts as a parameter: the Poisson smoothing applies along x only, through
     the 1D route's workspace stages with x on axis 0.  The Nystrom system
-    couples all nx*ny unknowns densely (capped at MAX_2D_UNKNOWNS).  When
-    neither tau stack varies, the gate of I - mu A is certified from a bound
-    on ||A||_2 built from its Kronecker factors (``_kronecker_norm_bound``)
-    and needs no SVD of the nx*ny-square matrix unless |mu| times that bound
-    exceeds 1/2.
+    (I - mu A) psi couples all nx*ny unknowns.
+
+    When neither tau stack varies (membrane, heat), A has Kronecker structure
+    and ``_fast_solver`` solves the system exactly by fast diagonalization:
+    one nx-square ``eigh`` and nx batched ny-square solves.  P = I + lam H_w is
+    invertible because the lambda-exclusion check keeps lam off the excluded
+    families, C = P^-1 - mu T1 is weight-symmetric, and the x-side eigenbasis
+    V has kappa_2(V) <= sqrt(w_max / w_min).  The gate is unchanged: a bound on
+    ||A||_2 from the Kronecker factors (``_kronecker_norm_bound``) certifies
+    I - mu A when |mu| times it is at most 1/2, and the given mu or the first
+    candidate certified that way needs no dense A at all.  Otherwise the
+    dense A is built once and ``gate_mu`` checks it as before; the solves
+    still take the fast path.  A varying tau stack, or a C whose weighted
+    asymmetry exceeds rounding, takes the dense route: two LU solves of
+    I - mu A.
+
+    MAX_2D_UNKNOWNS caps the dense matrix, so the dense route and the dense
+    SVD gate need nx*ny <= MAX_2D_UNKNOWNS.  Every request needs its largest
+    fast-path array, the (nx, ny, ny) stack of theta_i I - mu M and the
+    nx-square blocks, to fit in as many floats as that dense matrix holds.
     """
+    if max(nx * ny * ny, nx * nx) > MAX_2D_UNKNOWNS ** 2:
+        raise ConfigError(f"{nx}x{ny} needs more than {MAX_2D_UNKNOWNS ** 2} floats per array")
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
     ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
-    if nx * ny > MAX_2D_UNKNOWNS:
-        raise ConfigError(f"{nx}x{ny} exceeds the dense cap of {MAX_2D_UNKNOWNS} unknowns")
     q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
     T1 = _tau_stack(reduction, "x", gx, gy.nodes, q)
     T2 = _tau_stack(reduction, "y", gy, gx.nodes, q)
-    # N = tau1 + lam * H tau1, composed along x for each y_j
-    N = ws.smooth(T1)
+    constant = T1.strides[0] == 0 and T2.strides[0] == 0
+    # N = tau1 + lam * H tau1, composed along x for each y_j (one matrix when constant)
+    N = ws.smooth(T1[0] if constant else T1)
     lamH = params.poisson.lam * ws.H_w
-    # A[i, j, k, l] couples psi(x_i, y_j) to psi(x_k, y_l)
-    A = np.zeros((nx * ny, nx * ny))
-    A4 = A.reshape(nx, ny, nx, ny)
-    jj, ii = np.arange(ny), np.arange(nx)
-    A4[:, jj, :, jj] += N
-    A4[ii, :, ii, :] += T2
-    # cross block T = lam H(x, xi) tau2(xi, y, eta)
-    A4 += lamH[:, None, :, None] * T2.transpose(1, 0, 2)[None]
 
-    bound = None
-    if T1.strides[0] == 0 and T2.strides[0] == 0:
-        bound = _kronecker_norm_bound(N[0], lamH, T2[0])
-    mu, M = gate_mu(A, params.mu, mu_candidates, norm_bound=bound)
+    def dense_A() -> np.ndarray:
+        if nx * ny > MAX_2D_UNKNOWNS:
+            raise ConfigError(f"{nx}x{ny} exceeds the dense cap of {MAX_2D_UNKNOWNS} unknowns")
+        # A[i, j, k, l] couples psi(x_i, y_j) to psi(x_k, y_l)
+        A = np.zeros((nx * ny, nx * ny))
+        A4 = A.reshape(nx, ny, nx, ny)
+        jj, ii = np.arange(ny), np.arange(nx)
+        A4[:, jj, :, jj] += N
+        A4[ii, :, ii, :] += T2
+        # cross block T = lam H(x, xi) tau2(xi, y, eta)
+        A4 += lamH[:, None, :, None] * T2.transpose(1, 0, 2)[None]
+        return A
+
+    bound = _kronecker_norm_bound(N, lamH, T2[0]) if constant else None
+    mu, gated = certified_mu(params.mu, mu_candidates, bound), None
+    if mu is None:
+        mu, gated = gate_mu(dense_A(), params.mu, mu_candidates, norm_bound=bound)
+    solve = _fast_solver(np.eye(nx) + lamH, T1[0], T2[0], mu, gx.weights) if constant else None
+    if solve is None:
+        gated = np.eye(nx * ny) - mu * dense_A() if gated is None else gated
+        solve = lambda B: np.linalg.solve(gated, B.reshape(-1)).reshape(nx, ny)
     F = _free_term(reduction, gx.nodes, gy.nodes)
-    psi1 = np.linalg.solve(M, ws.F1(mu, F).reshape(-1)).reshape(nx, ny)
-    F0 = ws.F0(ws.kappa(ws.rho(psi1)))
-    psi0 = np.linalg.solve(M, F0.reshape(-1)).reshape(nx, ny)
+    psi1 = solve(ws.F1(mu, F))
+    psi0 = solve(ws.F0(ws.kappa(ws.rho(psi1))))
     psi = GridFunction2D(gx, gy, psi0 + psi1)
     report = verify2d(reduction, psi, threshold=verify_threshold)
     return Method2DResult(psi=psi,

@@ -44,7 +44,7 @@ def product_rows(kernel, grid, volterra=False, quad_order=None):
     """Each row's product-integration rule: the points z and the kernel values
     times weights, split at xi = x_i or ending there when ``volterra`` (empty
     when the rule's interval is under 1e-14)."""
-    t, v = np.polynomial.legendre.leggauss(int(quad_order or max(grid.n, MIN_PRODUCT_ORDER)))
+    t, v = np.polynomial.legendre.leggauss(max(int(quad_order or MIN_PRODUCT_ORDER), grid.n))
     for x in grid.nodes:
         hi = x if volterra else grid.b
         if hi - grid.a < 1e-14:

@@ -64,7 +64,7 @@ def _entry_bound(kernel, grid, volterra=False, quad_order=None):
     proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
     L = interp_matrix(grid.nodes, 0.5 * (grid.b - grid.a) * t + 0.5 * (grid.a + grid.b))
     pi = np.sum(np.abs(proj) @ np.abs(L), axis=0)
-    quad = 2 * int(quad_order or max(n, MIN_PRODUCT_ORDER))
+    quad = 2 * max(int(quad_order or MIN_PRODUCT_ORDER), n)
     return _gamma(8 * n + quad + 4) * (1.0 + lebesgue), kappa, pi
 
 
@@ -321,6 +321,21 @@ class TestOperatorMatrix:
                 for s in scales]
         assert got.shape == (3, g.n, g.n)
         assert all(np.array_equal(got[b], want[b]) for b in range(3))
+
+    @pytest.mark.parametrize("name", ["membrane_tau1", "green_triangular"])
+    def test_rule_order_never_falls_below_the_grid(self, name):
+        # a caller's quad_order of 32 on 64 nodes gets the 64-point rule; the
+        # 32-point rule misses membrane tau1 times P_63 (degree 64) and left
+        # the matrix 7.3e-3 off in 2-norm.  Both rules below are exact, so
+        # each matrix lies within its rounding bound of the same sums.
+        g, kernel = GRIDS["gauss64"], SPLIT_KERNELS[name]
+        got = operator_matrix(kernel, g, diag_split=True, quad_order=32)
+        assert np.array_equal(got, operator_matrix(kernel, g, diag_split=True, quad_order=64))
+        ref = operator_matrix(kernel, g, diag_split=True, quad_order=128)
+        s_got, k_got, pi = _entry_bound(kernel, g, quad_order=32)
+        s_ref, k_ref, _ = _entry_bound(kernel, g, quad_order=128)
+        tol = (s_got * np.linalg.norm(k_got) + s_ref * np.linalg.norm(k_ref)) * np.linalg.norm(pi)
+        assert np.linalg.norm(got - ref) <= tol
 
     def test_empty_volterra_row_ignores_a_non_finite_kernel_there(self):
         # x ln(x - xi) is NaN at (0, 0), the only point of the empty first row

@@ -7,8 +7,8 @@ from fredsolve import reduction2d
 from fredsolve.errors import (ConfigError, NonFiniteValueError, OnSpectrumError,
                              UndefinedDeltaError)
 from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
-from fredsolve.grid import gauss_legendre, operator_matrix
-from fredsolve.method_core import MethodParams
+from fredsolve.grid import MIN_PRODUCT_ORDER, gauss_legendre, operator_matrix
+from fredsolve.method_core import MethodParams, _Workspace
 from fredsolve.reduction2d import (Bvp2DReduction, GridFunction2D,
                                    closure_delta, forward2d, method2d_solve,
                                    reconstruct_u, reduce_heat, reduce_membrane,
@@ -19,6 +19,9 @@ from oracles import (forward2d_loops, heat_mode, membrane_psi, membrane_u,
                      method2d_matrix_blocks, reconstruct_u_loops, split_gauss)
 
 PARAMS = MethodParams.create(r=0.5, lam=0.2, mu=0.05)
+# |mu| times the Kronecker bound exceeds 1/2: the dense A goes to the SVD gate
+UNCERTIFIED = MethodParams.create(r=0.5, lam=0.2, mu=5.0)
+EPS = np.finfo(float).eps
 
 
 def _sample2d(fn, nx=24, ny=24):
@@ -239,8 +242,20 @@ class TestMethod2D:
               f"relative={result.report.relative:.6e} oracle-dev={dev:.6e}")
 
     def test_unknown_cap(self):
+        # the cap guards the dense matrix, which a varying tau stack needs
         with pytest.raises(ConfigError):
-            method2d_solve(reduce_membrane(), PARAMS, nx=80, ny=80)
+            method2d_solve(_varying_reduction(), PARAMS, nx=80, ny=80)
+
+    def test_fast_path_runs_beyond_the_dense_cap(self):
+        result = method2d_solve(reduce_membrane(), PARAMS, nx=80, ny=80)
+        assert result.mu == PARAMS.mu and np.all(np.isfinite(result.psi.values))
+        assert result.report.solvable in ("yes", "no")
+
+    def test_fast_path_cap_on_its_largest_array(self):
+        # the (nx, ny, ny) stack of theta_i I - mu M would hold 4097^2 floats,
+        # more than the dense matrix the cap allows; refused before any assembly
+        with pytest.raises(ConfigError):
+            method2d_solve(reduce_membrane(), PARAMS, nx=1, ny=4097)
 
 
 class TestVerify2D:
@@ -340,6 +355,8 @@ class TestTensorForm:
 
     @pytest.mark.parametrize("name", REDUCTIONS)
     def test_method2d_matrix_matches_block_loops_bit_for_bit(self, name, monkeypatch):
+        # mu = 5 is beyond the certificate, so every reduction builds the
+        # dense A for the SVD gate
         seen = []
 
         def spy(A, mu, candidates, **kwargs):
@@ -349,9 +366,120 @@ class TestTensorForm:
         gate_mu = reduction2d.gate_mu
         monkeypatch.setattr(reduction2d, "gate_mu", spy)
         red = REDUCTIONS[name]()
-        method2d_solve(red, PARAMS, nx=9, ny=6)
+        method2d_solve(red, UNCERTIFIED, nx=9, ny=6)
         assert len(seen) == 1
-        assert np.array_equal(seen[0], method2d_matrix_blocks(red, PARAMS, 9, 6))
+        assert np.array_equal(seen[0], method2d_matrix_blocks(red, UNCERTIFIED, 9, 6))
+
+    @pytest.mark.parametrize("name", ["membrane", "heat"])
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6)])
+    def test_constant_stacks_give_the_kronecker_form(self, name, nx, ny):
+        # the identity the fast path rests on: A vec X = vec P (T1 X + X M^T);
+        # |A| <= |P| (|T1| (x) I + I (x) |M|) entrywise, so both sides sum at
+        # most nx ny terms of the scale below
+        red = REDUCTIONS[name]()
+        A = method2d_matrix_blocks(red, PARAMS, nx, ny)
+        T1, M, P = _kronecker_factors(red, PARAMS, nx, ny)
+        X = np.random.default_rng(7).standard_normal((nx, ny))
+        want = P @ (T1 @ X + X @ M.T)
+        scale = np.abs(P) @ (np.abs(T1) @ np.abs(X) + np.abs(X) @ np.abs(M).T)
+        got = (A @ X.reshape(-1)).reshape(nx, ny)
+        assert np.all(np.abs(got - want) <= 4 * nx * ny * EPS * scale)
+
+
+def _kronecker_factors(red, params, nx, ny):
+    """T1 = tau1 at one y, M = tau2 at one x, and P = I + lam H_w, each from
+    its own assembly (constant stacks do not depend on the point)."""
+    gx, gy = gauss_legendre(nx, 0.0, 1.0), gauss_legendre(ny, 0.0, 1.0)
+    q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
+    T1 = operator_matrix(lambda x, xi: red.tau1(x, 0.37, xi), gx, diag_split=True, quad_order=q)
+    M = operator_matrix(lambda y, eta: red.tau2(0.37, y, eta), gy, diag_split=True, quad_order=q)
+    ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+    return T1, M, np.eye(nx) + params.poisson.lam * ws.H_w
+
+
+def _kappa_v(nx):
+    # kappa_2(V) <= sqrt(w_max / w_min) for V = W^-1/2 Q
+    w = gauss_legendre(nx, 0.0, 1.0).weights
+    return np.sqrt(w.max() / w.min())
+
+
+class TestFastDiagonalization:
+    """Constant tau stacks solve (I - mu A) X = B without the dense matrix.
+
+    Rounding bound.  The dense route's LU solve and the fast route both
+    solve the same system with a normwise backward error of order N eps
+    (N = nx ny; Higham 2002, Thm 9.4, for LU with modest growth).  The fast
+    route's comes from P^-1 (forward error nx eps kappa(P)), the similarity
+    with V (a factor kappa(V)) and the batched ny-square solves, and P maps
+    it back to I - mu A.  So each solution lies within
+    4 N eps kappa(P) kappa(V) kappa(I - mu A) of the exact one, relatively,
+    and the two within twice that.
+    """
+
+    SIZES = [(12, 12), (24, 24), (28, 28), (20, 12)]
+    SETTINGS = {"l02_r05": (0.2, 0.5), "l07_r09": (0.7, 0.9)}
+
+    @pytest.mark.parametrize("name", ["membrane", "heat"])
+    @pytest.mark.parametrize("nx, ny", SIZES)
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_matches_the_dense_route(self, monkeypatch, name, nx, ny, setting):
+        lam, r = self.SETTINGS[setting]
+        red, params = REDUCTIONS[name](), MethodParams.create(r=r, lam=lam)
+        fast = method2d_solve(red, params, nx=nx, ny=ny)
+        monkeypatch.setattr(reduction2d, "_fast_solver", lambda *args: None)
+        dense = method2d_solve(red, params, nx=nx, ny=ny)
+        assert fast.mu == dense.mu and fast.report.solvable == dense.report.solvable
+        A = method2d_matrix_blocks(red, params, nx, ny)
+        _, _, P = _kronecker_factors(red, params, nx, ny)
+        tol = (8 * nx * ny * EPS * np.linalg.cond(P) * _kappa_v(nx)
+               * np.linalg.cond(np.eye(nx * ny) - fast.mu * A))
+        for got, want in ((fast.psi, dense.psi), (fast.psi1, dense.psi1)):
+            assert np.linalg.norm(got.values - want.values) <= tol * np.linalg.norm(want.values)
+
+    @pytest.mark.parametrize("name", ["membrane", "heat"])
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (128, 32)])
+    def test_residual_in_tensor_form(self, name, nx, ny):
+        # (I - mu A) X = X - mu P (T1 X + X M^T), never forming A; ||A||_2 is
+        # at most ||P||_2 (||T1||_2 + ||M||_2).  The fast route works on nx-
+        # and ny-square matrices, so its backward error is of order
+        # (nx + ny) eps kappa(P) kappa(V) (see the class docstring).
+        red = REDUCTIONS[name]()
+        result = method2d_solve(red, PARAMS, nx=nx, ny=ny)
+        mu, gx, gy = result.mu, result.psi.x_grid, result.psi.y_grid
+        T1, M, P = _kronecker_factors(red, PARAMS, nx, ny)
+        ws = _Workspace(PARAMS, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+        F = np.asarray(red.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
+        B1 = ws.F1(mu, F)
+        B0 = ws.F0(ws.kappa(ws.rho(result.psi1.values)))
+        norm = lambda X: np.linalg.norm(X, 2)
+        op_norm = 1.0 + abs(mu) * norm(P) * (norm(T1) + norm(M))
+        tol = 8 * (nx + ny) * EPS * np.linalg.cond(P) * _kappa_v(nx) * op_norm
+        for X, B in ((result.psi1.values, B1), (result.psi0.values, B0)):
+            R = X - mu * P @ (T1 @ X + X @ M.T) - B
+            assert np.linalg.norm(R) <= tol * np.linalg.norm(X)
+
+    def test_asymmetric_tau1_takes_the_dense_route(self):
+        # constant in y but not a symmetric kernel: C is not weight-symmetric
+        base = reduce_membrane()
+        red = Bvp2DReduction(
+            name="asymmetric",
+            tau1=lambda x, y, xi: base.tau1(x, y, xi) + 0.1 * np.asarray(x - xi, dtype=float),
+            tau2=base.tau2, free_term=base.free_term)
+        T1, M, P = _kronecker_factors(red, PARAMS, 9, 6)
+        w = gauss_legendre(9, 0.0, 1.0).weights
+        assert reduction2d._fast_solver(P, T1, M, PARAMS.mu, w) is None
+        result = method2d_solve(red, PARAMS, nx=9, ny=6)
+        gx, gy = result.psi.x_grid, result.psi.y_grid
+        ws = _Workspace(PARAMS, grid01=gx, gridm=gauss_legendre(9, -1.0, 0.0))
+        F = np.asarray(red.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
+        system = np.eye(54) - PARAMS.mu * method2d_matrix_blocks(red, PARAMS, 9, 6)
+        psi1 = np.linalg.solve(system, ws.F1(PARAMS.mu, F).reshape(-1)).reshape(9, 6)
+        assert np.array_equal(result.psi1.values, psi1)
+
+    def test_symmetric_tau1_takes_the_fast_route(self):
+        T1, M, P = _kronecker_factors(reduce_membrane(), PARAMS, 9, 6)
+        w = gauss_legendre(9, 0.0, 1.0).weights
+        assert reduction2d._fast_solver(P, T1, M, PARAMS.mu, w) is not None
 
 
 class TestCertifiedGate:
@@ -380,10 +508,13 @@ class TestCertifiedGate:
     @pytest.mark.parametrize("lam", [0.2, 0.7])
     @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (24, 24)])
     def test_bound_covers_the_spectral_norm(self, monkeypatch, name, r, lam, nx, ny):
-        calls = self._gate_calls(monkeypatch)
-        method2d_solve(REDUCTIONS[name](), MethodParams.create(r=r, lam=lam, mu=0.05),
-                       nx=nx, ny=ny)
-        (A, bound), = calls
+        bounds, certified_mu = [], reduction2d.certified_mu
+        monkeypatch.setattr(reduction2d, "certified_mu", lambda mu, cands, bound: (
+            bounds.append(bound) or certified_mu(mu, cands, bound)))
+        red, params = REDUCTIONS[name](), MethodParams.create(r=r, lam=lam, mu=0.05)
+        method2d_solve(red, params, nx=nx, ny=ny)
+        (bound,) = bounds
+        A = method2d_matrix_blocks(red, params, nx, ny)
         assert bound is not None and bound >= np.linalg.norm(A, 2)
 
     def test_given_mu_on_the_spectrum_is_still_rejected(self):
@@ -408,9 +539,19 @@ class TestCertifiedGate:
         red, params = REDUCTIONS[name](), MethodParams.create(r=0.5, lam=0.2)
         candidates = DEFAULT_MU_CANDIDATES[:stop]
         certified = method2d_solve(red, params, nx=9, ny=6, mu_candidates=candidates)
-        gate_mu = reduction2d.gate_mu
-        monkeypatch.setattr(reduction2d, "gate_mu",
-                            lambda A, mu, cands, norm_bound: gate_mu(A, mu, cands))
+        mu_svd, _ = reduction2d.gate_mu(method2d_matrix_blocks(red, params, 9, 6), None,
+                                        candidates)
+        # the same request with the certificate switched off: the dense A
+        # goes through the SVD gate, then the same fast solve
+        seen, gate_mu = [], reduction2d.gate_mu
+
+        def svd_gate(A, mu, cands, norm_bound):
+            seen.append(A.shape)
+            return gate_mu(A, mu, cands)
+
+        monkeypatch.setattr(reduction2d, "certified_mu", lambda mu, cands, bound: None)
+        monkeypatch.setattr(reduction2d, "gate_mu", svd_gate)
         dense = method2d_solve(red, params, nx=9, ny=6, mu_candidates=candidates)
-        assert certified.mu == dense.mu
+        assert seen == [(54, 54)]
+        assert certified.mu == dense.mu == mu_svd
         assert np.array_equal(certified.psi.values, dense.psi.values)
