@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical-parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,20 +36,35 @@ _METHODS = ("v2", "v2_single", "v1", "lavrentiev", "tikhonov", "fridman",
 
 
 def _fmt(value) -> str:
+    """One cell of a mixed row: None is empty, a float has 17 digits, else str()."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.17g}"
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def _float_rows(table) -> str:
+    """The CSV rows of an (n, m) float table, every value as '%.17g' (NaN as 'nan').
+
+    The tables repeat values heavily (grid coordinates, kernel samples), so
+    each distinct float64 bit pattern is formatted once and a single '%'
+    fills the row template.  Deduplicating on bits, not on value, keeps -0.0
+    apart from 0.0; the digits are those of f"{v:.17g}".
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    n, m = table.shape
+    bits, cell = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    digits = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return (",".join(["%s"] * m) + "\n") * n % tuple(digits[cell])
 
 
 def write_csv(path, header, rows):
+    """Write `rows`, an (n, m) float array or a list of mixed rows, under `header`."""
+    if isinstance(rows, np.ndarray):
+        body = _float_rows(rows)
+    else:
+        body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def write_json(path, payload):
@@ -235,7 +251,7 @@ def cmd_forward(args):
                                diag_split=prob.diag_split)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forward.csv")
-    write_csv(path, ["x", "f"], list(zip(f.grid.nodes, f.values)))
+    write_csv(path, ["x", "f"], np.column_stack([f.grid.nodes, f.values]))
     sys.stdout.write(path + "\n")
     return 0
 
@@ -248,7 +264,7 @@ def cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "solution.csv")
     json_path = os.path.join(args.out, "summary.json")
-    write_csv(csv_path, ["x", "psi"], list(zip(psi.grid.nodes, psi.values)))
+    write_csv(csv_path, ["x", "psi"], np.column_stack([psi.grid.nodes, psi.values]))
     write_json(json_path, summary)
     sys.stderr.write(f"solve finished in {elapsed_ms:.1f} ms\n")
     sys.stdout.write(csv_path + "\n" + json_path + "\n")
@@ -305,7 +321,6 @@ def cmd_bench(args):
 
 
 def cmd_reduce(args):
-    os.makedirs(args.out, exist_ok=True)
     if args.bvp == "ode":
         a = compile_expr(args.a_expr)
         f = compile_expr(args.f_expr)
@@ -314,10 +329,11 @@ def cmd_reduce(args):
             psi_f, u_f = reduction2d.reduce_ode_fredholm(a, f, n=args.grid)
             if not all(np.all(np.isfinite(g.values)) for g in (psi_v, u_v, psi_f, u_f)):
                 raise NonFiniteValueError("the ode reduction produced non-finite psi or u")
+            os.makedirs(args.out, exist_ok=True)
             csv_path = os.path.join(args.out, "ode.csv")
             write_csv(csv_path, ["x", "psi_volterra", "u_volterra", "psi_fredholm", "u_fredholm"],
-                      list(zip(u_v.grid.nodes, psi_v.values, u_v.values,
-                               psi_f.values, u_f.values)))
+                      np.column_stack([u_v.grid.nodes, psi_v.values, u_v.values,
+                                       psi_f.values, u_f.values]))
             summary = {
                 "bvp": "ode",
                 "route_disagreement_u": float(np.max(np.abs(u_v.values - u_f.values))),
@@ -341,17 +357,15 @@ def cmd_reduce(args):
     if not np.all(np.isfinite(table)):
         raise NonFiniteValueError(f"the {args.bvp} kernels or free term are not finite on the grid")
     tables = [(f"{args.bvp}_kernels.csv", ["x", "y", "tau1_at_xi_half", "tau2_at_eta_half", "f"],
-               table.tolist())]
+               table)]
     summary = {"bvp": args.bvp}
     if args.solve:
         params = _method_params(args)
         result = reduction2d.method2d_solve(red, params, nx=args.grid2d, ny=args.grid2d,
                                             verify_threshold=args.threshold)
-        sol_rows = []
-        for i, x in enumerate(result.psi.x_grid.nodes):
-            for j, y in enumerate(result.psi.y_grid.nodes):
-                sol_rows.append([x, y, result.psi.values[i, j]])
-        tables.append((f"{args.bvp}_solution.csv", ["x", "y", "psi"], sol_rows))
+        px, py = np.meshgrid(result.psi.x_grid.nodes, result.psi.y_grid.nodes, indexing="ij")
+        tables.append((f"{args.bvp}_solution.csv", ["x", "y", "psi"],
+                       np.column_stack([px.ravel(), py.ravel(), result.psi.values.ravel()])))
         summary.update({"mu": result.mu,
                         "residual_l2": result.report.residual_l2,
                         "relative_residual": result.report.relative})
@@ -364,6 +378,7 @@ def cmd_reduce(args):
         except FredsolveError:
             summary["closure_delta"] = None
     # nothing is written until every table and the solve are known to be good
+    os.makedirs(args.out, exist_ok=True)
     out_paths = [os.path.join(args.out, name) for name, _, _ in tables]
     for path, (_, header, table) in zip(out_paths, tables):
         write_csv(path, header, table)
@@ -381,7 +396,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no state between calls."""
     parser = _Parser(prog="fredsolve",
                      description="first-kind integral equations: "
                                  "reformulation, baselines, reductions")

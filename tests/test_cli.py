@@ -2,10 +2,16 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fredsolve
 from fredsolve import cli, reduction2d
 from fredsolve.cli import main
 from fredsolve.expr import compile_expr
@@ -16,6 +22,86 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def per_value_rows(rows):
+    """The writer's reference: one f"{v:.17g}" per cell, None as an empty cell."""
+    return "".join(",".join("" if v is None else f"{v:.17g}" for v in row) + "\n"
+                   for row in rows)
+
+
+def from_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+class TestWriteCsv:
+    def test_edge_values_match_per_value_formatting(self, tmp_path):
+        neg_nan, payload_nan = from_bits(0xFFF8000000000000, 0x7FF8000000000001)
+        assert np.signbit(neg_nan) and math.isnan(payload_nan)
+        table = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [neg_nan, payload_nan, np.nan],
+                          [np.inf, -np.inf, 5e-324], [1e16, 1.0, 1e16], [1.0, 1.0, 1.0]])
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        text = (tmp_path / "t.csv").read_text()
+        assert text == "a,b,c\n" + per_value_rows(table.tolist())
+        assert text.splitlines()[1:4] == ["-0,0,1", "0,-0,1", "nan,nan,nan"]
+
+    def test_zero_row_table_writes_the_header_only(self, tmp_path):
+        cli.write_csv(tmp_path / "t.csv", ["x", "psi"], np.empty((0, 2)))
+        assert (tmp_path / "t.csv").read_bytes() == b"x,psi\n"
+
+    def test_mixed_rows_format_per_cell(self, tmp_path):
+        rows = [["v2", 0.1, None, float("nan"), "ok"], ["tikhonov", -0.0, 3, None, "excluded"]]
+        cli.write_csv(tmp_path / "t.csv", list("abcde"), rows)
+        assert (tmp_path / "t.csv").read_text() == ("a,b,c,d,e\nv2,0.10000000000000001,,nan,ok\n"
+                                                    "tikhonov,-0,3,,excluded\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                           st.sampled_from([0, 1 << 63, 0x7FF0000000000000, 0x3FF0000000000000])),
+                 min_size=m, max_size=m),
+        max_size=12)))
+    def test_random_bit_patterns_match_per_value_formatting(self, rows):
+        width = len(rows[0]) if rows else 3
+        table = np.array(rows, dtype=np.uint64).reshape(-1, width).view(np.float64)
+        assert cli._float_rows(table) == per_value_rows(table.tolist())
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may see another's flags."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_flag_does_not_leak_into_the_next_call(self, tmp_path):
+        for name, extra in (("first", ["--mu", "0.3"]), ("second", [])):
+            assert main(["solve", "--method", "lavrentiev", "--grid", "16",
+                         "--out", str(tmp_path / name)] + extra) == 0
+        first, second = (json.loads((tmp_path / name / "summary.json").read_text())
+                         for name in ("first", "second"))
+        assert first["params"]["mu"] == 0.3 and second["params"]["mu"] is None
+
+    def test_a_usage_error_does_not_break_the_next_call(self, tmp_path):
+        assert main(["solve", "--grid", "abc", "--out", str(tmp_path / "bad")]) == 1
+        assert main(["solve", "--method", "lavrentiev", "--grid", "16",
+                     "--out", str(tmp_path / "good")]) == 0
+        assert (tmp_path / "good" / "solution.csv").exists()
+
+    def test_reused_parser_matches_a_fresh_process(self, tmp_path):
+        assert main(["reduce", "heat", "--grid2d", "8", "--u0-expr", "x*(1-x)",
+                     "--out", str(tmp_path / "warm0")]) == 0
+        assert main(["reduce", "heat", "--grid2d", "8", "--out", str(tmp_path / "warm")]) == 0
+        src = os.path.dirname(os.path.dirname(fredsolve.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "fredsolve.cli", "reduce", "heat", "--grid2d", "8",
+                        "--out", str(tmp_path / "fresh")], env=env, check=True,
+                       capture_output=True, timeout=120)
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+        for name in names:
+            assert ((tmp_path / "warm" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
 
 
 class TestProblemsCommand:
@@ -320,8 +406,15 @@ class TestReduceCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
     def test_ode_non_finite_writes_nothing(self, tmp_path):
         assert main(["reduce", "ode", "--solve", "--f-expr", "exp(1000*x)",
-                     "--out", str(tmp_path)]) == 2
-        assert list(tmp_path.iterdir()) == []
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "membrane", "--grid2d", "0"], ["reduce", "heat", "--solve", "--grid2d", "-3"],
+        ["reduce", "ode", "--solve", "--grid", "0"], ["reduce", "ode"]])
+    def test_configuration_error_creates_no_directory(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(...) overflows
     @pytest.mark.parametrize("extra", [
@@ -330,20 +423,20 @@ class TestReduceCommand:
         ["--u0-expr", "exp(1000*x)*0*x", "--solve"],
     ])
     def test_heat_non_finite_writes_nothing(self, tmp_path, extra):
-        assert main(["reduce", "heat", "--grid2d", "8", "--out", str(tmp_path)] + extra) == 2
-        assert list(tmp_path.iterdir()) == []
+        assert main(["reduce", "heat", "--grid2d", "8", "--out", str(tmp_path / "out")] + extra) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_membrane_non_finite_mu_writes_nothing(self, tmp_path):
         assert main(["reduce", "membrane", "--solve", "--mu", "nan", "--grid2d", "8",
-                     "--out", str(tmp_path)]) == 2
-        assert list(tmp_path.iterdir()) == []
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_membrane_non_finite_threshold_writes_nothing(self, tmp_path, capsys, threshold):
         assert main(["reduce", "membrane", "--solve", "--threshold", threshold, "--grid2d", "8",
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(tmp_path / "out")]) == 2
         assert "threshold" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_membrane_solve_verify(self, tmp_path):
         out = str(tmp_path)
