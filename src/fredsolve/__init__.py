@@ -8,19 +8,18 @@ filter), ``baselines`` (classical regularization and iteration methods),
 ``reduction2d`` (boundary-problem reductions and the 2D method), and ``cli``.
 """
 
-from .errors import (ConfigError, ContractionError, DegenerateProblemError,
-                     ExprParseError, FredsolveError, InvalidRadiusError,
-                     NonFiniteValueError, NoValidMuError, NumericalParameterError,
-                     OnSpectrumError, ParameterExclusionError, UndefinedDeltaError)
+from .errors import (ConfigError, DegenerateProblemError, ExprParseError,
+                     FredsolveError, InvalidRadiusError, NonFiniteValueError,
+                     NoValidMuError, NumericalParameterError, OnSpectrumError,
+                     ParameterExclusionError, UndefinedDeltaError)
 from .grid import (FourierCoeffs, Grid1D, GridFunction, KernelFourierCoeffs,
                    fourier_coeffs, gauss_legendre, gauss_panels, integrate,
                    kernel_fourier_coeffs)
 from .kernels import (ExclusionReport, PoissonParams, kernel_l, poisson_h,
                       poisson_h_series, resolvent_H, resolvent_L,
                       validate_lambda)
-from .fredholm2 import (SecondKindSystem, SpectrumEstimate, deflate_on_spectrum,
-                        estimate_spectrum, neumann_iterate, solve_direct,
-                        solve_volterra2)
+from .fredholm2 import (SecondKindSystem, SpectrumEstimate, estimate_spectrum,
+                        solve_direct)
 from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
                        green_triangular, make_manufactured, perturb)
 from .method_core import (FourierState, MethodParams, PipelineState,

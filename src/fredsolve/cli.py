@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baselines, method_core, problems, reduction2d
 from .errors import (ConfigError, FredsolveError, NonFiniteValueError,
-                     NumericalParameterError, require_finite)
+                     NumericalParameterError, require_finite, require_order)
 from .expr import compile_expr
 from .grid import GridFunction, gauss_legendre
 from .method_core import MethodParams
@@ -296,9 +296,10 @@ def cmd_bench(args):
     omegas = [float(v) for v in args.omegas.split(",") if v.strip()]
     if not methods or not epsilons or not omegas:
         raise ConfigError("bench needs nonempty --methods, --epsilons, --omegas")
-    # every noise level and the threshold are validated before the first row runs
+    # every noise level, the threshold and the grid are validated before the first row runs
     noises = [NoiseSpec(e, o) for e in epsilons for o in omegas]
     require_finite(threshold=args.threshold)
+    require_order(grid=args.grid)
     base_problem = _problem_from_args(args)
     jobs = [(m, noise) for m in methods for noise in noises]
     with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
@@ -371,8 +372,9 @@ def cmd_reduce(args):
                         "relative_residual": result.report.relative})
         if args.verify:
             summary["solvable"] = result.report.solvable
-        u1 = reduction2d.reconstruct_u(red, result.psi, "x")
-        u2 = reduction2d.reconstruct_u(red, result.psi, "y")
+        # the solver's tau stacks serve the reconstructions; verification assembled its own
+        u1 = reduction2d.reconstruct_u(red, result.psi, "x", stack=result.T1)
+        u2 = reduction2d.reconstruct_u(red, result.psi, "y", stack=result.T2)
         try:
             summary["closure_delta"] = reduction2d.closure_delta(u1, u2)
         except FredsolveError:

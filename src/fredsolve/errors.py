@@ -61,15 +61,6 @@ class NoValidMuError(NumericalParameterError):
         super().__init__(f"no valid mu among probed candidates {self.candidates}")
 
 
-class ContractionError(NumericalParameterError):
-    """Neumann iteration refused: |mu| * ||K||_L2 >= 1."""
-
-    def __init__(self, mu, c1):
-        self.mu = mu
-        self.c1 = c1
-        super().__init__(f"simple iteration diverges: |mu|*c1 = {abs(mu) * c1:.6g} >= 1")
-
-
 class NonFiniteValueError(NumericalParameterError):
     """A free term, kernel or solution holds infinite or NaN values."""
 
@@ -92,3 +83,10 @@ def require_finite(**values) -> None:
                     if value is not None and not math.isfinite(value))
     if bad:
         raise NonFiniteValueError(f"{bad} must be finite")
+
+
+def require_order(**orders) -> None:
+    """Raise ConfigError naming every quadrature order or grid size below 1."""
+    bad = ", ".join(f"{name}={value}" for name, value in orders.items() if value < 1)
+    if bad:
+        raise ConfigError(f"{bad} must be >= 1")

@@ -1,4 +1,4 @@
-"""Generic second-kind Fredholm/Volterra solvers on Gauss grids.
+"""Generic second-kind Fredholm solvers on Gauss grids.
 
 Dense Nystrom discretization throughout: psi = mu * A psi + F becomes
 (I - mu A) psi = F with A the quadrature matrix of the kernel.  Kernels with
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractionError, NoValidMuError, OnSpectrumError
+from .errors import ConfigError, NoValidMuError, OnSpectrumError
 from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, operator_matrix
 
 __all__ = [
@@ -22,10 +22,7 @@ __all__ = [
     "gate_mu",
     "certified_mu",
     "solve_direct",
-    "neumann_iterate",
     "estimate_spectrum",
-    "deflate_on_spectrum",
-    "solve_volterra2",
 ]
 
 # relative smallest-singular-value threshold separating spectrum hits from
@@ -151,29 +148,6 @@ def solve_direct(system: SecondKindSystem, matrix: np.ndarray | None = None) -> 
     return GridFunction(system.grid, np.linalg.solve(M, system.rhs()))
 
 
-def neumann_iterate(system: SecondKindSystem, max_iter: int = 1000,
-                    tol: float = 1e-12) -> GridFunction:
-    """Simple iteration psi <- mu A psi + F; requires |mu| * c1 < 1.
-
-    c1^2 is the L2(0,1)^2 norm of the kernel, measured by quadrature on the
-    system grid.
-    """
-    g = system.grid
-    K = np.asarray(system.kernel(g.nodes[:, None], g.nodes[None, :]), dtype=float)
-    c1 = float(np.sqrt(np.sum(g.weights[:, None] * g.weights[None, :] * K * K)))
-    if abs(system.mu) * c1 >= 1.0:
-        raise ContractionError(system.mu, c1)
-    A = system.matrix()
-    F = system.rhs()
-    psi = F.copy()
-    for _ in range(max_iter):
-        nxt = system.mu * (A @ psi) + F
-        if g.l2_norm(nxt - psi) <= tol:
-            return GridFunction(g, nxt)
-        psi = nxt
-    return GridFunction(g, psi)
-
-
 def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
                       matrix: np.ndarray | None = None) -> SpectrumEstimate:
     """Leading characteristic numbers/eigenfunctions of a symmetric kernel.
@@ -251,27 +225,3 @@ def _rounding_bound(kappa: float, lam_max: float, grid: Grid1D, diag_split: bool
     gamma = terms * eps / (1.0 - terms * eps)
     spread = np.sqrt(n) if diag_split else 1.0
     return gamma * kappa * (grid.b - grid.a) * spread + n * eps * lam_max
-
-
-def deflate_on_spectrum(f: GridFunction, eig: GridFunction) -> GridFunction:
-    """Remove the eig-component of f: f - eig * <f, eig>.
-
-    Stabilizes second-kind solves whose parameter sits on the spectrum; eig
-    must be L2-normalized on its grid.
-    """
-    norm = eig.l2_norm()
-    if abs(norm - 1.0) > 1e-8:
-        raise ConfigError(f"eigenfunction not normalized (norm {norm:.12g})")
-    coeff = float(np.sum(f.grid.weights * f.values * eig.values))
-    return GridFunction(f.grid, f.values - coeff * eig.values)
-
-
-def solve_volterra2(kernel, f, grid: Grid1D) -> GridFunction:
-    """Second-kind Volterra solve: psi(x) = int_a^x kernel(x, xi) psi(xi) d xi + f(x).
-
-    The kernel is taken as zero for xi > x; assembly uses product integration
-    so the truncated upper limit costs no accuracy.
-    """
-    V = operator_matrix(kernel, grid, volterra=True)
-    fv = np.asarray(f(grid.nodes), dtype=float) if callable(f) else np.asarray(f, dtype=float)
-    return GridFunction(grid, np.linalg.solve(np.eye(grid.n) - V, fv))

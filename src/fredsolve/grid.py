@@ -167,6 +167,16 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, v
 
 
+@lru_cache(maxsize=64)
+def _projection(n: int) -> np.ndarray:
+    # Pi[k, j] = (k + 1/2) P_k(t_j) v_j, the n-point Gauss rule's exact
+    # projection onto P_0..P_{n-1}; built once per order and shared read-only
+    t, v = _gauss_rule(n)
+    proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
+    proj.setflags(write=False)
+    return proj
+
+
 def gauss_legendre(n: int, a: float, b: float) -> Grid1D:
     """Gauss-Legendre rule with n nodes mapped to [a, b].
 
@@ -294,9 +304,9 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     k(x_i, .) P_k, L = interp_matrix(nodes, s) takes grid values to the
     n-point Gauss nodes s of [a, b] (the identity when the grid is that
     rule), and Pi[k, j] = (k + 1/2) P_k(t_j) v_j is that rule's exact
-    projection onto P_0..P_{n-1}.  The split rule has
-    m = max(quad_order, n) points per half (quad_order defaults to
-    MIN_PRODUCT_ORDER).  Exact to degree 2m - 1 >= 2n - 1, it integrates
+    projection onto P_0..P_{n-1}, built once per n (``_projection``).  The
+    split rule has m = max(quad_order, n) points per half (quad_order
+    defaults to MIN_PRODUCT_ORDER).  Exact to degree 2m - 1 >= 2n - 1, it integrates
     k(x_i, .) P_k exactly for every k < n whenever the kernel is a polynomial
     of degree at most n on each side of the split, whatever quad_order a
     caller passes.  That one global interpolant breaks down
@@ -311,9 +321,8 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
         n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
         m = max(quad_order or MIN_PRODUCT_ORDER, n)
         zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
-        t, v = _gauss_rule(n)
-        proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
-        A = _legendre_moments((zq - mid) / half, kw, n) @ (proj @ interp_matrix(xs, half * t + mid))
+        PiL = _projection(n) @ interp_matrix(xs, half * _gauss_rule(n)[0] + mid)
+        A = _legendre_moments((zq - mid) / half, kw, n) @ PiL
     if not np.all(np.isfinite(A)):
         raise NonFiniteValueError(f"the Nystrom matrix on {grid.n} nodes must be finite")
     return A

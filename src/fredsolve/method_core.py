@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NoValidMuError, ParameterExclusionError, require_finite
+from .errors import (ConfigError, NoValidMuError, ParameterExclusionError, require_finite,
+                     require_order)
 from .fredholm2 import SecondKindSystem, gate_mu, solve_direct
 from .grid import (FourierCoeffs, GridFunction, Grid1D, KernelFourierCoeffs,
                    apply_operator, fourier_coeffs, gauss_legendre,
@@ -67,6 +68,7 @@ class MethodParams:
                quad_order: int = 64, n_out: int = 64,
                min_rel_dist: float = 1e-3) -> "MethodParams":
         require_finite(lam=lam, mu=mu)
+        require_order(quad_order=quad_order, n_out=n_out)
         poisson = PoissonParams.create(r=r, lam=lam)
         require_lambda_valid(poisson, min_rel_dist)
         return cls(poisson=poisson, mu=mu, quad_order=quad_order, n_out=n_out,

@@ -75,11 +75,20 @@ class GridFunction2D:
 
 @dataclass(frozen=True)
 class Method2DResult:
+    """The solve's psi, its two parts, verdict and mu, and its tau stacks.
+
+    T1 (ny, nx, nx) and T2 (nx, ny, ny) are ``_tau_stack``'s matrices on
+    psi's grid; ``reconstruct_u`` takes the one of its route instead of
+    assembling it again.
+    """
+
     psi: GridFunction2D
     psi0: GridFunction2D
     psi1: GridFunction2D
     report: ResidualReport
     mu: float
+    T1: np.ndarray
+    T2: np.ndarray
 
 
 def _volterra_cumulative(grid: Grid1D) -> np.ndarray:
@@ -182,15 +191,13 @@ def _tau_stack(reduction, axis: str, grid: Grid1D, points, quad_order: int) -> n
 
 # Each contraction is one batched matrix-vector product per column (along x)
 # or per row (along y); a single GEMM would round differently.
-def _along_x(reduction, gx: Grid1D, ys, values, quad_order: int) -> np.ndarray:
-    """Column j is int_0^1 tau1(x, ys[j], xi) values(xi, j) d xi on gx."""
-    T1 = _tau_stack(reduction, "x", gx, ys, quad_order)
+def _along_x(T1: np.ndarray, values) -> np.ndarray:
+    """Column j is T1[j] @ values[:, j]: int_0^1 tau1(x, y_j, xi) values(xi, j) d xi."""
     return np.matmul(T1, values.T[:, :, None])[:, :, 0].T
 
 
-def _along_y(reduction, gy: Grid1D, xs, values, quad_order: int) -> np.ndarray:
-    """Row i is int_0^1 tau2(xs[i], y, eta) values(i, eta) d eta on gy."""
-    T2 = _tau_stack(reduction, "y", gy, xs, quad_order)
+def _along_y(T2: np.ndarray, values) -> np.ndarray:
+    """Row i is T2[i] @ values[i]: int_0^1 tau2(x_i, y, eta) values(i, eta) d eta."""
     return np.matmul(T2, values[:, :, None])[:, :, 0]
 
 
@@ -202,38 +209,50 @@ def forward2d(reduction: Bvp2DReduction, psi: GridFunction2D,
               quad_order: int = 32) -> GridFunction2D:
     """Left-hand side of the reduced first-kind equation, sampled on psi's grid."""
     gx, gy, v = psi.x_grid, psi.y_grid, psi.values
-    return GridFunction2D(gx, gy, _along_x(reduction, gx, gy.nodes, v, quad_order)
-                          + _along_y(reduction, gy, gx.nodes, v, quad_order))
+    T1 = _tau_stack(reduction, "x", gx, gy.nodes, quad_order)
+    T2 = _tau_stack(reduction, "y", gy, gx.nodes, quad_order)
+    return GridFunction2D(gx, gy, _along_x(T1, v) + _along_y(T2, v))
 
 
 def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "x",
-                  boundary_corrected: bool = False, quad_order: int = 32) -> GridFunction2D:
+                  boundary_corrected: bool = False, quad_order: int = 32,
+                  stack: np.ndarray | None = None) -> GridFunction2D:
     """Field u from psi via one representation.
 
     'x' integrates tau1 against psi (vanishes where tau1 does); 'y' uses
     f - the tau2 integral.  Boundary correction subtracts the linear blend of
     the values on the other pair of edges, evaluated from the same
     representation.
+
+    ``stack`` is the route's tau stack on psi's grid, T1 (ny, nx, nx) for
+    'x' or T2 (nx, ny, ny) for 'y', as ``method2d_solve`` returns it; without
+    it the stack is assembled here at ``quad_order``.  The edge stacks of the
+    boundary correction sit at other points and are always assembled here.
     """
     if which not in ("x", "y"):
         raise ConfigError(f"route must be 'x' or 'y', got {which!r}")
     gx, gy, v = psi.x_grid, psi.y_grid, psi.values
+    grid, points = (gx, gy.nodes) if which == "x" else (gy, gx.nodes)
+    if stack is None:
+        stack = _tau_stack(reduction, which, grid, points, quad_order)
+    elif stack.shape != (points.size, grid.n, grid.n):
+        raise ConfigError(f"route {which!r} needs a {(points.size, grid.n, grid.n)} "
+                          f"tau stack, got {stack.shape}")
     ends = np.array([0.0, 1.0])
     if which == "x":
-        vals = _along_x(reduction, gx, gy.nodes, v, quad_order)
+        vals = _along_x(stack, v)
         if boundary_corrected:
             # psi on y = 0 and y = 1, one matrix-vector product per edge (see _along_x)
             on_edges = np.matmul(v, interp_matrix(gy.nodes, ends)[:, :, None])[:, :, 0].T
-            edge = _along_x(reduction, gx, ends, on_edges, quad_order)
+            edge = _along_x(_tau_stack(reduction, "x", gx, ends, quad_order), on_edges)
             y = gy.nodes[None, :]
             vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
     else:
-        vals = (_free_term(reduction, gx.nodes, gy.nodes)
-                - _along_y(reduction, gy, gx.nodes, v, quad_order))
+        vals = _free_term(reduction, gx.nodes, gy.nodes) - _along_y(stack, v)
         if boundary_corrected:
             on_edges = np.matmul(interp_matrix(gx.nodes, ends)[:, None, :], v)[:, 0, :]
             edge = (_free_term(reduction, ends, gy.nodes)
-                    - _along_y(reduction, gy, ends, on_edges, quad_order))
+                    - _along_y(_tau_stack(reduction, "y", gy, ends, quad_order), on_edges))
             x = gx.nodes[:, None]
             vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
     return GridFunction2D(gx, gy, vals)
@@ -375,7 +394,7 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     return Method2DResult(psi=psi,
                           psi0=GridFunction2D(gx, gy, psi0),
                           psi1=GridFunction2D(gx, gy, psi1),
-                          report=report, mu=mu)
+                          report=report, mu=mu, T1=T1, T2=T2)
 
 
 def verify2d(reduction: Bvp2DReduction, psi: GridFunction2D,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredsolve
-from fredsolve import cli, reduction2d
+from fredsolve import baselines, cli, fredholm2, grid, method_core, reduction2d
 from fredsolve.cli import main
 from fredsolve.expr import compile_expr
 from fredsolve.grid import gauss_legendre
@@ -102,6 +102,21 @@ class TestParserReuse:
         for name in names:
             assert ((tmp_path / "warm" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
+
+
+class TestGridOrder:
+    # every subcommand that reads --grid refuses an order below 1 before it writes anything
+    @pytest.mark.parametrize("grid_order", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["solve", "--method", "lavrentiev"], ["forward", "--psi", "x"], ["bench"],
+        ["reduce", "ode", "--solve"], ["reduce", "membrane", "--solve"],
+        ["reduce", "heat", "--solve", "--verify"]],
+        ids=["solve-v2", "solve-lavrentiev", "forward", "bench", "reduce-ode",
+             "reduce-membrane", "reduce-heat"])
+    def test_exit_1_and_no_output(self, tmp_path, capsys, argv, grid_order):
+        assert main(argv + ["--grid", grid_order, "--out", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestProblemsCommand:
@@ -445,6 +460,21 @@ class TestReduceCommand:
         summary = json.loads((tmp_path / "reduce.json").read_text())
         assert "residual_l2" in summary and "solvable" in summary
         assert "closure_delta" in summary
+
+    @pytest.mark.parametrize("bvp", ["membrane", "heat"])
+    def test_solve_verify_assembles_each_tau_direction_twice(self, tmp_path, monkeypatch, bvp):
+        # the solve's stacks serve both reconstructions; verification assembles its own
+        calls = []
+        real = grid.operator_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].n)
+            return real(*args, **kwargs)
+        for module in (grid, baselines, fredholm2, method_core, reduction2d):
+            monkeypatch.setattr(module, "operator_matrix", counting)
+        assert main(["reduce", bvp, "--solve", "--verify", "--grid2d", "12",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [12] * 4
 
     def test_unknown_bvp(self, tmp_path):
         assert main(["reduce", "plate", "--out", str(tmp_path)]) == 1

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from fredsolve.errors import (ConfigError, ContractionError, NoValidMuError,
-                              OnSpectrumError)
+from fredsolve.errors import ConfigError, NoValidMuError, OnSpectrumError
 from fredsolve.fredholm2 import (DEFAULT_MU_CANDIDATES, SecondKindSystem,
-                                 deflate_on_spectrum, estimate_spectrum, gate_mu,
-                                 neumann_iterate, solve_direct, solve_volterra2)
-from fredsolve.grid import GridFunction, gauss_legendre, operator_matrix
+                                 estimate_spectrum, gate_mu, solve_direct)
+from fredsolve.grid import gauss_legendre, operator_matrix
 
 from oracles import tri_green
 
@@ -80,34 +78,6 @@ class TestGateMu:
         assert np.array_equal(solve_direct(sys_, M).values, np.linalg.solve(M, sys_.rhs()))
 
 
-class TestNeumannIterate:
-    def test_geometric_series(self):
-        sys_ = SecondKindSystem(lambda x, xi: _ones(x * xi), _ones, mu=0.4, grid=GRID)
-        psi = neumann_iterate(sys_, tol=1e-14)
-        assert np.max(np.abs(psi.values - 5.0 / 3.0)) < 1e-10
-
-    def test_contraction_violation(self):
-        sys_ = SecondKindSystem(lambda x, xi: _ones(x * xi), _ones, mu=1.5, grid=GRID)
-        with pytest.raises(ContractionError) as exc:
-            neumann_iterate(sys_)
-        assert exc.value.c1 == pytest.approx(1.0, abs=1e-10)
-
-    def test_agreement_with_direct_solve(self):
-        # |mu| c1 < 1 needs alpha > ||k|| = 1/sqrt(90) ~ 0.105; alpha = 0.2
-        alpha = 0.2
-        sys_ = SecondKindSystem(tri_green, lambda x: np.sin(np.pi * x) / alpha,
-                                mu=-1.0 / alpha, grid=GRID, diag_split=True)
-        direct = solve_direct(sys_)
-        iterated = neumann_iterate(sys_, max_iter=2000, tol=1e-12)
-        assert GRID.l2_norm(direct.values - iterated.values) < 1e-8
-
-    def test_canonical_alpha_refused(self):
-        # at alpha = 0.1 the contraction condition |mu| c1 < 1 fails (c1 = 1/sqrt(90))
-        sys_ = SecondKindSystem(tri_green, np.sin, mu=-10.0, grid=GRID, diag_split=True)
-        with pytest.raises(ContractionError):
-            neumann_iterate(sys_)
-
-
 class TestEstimateSpectrum:
     def test_triangular_kernel(self):
         est = estimate_spectrum(tri_green, GRID, count=4)
@@ -164,47 +134,6 @@ class TestEstimateSpectrum:
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(ConfigError):
             estimate_spectrum(lambda x, xi: x * (1 + 0.0 * xi), GRID, count=2)
-
-
-class TestDeflate:
-    def _eig(self):
-        return GridFunction.sample(lambda x: np.sqrt(2) * np.sin(np.pi * x), GRID)
-
-    def test_orthogonal_unchanged(self):
-        eig = self._eig()
-        f = GridFunction.sample(lambda x: np.sqrt(2) * np.sin(2 * np.pi * x), GRID)
-        out = deflate_on_spectrum(f, eig)
-        assert np.max(np.abs(out.values - f.values)) < 1e-12
-
-    def test_eigendirection_removed(self):
-        eig = self._eig()
-        out = deflate_on_spectrum(eig, eig)
-        assert np.max(np.abs(out.values)) < 1e-12
-
-    def test_mixed_input(self):
-        # Gram-Schmidt oracle: g = raw - eig <raw, eig> is orthogonal by construction
-        eig = self._eig()
-        raw = GridFunction.sample(lambda x: x * x, GRID)
-        coeff = np.sum(GRID.weights * raw.values * eig.values)
-        g = raw.values - coeff * eig.values
-        f = GridFunction(GRID, eig.values + g)
-        out = deflate_on_spectrum(f, eig)
-        assert np.max(np.abs(out.values - g)) < 1e-10
-
-    def test_unnormalized_rejected(self):
-        eig = GridFunction.sample(lambda x: np.sin(np.pi * x), GRID)  # norm 1/sqrt2
-        with pytest.raises(ConfigError):
-            deflate_on_spectrum(eig, eig)
-
-
-class TestVolterra:
-    def test_zero_kernel(self):
-        psi = solve_volterra2(lambda x, xi: 0.0 * x * xi, np.cos, GRID)
-        assert np.array_equal(psi.values, np.cos(GRID.nodes))
-
-    def test_exponential_fixed_point(self):
-        psi = solve_volterra2(lambda x, xi: _ones(x * xi), _ones, GRID)
-        assert np.max(np.abs(psi.values - np.exp(GRID.nodes))) < 1e-6
 
 
 def test_conditioning_grows_with_refinement():

@@ -37,6 +37,12 @@ GRIDS = {"gauss16": gauss_legendre(16, 0.0, 1.0), "gauss64": gauss_legendre(64, 
          "panels": gauss_panels([0.0, 0.3, 1.0], 8)}
 
 
+def _projection_oracle(n):
+    # Pi[k, j] = (k + 1/2) P_k(t_j) v_j on the n-point Gauss rule of [-1, 1]
+    t, v = np.polynomial.legendre.leggauss(n)
+    return (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
+
+
 def _entry_bound(kernel, grid, volterra=False, quad_order=None):
     """(c, kappa, pi) with |A^_ij - A_ij| <= c kappa_i pi_j for both assemblies.
 
@@ -60,10 +66,9 @@ def _entry_bound(kernel, grid, volterra=False, quad_order=None):
     lebesgue = max(np.max(np.sum(np.abs(interp_matrix(grid.nodes, zq)), axis=1))
                    for zq, _ in rows if zq.size)
     n = grid.n
-    t, v = np.polynomial.legendre.leggauss(n)
-    proj = (np.arange(n) + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n - 1).T * v
+    t = np.polynomial.legendre.leggauss(n)[0]
     L = interp_matrix(grid.nodes, 0.5 * (grid.b - grid.a) * t + 0.5 * (grid.a + grid.b))
-    pi = np.sum(np.abs(proj) @ np.abs(L), axis=0)
+    pi = np.sum(np.abs(_projection_oracle(n)) @ np.abs(L), axis=0)
     quad = 2 * max(int(quad_order or MIN_PRODUCT_ORDER), n)
     return _gamma(8 * n + quad + 4) * (1.0 + lebesgue), kappa, pi
 
@@ -364,6 +369,15 @@ class TestCaches:
             t[0] = 0.0
         g = gauss_legendre(12, -1.0, 1.0)
         assert g.nodes.flags.writeable and not np.shares_memory(g.nodes, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 64])
+    def test_projection_is_built_once_per_order_and_read_only(self, n):
+        proj = grid_module._projection(n)
+        assert grid_module._projection(n) is proj
+        assert np.array_equal(proj, _projection_oracle(n))
+        assert not proj.flags.writeable
+        with pytest.raises(ValueError):
+            proj[0, 0] = 0.0
 
     def test_barycentric_weights_one_entry_per_node_set(self):
         x = gauss_legendre(20, 0.0, 1.0).nodes

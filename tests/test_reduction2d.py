@@ -164,6 +164,24 @@ class TestReconstructU:
         delta = closure_delta(U1, U2)
         print(f"\n[membrane oracle] closure delta = {delta:.6e}")
 
+    # PARAMS' quad_order 64 gives the solver's rule order 32, reconstruct_u's default
+    @pytest.mark.parametrize("name", ["membrane", "heat", "varying"])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_the_solver_stack_gives_its_own_assembly_bit_for_bit(self, name, which, corrected):
+        red = REDUCTIONS[name]()
+        result = method2d_solve(red, PARAMS, nx=11, ny=7)
+        stack = result.T1 if which == "x" else result.T2
+        got = reconstruct_u(red, result.psi, which, boundary_corrected=corrected, stack=stack)
+        want = reconstruct_u(red, result.psi, which, boundary_corrected=corrected)
+        assert np.array_equal(got.values, want.values)
+
+    def test_a_stack_of_the_wrong_route_is_refused(self):
+        red = reduce_membrane()
+        result = method2d_solve(red, PARAMS, nx=11, ny=7)
+        with pytest.raises(ConfigError):
+            reconstruct_u(red, result.psi, "x", stack=result.T2)
+
 
 class TestClosureDelta:
     def test_equal_fields(self):
