@@ -162,8 +162,7 @@ def _problem_from_args(args):
 
 
 def _method_params(args):
-    return MethodParams.create(r=args.r, lam=args.lam, mu=args.mu,
-                               quad_order=args.grid, n_out=args.grid)
+    return MethodParams.create(r=args.r, lam=args.lam, mu=args.mu, n_out=args.grid)
 
 
 def _run_method(method, prob, args):
@@ -257,6 +256,7 @@ def cmd_forward(args):
 
 
 def cmd_solve(args):
+    require_order(iters=args.iters, fourier_n=args.fourier_n)
     prob = _problem_from_args(args)
     started = time.perf_counter()
     psi, summary = _run_method(args.method, prob, args)
@@ -296,10 +296,10 @@ def cmd_bench(args):
     omegas = [float(v) for v in args.omegas.split(",") if v.strip()]
     if not methods or not epsilons or not omegas:
         raise ConfigError("bench needs nonempty --methods, --epsilons, --omegas")
-    # every noise level, the threshold and the grid are validated before the first row runs
+    # every noise level, the threshold and the counts are validated before the first row runs
     noises = [NoiseSpec(e, o) for e in epsilons for o in omegas]
     require_finite(threshold=args.threshold)
-    require_order(grid=args.grid)
+    require_order(grid=args.grid, iters=args.iters, fourier_n=args.fourier_n)
     base_problem = _problem_from_args(args)
     jobs = [(m, noise) for m in methods for noise in noises]
     with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:

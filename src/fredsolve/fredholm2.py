@@ -174,7 +174,8 @@ def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
       ||S^ - S||_F <= gamma_8 kappa sqrt(sum_ij w_i w_j) = gamma_8 kappa L.
     * Product integration (``diag_split``): A_ij sums N = 2m terms
       k(x_i, z_q) w_q ell_j(z_q) over the split Gauss rule of order
-      m = max(n, MIN_PRODUCT_ORDER) per half, so
+      m = max(n, MIN_PRODUCT_ORDER) per half (``operator_matrix``'s one
+      rule, so this holds for every matrix it assembles), so
       |A^_ij - A_ij| <= gamma_{2m+8} kappa sum_q w_q |ell_j(z_q)|.  The split
       rule is exact for ell_j^2 and, on a Gauss grid, int ell_j^2 = w_j, so by
       Cauchy-Schwarz sum_q w_q |ell_j(z_q)| <= sqrt(L w_j).  Scaling by

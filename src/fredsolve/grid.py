@@ -291,7 +291,7 @@ def _legendre_moments(z, kw, n: int) -> np.ndarray:
 
 
 def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
-                    volterra: bool = False, quad_order: int | None = None) -> np.ndarray:
+                    volterra: bool = False) -> np.ndarray:
     """Nystrom matrix A with (A g)[i] ~ integral of kernel(x_i, xi) g(xi).
 
     Plain rule by default.  With ``diag_split`` the xi-integral is split at
@@ -305,22 +305,22 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     n-point Gauss nodes s of [a, b] (the identity when the grid is that
     rule), and Pi[k, j] = (k + 1/2) P_k(t_j) v_j is that rule's exact
     projection onto P_0..P_{n-1}, built once per n (``_projection``).  The
-    split rule has m = max(quad_order, n) points per half (quad_order
-    defaults to MIN_PRODUCT_ORDER).  Exact to degree 2m - 1 >= 2n - 1, it integrates
+    split rule has m = max(MIN_PRODUCT_ORDER, n) points per half, fixed by
+    the grid alone.  Exact to degree 2m - 1 >= 2n - 1, it integrates
     k(x_i, .) P_k exactly for every k < n whenever the kernel is a polynomial
-    of degree at most n on each side of the split, whatever quad_order a
-    caller passes.  That one global interpolant breaks down
-    on many-panel grids; a matrix that is not finite raises NonFiniteValueError.
-    Kernel values (B, n, P) on the (n, P) points give a (B, n, n) stack, one
-    matrix per leading index, from the same single moment sweep.
+    of degree at most n on each side of the split, as every shipped
+    product-integrated kernel is (piecewise linear in xi).  That one global
+    interpolant breaks down on many-panel grids; a matrix that is not finite
+    raises NonFiniteValueError.  Kernel values (B, n, P) on the (n, P) points
+    give a (B, n, n) stack, one matrix per leading index, from one moment sweep.
     """
     xs, ws = grid.nodes, grid.weights
     if not diag_split and not volterra:
         A = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws
     else:
         n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
-        m = max(quad_order or MIN_PRODUCT_ORDER, n)
-        zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, m)
+        zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split,
+                              max(MIN_PRODUCT_ORDER, n))
         PiL = _projection(n) @ interp_matrix(xs, half * _gauss_rule(n)[0] + mid)
         A = _legendre_moments((zq - mid) / half, kw, n) @ PiL
     if not np.all(np.isfinite(A)):

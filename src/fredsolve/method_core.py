@@ -55,24 +55,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Reformulation parameters: Poisson pair (r, lambda), mu, and grid sizes."""
+    """Reformulation parameters: Poisson pair (r, lambda), mu, and the grid size
+    n_out, which is also method_v1's quadrature order and method_v2's verifier floor."""
 
     poisson: PoissonParams
     mu: float | None = None
-    quad_order: int = 64
     n_out: int = 64
     min_rel_dist: float = 1e-3
 
     @classmethod
     def create(cls, r: float = 0.5, lam: float = 0.2, mu: float | None = None,
-               quad_order: int = 64, n_out: int = 64,
-               min_rel_dist: float = 1e-3) -> "MethodParams":
+               n_out: int = 64, min_rel_dist: float = 1e-3) -> "MethodParams":
         require_finite(lam=lam, mu=mu)
-        require_order(quad_order=quad_order, n_out=n_out)
+        require_order(n_out=n_out)
         poisson = PoissonParams.create(r=r, lam=lam)
         require_lambda_valid(poisson, min_rel_dist)
-        return cls(poisson=poisson, mu=mu, quad_order=quad_order, n_out=n_out,
-                   min_rel_dist=min_rel_dist)
+        return cls(poisson=poisson, mu=mu, n_out=n_out, min_rel_dist=min_rel_dist)
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,7 @@ class _Workspace:
     def A_K(self) -> np.ndarray:
         # discrete composition of K = k + lam * H k; exact in the grid algebra
         return self.smooth(operator_matrix(self.problem.kernel, self.grid01,
-                                           diag_split=self.problem.diag_split,
-                                           quad_order=self.params.quad_order))
+                                           diag_split=self.problem.diag_split))
 
     def smooth(self, values: np.ndarray) -> np.ndarray:
         """values + lam int_0^1 H(x, xi) values(xi) d xi."""
@@ -242,7 +239,7 @@ def method_v2(problem: FirstKindProblem, params: MethodParams,
     g, gm = ws.grid01, ws.gridm
     psi = GridFunction(g, psi0 + psi1)
     report = verify_solution(problem, psi, threshold=verify_threshold,
-                             quad_order=max(96, params.quad_order))
+                             quad_order=max(96, params.n_out))
     recon = None
     if problem.psi_star is not None:
         recon = g.l2_norm(psi.values - np.asarray(problem.psi_star(g.nodes), dtype=float))
@@ -301,8 +298,8 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
     N = int(n_fourier)
     if N < 1:
         raise ConfigError(f"need n_fourier >= 1, got {N}")
-    c = fourier_coeffs(problem.free_term, N, params.quad_order)
-    pk = kernel_fourier_coeffs(problem.kernel, N, params.quad_order,
+    c = fourier_coeffs(problem.free_term, N, params.n_out)
+    pk = kernel_fourier_coeffs(problem.kernel, N, params.n_out,
                                diag_split=problem.diag_split)
     g = mu * (1.0 - lam)
     d = 2.0 * (1.0 - 2.0 * lam)

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
                      UndefinedDeltaError)
 from .fredholm2 import SecondKindSystem, certified_mu, gate_mu, solve_direct
-from .grid import (MIN_PRODUCT_ORDER, GridFunction, Grid1D, gauss_legendre,
-                   interp_matrix, operator_matrix)
+from .grid import GridFunction, Grid1D, gauss_legendre, interp_matrix, operator_matrix
 from .method_core import MethodParams, ResidualReport, _verdict, _Workspace
 
 __all__ = [
@@ -174,7 +173,7 @@ def reduce_heat(u0) -> Bvp2DReduction:
     )
 
 
-def _tau_stack(reduction, axis: str, grid: Grid1D, points, quad_order: int) -> np.ndarray:
+def _tau_stack(reduction, axis: str, grid: Grid1D, points) -> np.ndarray:
     """T1 (axis 'x') or T2 (axis 'y'), one matrix per point: (len(points), n, n).
 
     T1[j] is xi -> tau1(x, points[j], xi) on grid and T2[i] is eta ->
@@ -185,7 +184,7 @@ def _tau_stack(reduction, axis: str, grid: Grid1D, points, quad_order: int) -> n
     p = np.asarray(points, dtype=float)[:, None, None]
     kernel = ((lambda x, xi: reduction.tau1(x, p, xi)) if axis == "x"
               else (lambda y, eta: reduction.tau2(p, y, eta)))
-    T = operator_matrix(kernel, grid, diag_split=True, quad_order=quad_order)
+    T = operator_matrix(kernel, grid, diag_split=True)
     return T if T.ndim == 3 else np.broadcast_to(T, (p.shape[0],) + T.shape)
 
 
@@ -205,17 +204,16 @@ def _free_term(reduction, xs, ys) -> np.ndarray:
     return np.asarray(reduction.free_term(xs[:, None], ys[None, :]), dtype=float)
 
 
-def forward2d(reduction: Bvp2DReduction, psi: GridFunction2D,
-              quad_order: int = 32) -> GridFunction2D:
+def forward2d(reduction: Bvp2DReduction, psi: GridFunction2D) -> GridFunction2D:
     """Left-hand side of the reduced first-kind equation, sampled on psi's grid."""
     gx, gy, v = psi.x_grid, psi.y_grid, psi.values
-    T1 = _tau_stack(reduction, "x", gx, gy.nodes, quad_order)
-    T2 = _tau_stack(reduction, "y", gy, gx.nodes, quad_order)
+    T1 = _tau_stack(reduction, "x", gx, gy.nodes)
+    T2 = _tau_stack(reduction, "y", gy, gx.nodes)
     return GridFunction2D(gx, gy, _along_x(T1, v) + _along_y(T2, v))
 
 
 def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "x",
-                  boundary_corrected: bool = False, quad_order: int = 32,
+                  boundary_corrected: bool = False,
                   stack: np.ndarray | None = None) -> GridFunction2D:
     """Field u from psi via one representation.
 
@@ -226,15 +224,15 @@ def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "
 
     ``stack`` is the route's tau stack on psi's grid, T1 (ny, nx, nx) for
     'x' or T2 (nx, ny, ny) for 'y', as ``method2d_solve`` returns it; without
-    it the stack is assembled here at ``quad_order``.  The edge stacks of the
-    boundary correction sit at other points and are always assembled here.
+    it the same stack is assembled here.  The edge stacks of the boundary
+    correction sit at other points and are always assembled here.
     """
     if which not in ("x", "y"):
         raise ConfigError(f"route must be 'x' or 'y', got {which!r}")
     gx, gy, v = psi.x_grid, psi.y_grid, psi.values
     grid, points = (gx, gy.nodes) if which == "x" else (gy, gx.nodes)
     if stack is None:
-        stack = _tau_stack(reduction, which, grid, points, quad_order)
+        stack = _tau_stack(reduction, which, grid, points)
     elif stack.shape != (points.size, grid.n, grid.n):
         raise ConfigError(f"route {which!r} needs a {(points.size, grid.n, grid.n)} "
                           f"tau stack, got {stack.shape}")
@@ -244,7 +242,7 @@ def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "
         if boundary_corrected:
             # psi on y = 0 and y = 1, one matrix-vector product per edge (see _along_x)
             on_edges = np.matmul(v, interp_matrix(gy.nodes, ends)[:, :, None])[:, :, 0].T
-            edge = _along_x(_tau_stack(reduction, "x", gx, ends, quad_order), on_edges)
+            edge = _along_x(_tau_stack(reduction, "x", gx, ends), on_edges)
             y = gy.nodes[None, :]
             vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
     else:
@@ -252,7 +250,7 @@ def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "
         if boundary_corrected:
             on_edges = np.matmul(interp_matrix(gx.nodes, ends)[:, None, :], v)[:, 0, :]
             edge = (_free_term(reduction, ends, gy.nodes)
-                    - _along_y(_tau_stack(reduction, "y", gy, ends, quad_order), on_edges))
+                    - _along_y(_tau_stack(reduction, "y", gy, ends), on_edges))
             x = gx.nodes[:, None]
             vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
     return GridFunction2D(gx, gy, vals)
@@ -357,9 +355,8 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
     ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
-    q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
-    T1 = _tau_stack(reduction, "x", gx, gy.nodes, q)
-    T2 = _tau_stack(reduction, "y", gy, gx.nodes, q)
+    T1 = _tau_stack(reduction, "x", gx, gy.nodes)
+    T2 = _tau_stack(reduction, "y", gy, gx.nodes)
     constant = T1.strides[0] == 0 and T2.strides[0] == 0
     # N = tau1 + lam * H tau1, composed along x for each y_j (one matrix when constant)
     N = ws.smooth(T1[0] if constant else T1)
@@ -398,9 +395,9 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
 
 
 def verify2d(reduction: Bvp2DReduction, psi: GridFunction2D,
-             threshold: float = 0.05, quad_order: int = 32) -> ResidualReport:
+             threshold: float = 0.05) -> ResidualReport:
     """Substitute psi into the 2D first-kind equation and threshold the residual."""
-    lhs = forward2d(reduction, psi, quad_order=quad_order)
+    lhs = forward2d(reduction, psi)
     F = _free_term(reduction, psi.x_grid.nodes, psi.y_grid.nodes)
     residual = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F).l2_norm()
     return _verdict(residual, GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm(), threshold)

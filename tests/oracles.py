@@ -91,7 +91,7 @@ def build_K(kernel, params):
     toward z = x where H concentrates as r -> 1.
     """
     p = params.poisson
-    base = np.polynomial.legendre.leggauss(max(24, params.quad_order // 2))
+    base = np.polynomial.legendre.leggauss(max(24, params.n_out // 2))
 
     def z_rule(x, xi):
         breaks = {0.0, 1.0, float(xi), float(x)}
@@ -171,52 +171,51 @@ def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_orde
     return out
 
 
-def tau_blocks(reduction, direction, grid, points, quad_order):
+def tau_blocks(reduction, direction, grid, points):
     """One tau1 (direction 'x') or tau2 ('y') matrix per point, as a list,
     each from its own scalar-point assembly."""
     if direction == "x":
         kernel_at = lambda y: lambda x, xi: reduction.tau1(x, y, xi)
     else:
         kernel_at = lambda x: lambda y, eta: reduction.tau2(x, y, eta)
-    return [operator_matrix(kernel_at(s), grid, diag_split=True, quad_order=quad_order)
-            for s in points]
+    return [operator_matrix(kernel_at(s), grid, diag_split=True) for s in points]
 
 
-def forward2d_loops(reduction, psi, quad_order=32):
+def forward2d_loops(reduction, psi):
     """Values of the 2D left-hand side, one row or column block at a time."""
     gx, gy = psi.x_grid, psi.y_grid
     out = np.zeros((gx.n, gy.n))
-    for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes, quad_order)):
+    for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes)):
         out[:, j] += rows @ psi.values[:, j]
-    for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes, quad_order)):
+    for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes)):
         out[i, :] += rows @ psi.values[i, :]
     return out
 
 
-def reconstruct_u_loops(reduction, psi, which, boundary_corrected, quad_order=32):
+def reconstruct_u_loops(reduction, psi, which, boundary_corrected):
     """Values of either u route, with the edge blend built edge by edge."""
     gx, gy = psi.x_grid, psi.y_grid
     ends = np.array([0.0, 1.0])
     vals = np.zeros((gx.n, gy.n))
     if which == "x":
-        for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes, quad_order)):
+        for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes)):
             vals[:, j] = rows @ psi.values[:, j]
         if boundary_corrected:
             Ly = interp_matrix(gy.nodes, ends)
             edge = np.zeros((gx.n, 2))
-            for col, rows in enumerate(tau_blocks(reduction, "x", gx, (0.0, 1.0), quad_order)):
+            for col, rows in enumerate(tau_blocks(reduction, "x", gx, (0.0, 1.0))):
                 edge[:, col] = rows @ (psi.values @ Ly[col])
             y = gy.nodes[None, :]
             vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
         return vals
     F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
-    for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes, quad_order)):
+    for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes)):
         vals[i, :] = F[i, :] - rows @ psi.values[i, :]
     if boundary_corrected:
         Lx = interp_matrix(gx.nodes, ends)
         Fe = np.asarray(reduction.free_term(ends[:, None], gy.nodes[None, :]), dtype=float)
         edge = np.zeros((2, gy.n))
-        for row, rows in enumerate(tau_blocks(reduction, "y", gy, (0.0, 1.0), quad_order)):
+        for row, rows in enumerate(tau_blocks(reduction, "y", gy, (0.0, 1.0))):
             edge[row, :] = Fe[row, :] - rows @ (Lx[row] @ psi.values)
         x = gx.nodes[:, None]
         vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
@@ -228,10 +227,9 @@ def method2d_matrix_blocks(reduction, params, nx, ny):
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
     ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
-    q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
-    tau2_rows = tau_blocks(reduction, "y", gy, gx.nodes, q)
+    tau2_rows = tau_blocks(reduction, "y", gy, gx.nodes)
     A = np.zeros((nx * ny, nx * ny))
-    for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes, q)):
+    for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes)):
         idx = np.arange(nx) * ny + j
         A[np.ix_(idx, idx)] += ws.smooth(rows)
     for i, rows in enumerate(tau2_rows):

@@ -34,6 +34,14 @@ def from_bits(*patterns):
     return np.array(patterns, dtype=np.uint64).view(np.float64)
 
 
+def assert_same_files(a, b):
+    """Directories a and b hold the same file names with the same bytes."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 class TestWriteCsv:
     def test_edge_values_match_per_value_formatting(self, tmp_path):
         neg_nan, payload_nan = from_bits(0xFFF8000000000000, 0x7FF8000000000001)
@@ -97,11 +105,7 @@ class TestParserReuse:
         subprocess.run([sys.executable, "-m", "fredsolve.cli", "reduce", "heat", "--grid2d", "8",
                         "--out", str(tmp_path / "fresh")], env=env, check=True,
                        capture_output=True, timeout=120)
-        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
-        for name in names:
-            assert ((tmp_path / "warm" / name).read_bytes()
-                    == (tmp_path / "fresh" / name).read_bytes())
+        assert_same_files(tmp_path / "warm", tmp_path / "fresh")
 
 
 class TestGridOrder:
@@ -116,6 +120,22 @@ class TestGridOrder:
     def test_exit_1_and_no_output(self, tmp_path, capsys, argv, grid_order):
         assert main(argv + ["--grid", grid_order, "--out", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestCountOrder:
+    # solve and bench refuse an iteration count or Fourier order below 1 before any work
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "fridman", "--iters", "-1"],
+        ["solve", "--method", "fridman", "--iters", "0"],
+        ["solve", "--method", "v1", "--fourier-n", "0"],
+        ["bench", "--methods", "fridman", "--iters", "0"],
+        ["bench", "--methods", "v1", "--fourier-n", "0"]],
+        ids=["solve-iters-negative", "solve-iters-0", "solve-fourier-n-0", "bench-iters-0",
+             "bench-fourier-n-0"])
+    def test_exit_1_and_no_output(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -475,6 +495,14 @@ class TestReduceCommand:
         assert main(["reduce", bvp, "--solve", "--verify", "--grid2d", "12",
                      "--out", str(tmp_path)]) == 0
         assert calls == [12] * 4
+
+    @pytest.mark.parametrize("grid_order", ["32", "96"])
+    def test_grid_does_not_reach_the_2d_artifacts(self, tmp_path, grid_order):
+        # the 2D product rule follows --grid2d alone; --grid is only validated
+        argv = ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--grid", grid_order, "--out", str(tmp_path / "grid")]) == 0
+        assert_same_files(tmp_path / "default", tmp_path / "grid")
 
     def test_unknown_bvp(self, tmp_path):
         assert main(["reduce", "plate", "--out", str(tmp_path)]) == 1

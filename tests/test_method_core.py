@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredsolve import baselines
 from fredsolve.errors import (NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
@@ -59,6 +60,17 @@ class TestSelectMu:
             select_mu(m1_problem(), PARAMS, [mu_hit])
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_A_K_smooths_the_baselines_matrix_bit_for_bit(self, n):
+        # one product rule per grid: the reformulation and the baselines
+        # (baselines._setup) start from the same Nystrom matrix
+        prob = m1_problem()
+        ws = _Workspace(MethodParams.create(r=R, lam=LAM, mu=MU, n_out=n), prob)
+        _, A, _ = baselines._setup(prob, n)
+        assert np.array_equal(ws.A_K, ws.smooth(A))
+
+
 class TestBuildK:
     def test_lambda_zero_reduces_to_kernel(self):
         params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
@@ -81,10 +93,8 @@ class TestBuildK:
                 assert abs(K(x, xi) - target) <= 0.02 * ref
 
     def test_quad_order_self_consistency(self):
-        v64 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU,
-                                                     quad_order=64))(0.3, 0.6)
-        v128 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU,
-                                                      quad_order=128))(0.3, 0.6)
+        v64 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU, n_out=64))(0.3, 0.6)
+        v128 = build_K(tri_green, MethodParams.create(r=R, lam=LAM, mu=MU, n_out=128))(0.3, 0.6)
         assert abs(v64 - v128) < 1e-8
 
 
@@ -122,7 +132,7 @@ class TestSolvePsi1:
 
     def test_grid_refinement_consistency(self):
         p64 = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=64)
-        p128 = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=128, quad_order=128)
+        p128 = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=128)
         a = solve_psi1(m1_problem(), p64)
         b = solve_psi1(m1_problem(), p128)
         resampled = interp_matrix(b.grid.nodes, a.grid.nodes) @ b.values
@@ -239,7 +249,7 @@ class TestMethodV2:
     def test_stages_are_the_public_stage_functions(self, n):
         # the tests of build_* check the path that method_v2 runs, bit for bit
         prob = m1_problem()
-        params = MethodParams.create(r=R, lam=LAM, mu=MU, quad_order=n, n_out=n)
+        params = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=n)
         state = method_v2(prob, params)
         pairs = ((state.F1, build_F1(prob.free_term, params)),
                  (state.psi1, solve_psi1(prob, params)),
@@ -292,7 +302,7 @@ class TestOneGatePerMatrix:
 
 
 N_LIN = 32
-PARAMS_LIN = MethodParams.create(r=0.9, lam=LAM, mu=MU, n_out=N_LIN, quad_order=N_LIN)
+PARAMS_LIN = MethodParams.create(r=0.9, lam=LAM, mu=MU, n_out=N_LIN)
 LIN_BASIS = (lambda x: np.sin(np.pi * x), lambda x: x * x - 0.3, np.exp)
 
 

@@ -7,7 +7,7 @@ from fredsolve import reduction2d
 from fredsolve.errors import (ConfigError, NonFiniteValueError, OnSpectrumError,
                              UndefinedDeltaError)
 from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
-from fredsolve.grid import MIN_PRODUCT_ORDER, gauss_legendre, operator_matrix
+from fredsolve.grid import gauss_legendre, operator_matrix
 from fredsolve.method_core import MethodParams, _Workspace
 from fredsolve.reduction2d import (Bvp2DReduction, GridFunction2D,
                                    closure_delta, forward2d, method2d_solve,
@@ -164,7 +164,6 @@ class TestReconstructU:
         delta = closure_delta(U1, U2)
         print(f"\n[membrane oracle] closure delta = {delta:.6e}")
 
-    # PARAMS' quad_order 64 gives the solver's rule order 32, reconstruct_u's default
     @pytest.mark.parametrize("name", ["membrane", "heat", "varying"])
     @pytest.mark.parametrize("which", ["x", "y"])
     @pytest.mark.parametrize("corrected", [False, True])
@@ -229,10 +228,8 @@ class TestMethod2D:
         result = method2d_solve(red, params0, nx=10, ny=10)
         gx = result.psi.x_grid
         gy = result.psi.y_grid
-        Rx = operator_matrix(lambda x, xi: red.tau1(x, gy.nodes[0], xi), gx,
-                             diag_split=True, quad_order=32)
-        Ry = operator_matrix(lambda y, eta: red.tau2(gx.nodes[0], y, eta), gy,
-                             diag_split=True, quad_order=32)
+        Rx = operator_matrix(lambda x, xi: red.tau1(x, gy.nodes[0], xi), gx, diag_split=True)
+        Ry = operator_matrix(lambda y, eta: red.tau2(gx.nodes[0], y, eta), gy, diag_split=True)
         NN = gx.n * gy.n
         A = np.zeros((NN, NN))
         for j in range(gy.n):
@@ -347,14 +344,14 @@ class TestTensorForm:
         ("varying", (True, True)), ("two_point_blind", (True, False))])
     def test_variation_is_read_from_the_broadcast_shape(self, name, varies):
         red, g, points = REDUCTIONS[name](), gauss_legendre(7, 0.0, 1.0), np.linspace(0.0, 1.0, 5)
-        strides = [reduction2d._tau_stack(red, axis, g, points, 32).strides[0] for axis in "xy"]
+        strides = [reduction2d._tau_stack(red, axis, g, points).strides[0] for axis in "xy"]
         assert [s != 0 for s in strides] == list(varies)
 
     def test_constant_direction_is_one_read_only_matrix(self):
         gx = gauss_legendre(9, 0.0, 1.0)
-        T1 = reduction2d._tau_stack(reduce_membrane(), "x", gx, np.linspace(0.0, 1.0, 5), 32)
+        T1 = reduction2d._tau_stack(reduce_membrane(), "x", gx, np.linspace(0.0, 1.0, 5))
         assert T1.shape == (5, 9, 9) and T1.strides[0] == 0 and not T1.flags.writeable
-        T1 = reduction2d._tau_stack(_varying_reduction(), "x", gx, np.linspace(0.0, 1.0, 5), 32)
+        T1 = reduction2d._tau_stack(_varying_reduction(), "x", gx, np.linspace(0.0, 1.0, 5))
         assert T1.shape == (5, 9, 9) and T1.strides[0] != 0
         assert not np.array_equal(T1[0], T1[4])
 
@@ -408,9 +405,8 @@ def _kronecker_factors(red, params, nx, ny):
     """T1 = tau1 at one y, M = tau2 at one x, and P = I + lam H_w, each from
     its own assembly (constant stacks do not depend on the point)."""
     gx, gy = gauss_legendre(nx, 0.0, 1.0), gauss_legendre(ny, 0.0, 1.0)
-    q = max(MIN_PRODUCT_ORDER, params.quad_order // 2)
-    T1 = operator_matrix(lambda x, xi: red.tau1(x, 0.37, xi), gx, diag_split=True, quad_order=q)
-    M = operator_matrix(lambda y, eta: red.tau2(0.37, y, eta), gy, diag_split=True, quad_order=q)
+    T1 = operator_matrix(lambda x, xi: red.tau1(x, 0.37, xi), gx, diag_split=True)
+    M = operator_matrix(lambda y, eta: red.tau2(0.37, y, eta), gy, diag_split=True)
     ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
     return T1, M, np.eye(nx) + params.poisson.lam * ws.H_w
 
