@@ -11,6 +11,9 @@ spectral accuracy that a global rule loses at a C0 kink.
 
 from __future__ import annotations
 
+import mmap
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +38,11 @@ __all__ = [
 
 # smallest Gauss order per half-interval of the product-integration rule
 MIN_PRODUCT_ORDER = 24
+
+# bytes of forward matrices (and their kernel-weight arrays) kept for reuse by
+# apply_operator from a GridFunction: a default CLI verification stores about
+# 0.2 MB, one at --grid 256 about 0.6 MB
+_FORWARD_CACHE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -328,24 +336,106 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     return A
 
 
+class _ForwardCache:
+    """Forward matrices B of apply_operator from a GridFunction, reused by value.
+
+    An entry is found by a small key (the out nodes' bytes, the interval, the
+    split flag, the rule order and the source nodes' bytes) and used only when
+    the call's kernel values times weights kw equal the stored ones bit for
+    bit; a differing kw replaces the entry.  Together these fix B exactly, so
+    the kernel may be any callable and is still evaluated on every call.
+    Stored arrays are read-only copies, each in its own anonymous memory map:
+    long-lived arrays taken from the malloc heap in mid-request fragment it,
+    which on the solve_1d benchmark workload cost about 1 MB more peak RSS
+    than the maps.  The least recently used entries go first once the
+    stored bytes pass the budget; an entry larger than the budget is never
+    kept.  A lock guards the table; B is built outside it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._entries: OrderedDict = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _size(key, kw, B) -> int:
+        return kw.nbytes + B.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
+
+    def get(self, key, kw):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or not np.array_equal(entry[0].view(np.uint64),
+                                                   kw.view(np.uint64)):
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    @staticmethod
+    def _stored(a: np.ndarray) -> np.ndarray:
+        out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype,
+                            count=a.size).reshape(a.shape)
+        out[...] = a
+        out.setflags(write=False)
+        return out
+
+    def put(self, key, kw, B) -> None:
+        size = self._size(key, kw, B)
+        if size > self.budget:
+            return
+        kw, B = self._stored(kw), self._stored(B)
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= self._size(key, *old)
+            self._entries[key] = (kw, B)
+            self._bytes += size
+            while self._bytes > self.budget:
+                k, v = self._entries.popitem(last=False)
+                self._bytes -= self._size(k, *v)
+
+
+_forward_cache = _ForwardCache(_FORWARD_CACHE_BYTES)
+
+
+def _forward_matrix(kernel, x, lo: float, hi: float, diag_split: bool,
+                    nodes: np.ndarray, quad_order: int) -> np.ndarray:
+    # B with (B g)[i] = row i's product rule applied to k(x_i, .) times the
+    # interpolant of g's values at ``nodes``: B[i] = kw[i, :u] @ L_i, one
+    # barycentric matrix L_i per row on a miss.  The rule has
+    # m = max(quad_order, n) points per half, never below the source grid.
+    order = max(int(quad_order), nodes.size)
+    zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, order)
+    key = (x.tobytes(), np.array([lo, hi], dtype=float).tobytes(), bool(diag_split),
+           order, nodes.tobytes())
+    B = _forward_cache.get(key, kw)
+    if B is None:
+        B = np.empty((x.size, nodes.size))
+        for i, u in enumerate(used):
+            B[i] = kw[i, :u] @ interp_matrix(nodes, zq[i, :u])
+        _forward_cache.put(key, kw, B)
+    return B
+
+
 def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.0,
                    diag_split: bool = False, quad_order: int = 64) -> np.ndarray:
     """Evaluate x -> integral_lo^hi kernel(x, xi) g(xi) d xi at out_nodes.
 
     ``source`` is either a callable or a GridFunction (interpolated from its
     own grid).  Split at xi = x when ``diag_split``.  Each row keeps its own
-    rule; the kernel and a callable source are evaluated once on the array
-    of every row's points.
+    rule of ``quad_order`` points per panel, raised to the source grid's n for
+    a GridFunction.  The kernel and a callable source are evaluated once on
+    the array of every row's points.  A GridFunction source is mapped by one
+    product with the forward matrix B (``_ForwardCache``), which is reused
+    while the out nodes, interval, split, rule order, source nodes and kernel
+    values stay the same.
     """
     x = np.asarray(out_nodes, dtype=float)
-    zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, quad_order)
     if isinstance(source, GridFunction):
-        gv = np.zeros_like(zq)
-        for i, u in enumerate(used):
-            gv[i, :u] = interp_matrix(source.grid.nodes, zq[i, :u]) @ source.values
-    else:
-        gv = np.asarray(source(zq), dtype=float)
-    terms = kw * gv
+        return _forward_matrix(kernel, x, lo, hi, diag_split, source.grid.nodes,
+                               quad_order) @ source.values
+    zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, quad_order)
+    terms = kw * np.asarray(source(zq), dtype=float)
     out = np.zeros(x.shape)
     for u in np.unique(used[used > 0]):
         rows = used == u

@@ -329,7 +329,13 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
 
 def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05,
                     quad_order: int = 96) -> ResidualReport:
-    """Substitute psi into the first-kind equation and threshold the residual."""
+    """Substitute psi into the first-kind equation and threshold the residual.
+
+    The residual is taken at ``quad_order`` Gauss nodes.  A grid psi is
+    mapped by apply_operator's forward matrix, whose rule has at least as
+    many points per half as psi has nodes; verifications with the same
+    kernel and grids reuse that matrix.
+    """
     grid = gauss_legendre(quad_order, 0.0, 1.0)
     forward = apply_operator(problem.kernel, grid.nodes, psi, lo=0.0, hi=1.0,
                              diag_split=problem.diag_split, quad_order=quad_order)

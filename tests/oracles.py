@@ -153,21 +153,28 @@ def series_kernel(kind, p, x, xi):
     return out
 
 
-def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_order):
-    """x -> int_lo^hi kernel(x, xi) g(xi) d xi, one row and one rule at a time."""
+def row_rules(kernel, out_nodes, lo, hi, diag_split, quad_order):
+    """Each output row's rule of apply_operator: the points z and the kernel
+    values times weights, split at xi = x when ``diag_split`` and lo < x < hi."""
     t, v = np.polynomial.legendre.leggauss(int(quad_order))
-    out = np.zeros(len(out_nodes))
-    for i, x in enumerate(out_nodes):
+    for x in out_nodes:
         if diag_split and lo < x < hi:
             zq, wq = split_rule(lo, x, hi, t, v)
         else:
             zq = 0.5 * (hi - lo) * t + 0.5 * (lo + hi)
             wq = 0.5 * (hi - lo) * v
+        yield zq, wq * np.asarray(kernel(np.full_like(zq, x), zq), dtype=float)
+
+
+def apply_operator_rows(kernel, out_nodes, source, lo, hi, diag_split, quad_order):
+    """x -> int_lo^hi kernel(x, xi) g(xi) d xi, one row and one rule at a time."""
+    out = np.zeros(len(out_nodes))
+    for i, (zq, kw) in enumerate(row_rules(kernel, out_nodes, lo, hi, diag_split, quad_order)):
         if callable(source):
             g = np.asarray(source(zq), dtype=float)
         else:
             g = interp_matrix(source.grid.nodes, zq) @ source.values
-        out[i] = np.sum(wq * np.asarray(kernel(np.full_like(zq, x), zq), dtype=float) * g)
+        out[i] = np.sum(kw * g)
     return out
 
 

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,12 @@ from fredsolve.grid import (MIN_PRODUCT_ORDER, FourierCoeffs, Grid1D, GridFuncti
                             apply_operator, fourier_coeffs, gauss_legendre, gauss_panels,
                             integrate, interp_matrix, kernel_fourier_coeffs, operator_matrix)
 
-from fredsolve.problems import green_triangular
+from fredsolve.method_core import verify_solution
+from fredsolve.problems import green_triangular, make_manufactured
 from fredsolve.reduction2d import reduce_membrane
 
 from oracles import (apply_operator_rows, kernel_fourier_coeffs_rows,
-                     operator_matrix_rows, product_rows, split_gauss, tri_green)
+                     operator_matrix_rows, product_rows, row_rules, split_gauss, tri_green)
 
 EPS = np.finfo(float).eps
 
@@ -405,6 +408,19 @@ class TestCaches:
                               np.ones((3, 1)))
 
 
+def _forward_bound(kernel, x, source, diag_split, order):
+    """Per row, how far apply_operator from a grid source may lie from the
+    per-row oracle.  Both add up the terms kw_q L_qj v_j of the same rule,
+    with the same barycentric rows L_q: the oracle as sum_q kw_q (L_q v), the
+    forward matrix as sum_j (sum_q kw_q L_qj) v_j.  Each is within
+    gamma_{Q+n+1} sum_q |kw_q| (|L_q| |v|) of the exact double sum (Q rule
+    points, n source nodes), so the two differ by at most twice that."""
+    nodes, values = source.grid.nodes, np.abs(source.values)
+    mags = [np.abs(kw) @ (np.abs(interp_matrix(nodes, zq)) @ values)
+            for zq, kw in row_rules(kernel, x, 0.0, 1.0, diag_split, order)]
+    return 2.0 * _gamma(2 * order + nodes.size + 1) * np.array(mags)
+
+
 class TestApplyOperator:
     # rows at the interval ends, within 1e-14 of them (a degenerate panel is
     # dropped), inside, and outside (unsplit)
@@ -417,14 +433,35 @@ class TestApplyOperator:
 
     @pytest.mark.parametrize("diag_split", [True, False])
     @pytest.mark.parametrize("quad_order", [13, 64, 100])
-    @pytest.mark.parametrize("kind", ["callable", "grid"])
-    def test_rows_match_per_row_oracle_bit_for_bit(self, diag_split, quad_order, kind):
-        g = gauss_legendre(20, 0.0, 1.0)
-        source = self.psi if kind == "callable" else GridFunction.sample(self.psi, g)
+    def test_callable_rows_match_per_row_oracle_bit_for_bit(self, diag_split, quad_order):
+        got = apply_operator(tri_green, self.X, self.psi, diag_split=diag_split,
+                             quad_order=quad_order)
+        want = apply_operator_rows(tri_green, self.X, self.psi, 0.0, 1.0, diag_split,
+                                   quad_order)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("diag_split", [True, False])
+    @pytest.mark.parametrize("quad_order", [13, 64, 100])
+    def test_grid_rows_match_per_row_oracle_within_rounding(self, diag_split, quad_order):
+        # the grid source's rule never falls below its 20 nodes
+        source = GridFunction.sample(self.psi, gauss_legendre(20, 0.0, 1.0))
+        order = max(quad_order, 20)
         got = apply_operator(tri_green, self.X, source, diag_split=diag_split,
                              quad_order=quad_order)
-        want = apply_operator_rows(tri_green, self.X, source, 0.0, 1.0, diag_split, quad_order)
-        assert np.array_equal(got, want)
+        want = apply_operator_rows(tri_green, self.X, source, 0.0, 1.0, diag_split, order)
+        bound = _forward_bound(tri_green, self.X, source, diag_split, order)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_grid_rule_never_falls_below_the_source_grid(self):
+        # the top Legendre mode of a 256-point grid: a 96-point rule per half
+        # integrates it 3.0e3 relative off in L2, the 256-point rule exactly
+        n = 256
+        g = gauss_legendre(n, 0.0, 1.0)
+        source = GridFunction(g, np.polynomial.legendre.Legendre.basis(n - 1)(2.0 * g.nodes - 1.0))
+        x = gauss_legendre(96, 0.0, 1.0).nodes
+        got = apply_operator(tri_green, x, source, diag_split=True, quad_order=96)
+        want = apply_operator_rows(tri_green, x, source, 0.0, 1.0, True, n)
+        assert np.all(np.abs(got - want) <= _forward_bound(tri_green, x, source, True, n))
 
     def test_kernel_and_source_evaluated_once(self):
         calls = {"kernel": 0, "source": 0}
@@ -439,3 +476,113 @@ class TestApplyOperator:
 
         apply_operator(kernel, self.X, source, diag_split=True, quad_order=16)
         assert calls == {"kernel": 1, "source": 1}
+
+
+@pytest.fixture()
+def forward_cache(monkeypatch):
+    """A fresh forward-matrix cache at the production budget, and the list of
+    barycentric matrices built since (one per output row on a miss)."""
+    cache = grid_module._ForwardCache(grid_module._FORWARD_CACHE_BYTES)
+    monkeypatch.setattr(grid_module, "_forward_cache", cache)
+    built = []
+    interp = grid_module.interp_matrix
+    monkeypatch.setattr(grid_module, "interp_matrix",
+                        lambda nodes, targets: built.append(len(targets)) or interp(nodes, targets))
+    return cache, built
+
+
+def _bumped_kernel(x, xi):
+    # green_triangular with one kernel value changed, same shapes
+    values = tri_green(x, xi)
+    values[3, 5] += 1.0
+    return values
+
+
+def _nudged_grid():
+    # the 20-point Gauss grid with one node moved by one ulp
+    g = gauss_legendre(20, 0.0, 1.0)
+    nodes = g.nodes.copy()
+    nodes[7] = np.nextafter(nodes[7], 1.0)
+    return Grid1D(nodes, g.weights, 0.0, 1.0)
+
+
+class TestForwardCache:
+    X = gauss_legendre(24, 0.0, 1.0).nodes
+
+    def _apply(self, kernel=tri_green, grid=None, **options):
+        source = GridFunction.sample(TestApplyOperator.psi, grid or gauss_legendre(20, 0.0, 1.0))
+        return apply_operator(kernel, self.X, source,
+                              **{"diag_split": True, "quad_order": 32, **options})
+
+    def test_warm_call_returns_the_cold_bits(self, forward_cache):
+        _, built = forward_cache
+        cold = self._apply()
+        assert len(built) == self.X.size
+        warm = self._apply()
+        assert len(built) == self.X.size
+        assert np.array_equal(cold, warm)
+
+    @pytest.mark.parametrize("change", [
+        {"kernel": _bumped_kernel}, {"grid": _nudged_grid()}, {"lo": -0.25}, {"hi": 1.25},
+        {"diag_split": False}, {"quad_order": 40}],
+        ids=["kernel_value", "node_ulp", "lo", "hi", "diag_split", "order"])
+    def test_no_stale_hit(self, forward_cache, monkeypatch, change):
+        _, built = forward_cache
+        want = self._apply(**change)
+        base = self._apply()
+        monkeypatch.setattr(grid_module, "_forward_cache",
+                            grid_module._ForwardCache(grid_module._FORWARD_CACHE_BYTES))
+        assert np.array_equal(self._apply(), base)
+        before = len(built)
+        assert np.array_equal(self._apply(**change), want)
+        assert len(built) == before + self.X.size
+        # and the base call, whose entry a changed kernel value replaced, keeps its bits
+        assert np.array_equal(self._apply(), base)
+
+    def test_stored_matrices_are_read_only(self, forward_cache):
+        cache, _ = forward_cache
+        self._apply()
+        (kw, B), = cache._entries.values()
+        for stored in (kw, B):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0, 0] = 0.0
+
+    def test_budget_bounds_the_stored_bytes(self, forward_cache, monkeypatch):
+        cache, _ = forward_cache
+        self._apply()
+        size = cache._bytes
+        for budget, kept in ((size - 1, 0), (size, 1), (2 * size + size // 2, 2)):
+            small = grid_module._ForwardCache(budget)
+            monkeypatch.setattr(grid_module, "_forward_cache", small)
+            for lo in (0.0, -0.25, -0.5):
+                self._apply(lo=lo)
+            assert len(small._entries) == kept and small._bytes <= budget
+        # the least recently used entry went first
+        assert [key[1] for key in small._entries] == [
+            np.array([lo, 1.0]).tobytes() for lo in (-0.25, -0.5)]
+
+    # room for two of the four forward matrices, or for all of them
+    @pytest.mark.parametrize("slots", [2, 8], ids=["evicting", "holding"])
+    def test_pool_verifications_equal_serial_ones(self, forward_cache, monkeypatch, slots):
+        cache, _ = forward_cache
+        prob = make_manufactured("green_triangular", lambda x: np.sin(np.pi * np.asarray(x)))
+        psis = [GridFunction.sample(lambda x, k=k: np.sin(k * np.pi * x),
+                                    gauss_legendre(n, 0.0, 1.0))
+                for k, n in ((1, 16), (2, 20), (3, 24), (1, 32))]
+        serial = [verify_solution(prob, psi) for psi in psis]
+        budget = slots * max(cache._size(key, *entry) for key, entry in cache._entries.items())
+        shared = grid_module._ForwardCache(budget)
+        monkeypatch.setattr(grid_module, "_forward_cache", shared)
+        jobs = [k % len(psis) for k in range(24)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda k: verify_solution(prob, psis[k]), jobs))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [serial[k] for k in jobs]
+        assert shared._bytes == sum(shared._size(key, *entry)
+                                    for key, entry in shared._entries.items())
+        assert shared._bytes <= budget
