@@ -13,23 +13,17 @@ from .errors import (ConfigError, DegenerateProblemError, ExprParseError,
                      NoValidMuError, NumericalParameterError, OnSpectrumError,
                      ParameterExclusionError, UndefinedDeltaError)
 from .grid import (FourierCoeffs, Grid1D, GridFunction, KernelFourierCoeffs,
-                   fourier_coeffs, gauss_legendre, gauss_panels, integrate,
-                   kernel_fourier_coeffs)
-from .kernels import (ExclusionReport, PoissonParams, kernel_l, poisson_h,
-                      poisson_h_series, resolvent_H, resolvent_L,
-                      validate_lambda)
-from .fredholm2 import (SecondKindSystem, SpectrumEstimate, estimate_spectrum,
-                        solve_direct)
+                   fourier_coeffs, gauss_legendre, kernel_fourier_coeffs)
+from .kernels import ExclusionReport, PoissonParams, poisson_h, validate_lambda
+from .fredholm2 import SpectrumEstimate, estimate_spectrum, solve_direct
 from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
                        green_triangular, make_manufactured, perturb)
 from .method_core import (FourierState, MethodParams, PipelineState,
-                          ResidualReport, build_F0, build_F1, build_kappa,
-                          build_rho, method_v1, method_v2, method_v2_single,
-                          select_mu, solve_psi1, verify_solution)
-from .baselines import (IterateHistory, averaged_iterate, fridman_iterate,
-                        implicit_iterate, krasnoselskii_iterate, lavrentiev,
-                        quasisolution, steepest_descent, stopping_rule,
-                        tikhonov_weighted)
+                          ResidualReport, method_v1, method_v2, method_v2_single,
+                          select_mu, verify_solution)
+from .baselines import (IterateHistory, fridman_iterate, implicit_iterate,
+                        krasnoselskii_iterate, lavrentiev, quasisolution,
+                        steepest_descent, tikhonov_weighted)
 from .reduction2d import (Bvp2DReduction, GridFunction2D, Method2DResult,
                           closure_delta, forward2d, method2d_solve,
                           reconstruct_u, reduce_heat, reduce_membrane,

@@ -1,9 +1,9 @@
 """Classical first-kind machinery for head-to-head comparison.
 
 Regularized solves (Lavrentiev, weighted zero-order Tikhonov), the classical
-iteration families (residual correction, normal-equation relaxation, averaged
-iterates, implicit regularized stepping, steepest descent), the quasisolution
-on a norm ball, and the a-posteriori stopping rule.
+iteration families (residual correction, normal-equation relaxation, implicit
+regularized stepping, steepest descent), and the quasisolution on a norm
+ball.
 
 The discrete adjoint is taken with respect to the grid inner product
 <u, v> = sum w_i u_i v_i, i.e. A* = W^-1 A^T W.
@@ -26,11 +26,9 @@ __all__ = [
     "tikhonov_weighted",
     "fridman_iterate",
     "krasnoselskii_iterate",
-    "averaged_iterate",
     "implicit_iterate",
     "steepest_descent",
     "quasisolution",
-    "stopping_rule",
 ]
 
 
@@ -42,12 +40,6 @@ class IterateHistory:
     iterates: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     converged: bool = False
-
-    def displacements(self) -> np.ndarray:
-        out = []
-        for prev, nxt in zip(self.iterates[:-1], self.iterates[1:]):
-            out.append(self.grid.l2_norm(nxt - prev))
-        return np.array(out)
 
     def final(self) -> GridFunction:
         return GridFunction(self.grid, self.iterates[-1])
@@ -155,18 +147,6 @@ def krasnoselskii_iterate(problem: FirstKindProblem, nu: float, psi0,
                     max_iter, stop)
 
 
-def averaged_iterate(problem: FirstKindProblem, lambda_step: float, phi0,
-                     m: int, n: int = 64) -> GridFunction:
-    """Mean of the residual-correction iterates phi_0 .. phi_m.
-
-    The classical prescription uses unit step (lambda_step = 1).
-    """
-    if m < 0:
-        raise ConfigError("m must be >= 0")
-    hist = fridman_iterate(problem, lambda_step, phi0, max_iter=m, n=n)
-    return GridFunction(hist.grid, np.sum(hist.iterates, axis=0) / (m + 1))
-
-
 def implicit_iterate(problem: FirstKindProblem, alpha: float, psi0,
                      max_iter: int = 100, stop: float | None = None,
                      n: int = 64) -> IterateHistory:
@@ -246,14 +226,3 @@ def quasisolution(problem: FirstKindProblem, R: float, n: int = 64,
     nu = 0.5 * (lo + hi)
     return GridFunction(grid, Phi @ (picard / (1.0 + nu * lam * lam)))
 
-
-def stopping_rule(history: IterateHistory, delta: float, gamma: float,
-                  c1: float = 1.0, c2: float = 1.0) -> int | None:
-    """First n with ||psi_{n+1} - psi_n|| <= c1 delta + c2 gamma, else None."""
-    if len(history.iterates) < 2:
-        raise ConfigError("history must contain at least two iterates")
-    bound = c1 * delta + c2 * gamma
-    for i, d in enumerate(history.displacements()):
-        if d <= bound:
-            return i
-    return None

@@ -5,6 +5,12 @@ CLI exit-code mapping: ConfigError -> 1, NumericalParameterError -> 2.
 
 import math
 
+__all__ = [
+    "FredsolveError", "ConfigError", "ExprParseError", "NumericalParameterError",
+    "ParameterExclusionError", "OnSpectrumError", "NoValidMuError", "NonFiniteValueError",
+    "DegenerateProblemError", "InvalidRadiusError", "UndefinedDeltaError",
+]
+
 
 class FredsolveError(Exception):
     """Base class for all package errors."""

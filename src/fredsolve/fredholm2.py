@@ -15,7 +15,6 @@ from .errors import ConfigError, NoValidMuError, OnSpectrumError
 from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, operator_matrix
 
 __all__ = [
-    "SecondKindSystem",
     "SpectrumEstimate",
     "DEFAULT_MU_CANDIDATES",
     "gated_system",
@@ -38,27 +37,6 @@ DEFAULT_MU_CANDIDATES = (0.05, 0.1, 0.2, -0.1, 0.5)
 # rounded operations behind one term of the symmetrized matrix (see
 # estimate_spectrum's rounding bound)
 _ROUNDINGS_PER_TERM = 8
-
-
-@dataclass(frozen=True)
-class SecondKindSystem:
-    """psi = mu * int K(x, xi) psi(xi) d xi + F(x) on a fixed grid.
-
-    ``diag_split`` marks kernels with a kink at xi = x so the assembly splits
-    the quadrature there.
-    """
-
-    kernel: object
-    free_term: object
-    mu: float
-    grid: Grid1D
-    diag_split: bool = False
-
-    def matrix(self) -> np.ndarray:
-        return operator_matrix(self.kernel, self.grid, diag_split=self.diag_split)
-
-    def rhs(self) -> np.ndarray:
-        return np.asarray(self.free_term(self.grid.nodes), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -138,14 +116,14 @@ def _candidate_list(candidates) -> list:
     return candidates
 
 
-def solve_direct(system: SecondKindSystem, matrix: np.ndarray | None = None) -> GridFunction:
+def solve_direct(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Dense solve of the Nystrom system (I - mu A) psi = F.
 
-    ``matrix`` is an I - mu A already gated for this mu (by ``gate_mu``) and
-    is not checked again; without it A is assembled and gated here.
+    ``M`` is an I - mu A already gated for its mu (by ``gated_system`` or
+    ``gate_mu``) and is not checked again.  ``rhs`` holds F at the grid
+    nodes, shape (n,), or k right-hand sides as the columns of (n, k).
     """
-    M = gated_system(system.matrix(), system.mu) if matrix is None else matrix
-    return GridFunction(system.grid, np.linalg.solve(M, system.rhs()))
+    return np.linalg.solve(M, rhs)
 
 
 def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,

@@ -27,8 +27,6 @@ __all__ = [
     "FourierCoeffs",
     "KernelFourierCoeffs",
     "gauss_legendre",
-    "gauss_panels",
-    "integrate",
     "interp_matrix",
     "operator_matrix",
     "apply_operator",
@@ -196,24 +194,6 @@ def gauss_legendre(n: int, a: float, b: float) -> Grid1D:
         raise ConfigError(f"empty interval [{a}, {b}]")
     x, w = _gauss_rule(int(n))
     return Grid1D(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w, float(a), float(b))
-
-
-def gauss_panels(breaks, n_per_panel: int) -> Grid1D:
-    """Composite Gauss rule with the given panel breakpoints."""
-    breaks = np.asarray(sorted(set(float(t) for t in breaks)), dtype=float)
-    if breaks.size < 2:
-        raise ConfigError("need at least two breakpoints")
-    xs, ws = [], []
-    t, v = _gauss_rule(int(n_per_panel))
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        xs.append(0.5 * (hi - lo) * t + 0.5 * (lo + hi))
-        ws.append(0.5 * (hi - lo) * v)
-    return Grid1D(np.concatenate(xs), np.concatenate(ws), breaks[0], breaks[-1])
-
-
-def integrate(f: GridFunction) -> float:
-    """Quadrature of a grid function: sum of weight * value."""
-    return float(np.sum(f.grid.weights * f.values))
 
 
 def _bary_weights(nodes):

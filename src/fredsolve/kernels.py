@@ -1,10 +1,10 @@
 """Poisson kernel, its resolvents, and the parameter-exclusion validator.
 
 All four kernels are 1-periodic difference kernels on the line, evaluated
-either in closed form (h) or as truncated cosine series (h, H, l, L).  With
-u = x - xi and coefficients a_n:
+in closed form (h) or as truncated cosine series (H, l, L).  With u = x - xi
+and coefficients a_n:
 
-    h(u) = 1 + 2 sum r^n cos(2 n pi u)            (closed Poisson form exists)
+    h(u) = 1 + 2 sum r^n cos(2 n pi u)            (summed in closed Poisson form)
     H(u) = 1/(1-2L) + 2 sum r^n/(1-2L r^n) cos(2 n pi u)
     l(u) = 1/(1-2L) + 2 sum r^2n/(1-2L r^n) cos(2 n pi u)
     L(u) = 1/(1-2L-L^2) + 2 sum r^2n/(1-2L r^n - L^2 r^2n) cos(2 n pi u)
@@ -31,10 +31,6 @@ __all__ = [
     "PoissonParams",
     "ExclusionReport",
     "poisson_h",
-    "poisson_h_series",
-    "resolvent_H",
-    "kernel_l",
-    "resolvent_L",
     "validate_lambda",
     "require_lambda_valid",
     "kernel_matrix",
@@ -161,7 +157,7 @@ def _trig_table(nodes, n):
     return table
 
 
-def _cosine_series(c0, coeffs, out_nodes, in_nodes, paired: bool = False):
+def _cosine_series(c0, coeffs, out_nodes, in_nodes):
     """c0 + 2 sum_n a_n cos(2 pi n (x - xi)) for x in out_nodes, xi in in_nodes.
 
     Factored through cos(a - b) = cos a cos b + sin a sin b: each chunk of
@@ -169,13 +165,12 @@ def _cosine_series(c0, coeffs, out_nodes, in_nodes, paired: bool = False):
     [C S]_out diag(2a, 2a) [C S]_in^T, in place of n_out * n_in * chunk
     cosines.  Chunks keep the tables within ``_CHUNK`` entries however long
     the series is.  Returns the (n_out, n_in) matrix, symmetrized when the
-    node sets are equal so that it is exactly symmetric like the kernel; with
-    ``paired`` the nodes are matched one to one and the diagonal comes back.
+    node sets are equal so that it is exactly symmetric like the kernel.
     """
     xo = np.asarray(out_nodes, dtype=float).ravel()
     xi = np.asarray(in_nodes, dtype=float).ravel()
     same = np.array_equal(xo, xi)
-    out = np.full(xo.size if paired else (xo.size, xi.size), float(c0))
+    out = np.full((xo.size, xi.size), float(c0))
     n = np.arange(1, coeffs.size + 1)
     step = max(1, _CHUNK // max(xo.size + xi.size, 1))
     for s in range(0, coeffs.size, step):
@@ -183,32 +178,10 @@ def _cosine_series(c0, coeffs, out_nodes, in_nodes, paired: bool = False):
         t_out = _trig_table(xo, n[s:s + step])
         t_in = t_out if same else _trig_table(xi, n[s:s + step])
         scaled = t_out * np.concatenate((a, a))
-        out += np.einsum("ij,ij->i", scaled, t_in) if paired else scaled @ t_in.T
-    if same and not paired:
+        out += scaled @ t_in.T
+    if same:
         out = 0.5 * (out + out.T)
     return out
-
-
-def _series_at(c0, coeffs, x, xi):
-    """The series at the broadcast points (x, xi), through ``_cosine_series``."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    shape = np.broadcast_shapes(x.shape, xi.shape)
-    if x.size * xi.size == math.prod(shape):
-        # no axis varies in both: every (x, xi) pair is one entry of the matrix
-        rows = np.broadcast_to(np.arange(x.size).reshape(x.shape), shape)
-        cols = np.broadcast_to(np.arange(xi.size).reshape(xi.shape), shape)
-        out = _cosine_series(c0, coeffs, x, xi)[rows, cols]
-    else:
-        xb, xib = np.broadcast_arrays(x, xi)
-        out = _cosine_series(c0, coeffs, xb, xib, paired=True).reshape(shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def poisson_h_series(x, xi, p: PoissonParams, n_terms: int | None = None):
-    """Partial sum 1 + 2 sum_{n<=N} r^n cos(2 n pi (x-xi))."""
-    N = p.n_trunc if n_terms is None else int(n_terms)
-    return _series_at(1.0, p.r ** np.arange(1, N + 1), x, xi)
 
 
 def _H_coeffs(p):
@@ -228,24 +201,6 @@ def _L_coeffs(p):
     rn = p.r ** n
     return (1.0 / (1.0 - 2.0 * p.lam - p.Lambda),
             rn ** 2 / (1.0 - 2.0 * p.lam * rn - p.Lambda * rn ** 2))
-
-
-def resolvent_H(x, xi, p: PoissonParams, min_rel_dist: float = 1e-3):
-    """Resolvent of the Poisson operator on [-1, 1] (characteristic numbers r^-n / 2)."""
-    require_lambda_valid(p, min_rel_dist)
-    return _series_at(*_H_coeffs(p), x, xi)
-
-
-def kernel_l(x, xi, p: PoissonParams, min_rel_dist: float = 1e-3):
-    """Iterated kernel: the half-interval composition of h with H."""
-    require_lambda_valid(p, min_rel_dist)
-    return _series_at(*_l_coeffs(p), x, xi)
-
-
-def resolvent_L(x, xi, p: PoissonParams, min_rel_dist: float = 1e-3):
-    """Resolvent of kernel_l at parameter Lambda = lambda^2."""
-    require_lambda_valid(p, min_rel_dist)
-    return _series_at(*_L_coeffs(p), x, xi)
 
 
 _KINDS = {"H": _H_coeffs, "l": _l_coeffs, "L": _L_coeffs}

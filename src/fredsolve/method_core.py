@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (ConfigError, NoValidMuError, ParameterExclusionError, require_finite,
                      require_order)
-from .fredholm2 import SecondKindSystem, gate_mu, solve_direct
+from .fredholm2 import gate_mu, solve_direct
 from .grid import (FourierCoeffs, GridFunction, Grid1D, KernelFourierCoeffs,
                    apply_operator, fourier_coeffs, gauss_legendre,
                    kernel_fourier_coeffs, operator_matrix)
@@ -41,11 +41,6 @@ __all__ = [
     "FourierState",
     "ResidualReport",
     "select_mu",
-    "build_F1",
-    "solve_psi1",
-    "build_rho",
-    "build_kappa",
-    "build_F0",
     "method_v2",
     "method_v2_single",
     "method_v1",
@@ -161,11 +156,10 @@ class _Workspace:
         return np.asarray(self.problem.free_term(self.grid01.nodes), dtype=float)
 
     def solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
+        """psi with (I - mu A_K) psi = rhs, for rhs of shape (n,) or (n, k)."""
         if mu != self.mu:
             self.gate(mu)
-        system = SecondKindSystem(kernel=None, free_term=lambda x: rhs,
-                                  mu=mu, grid=self.grid01)
-        return solve_direct(system, matrix=self.M).values
+        return solve_direct(self.M, rhs)
 
     def F1(self, mu: float, f: np.ndarray) -> np.ndarray:
         return -mu * self.smooth(f)
@@ -188,41 +182,6 @@ class _Workspace:
 def select_mu(problem: FirstKindProblem, params: MethodParams, candidates=None) -> float:
     """First candidate for which I - mu A_K stays comfortably nonsingular."""
     return _Workspace(params, problem).gate(None, candidates)
-
-
-def build_F1(f, params: MethodParams, grid: Grid1D | None = None) -> GridFunction:
-    """F1 = -mu [f + lam int_0^1 H(x, xi) f(xi) d xi] on the solve grid."""
-    if params.mu is None:
-        raise ConfigError("build_F1 needs mu; run select_mu first")
-    ws = _Workspace(params, grid01=grid)
-    fv = np.asarray(f(ws.grid01.nodes), dtype=float)
-    return GridFunction(ws.grid01, ws.F1(params.mu, fv))
-
-
-def solve_psi1(problem: FirstKindProblem, params: MethodParams) -> GridFunction:
-    """Solve the data-only second-kind equation for psi1."""
-    if params.mu is None:
-        raise ConfigError("solve_psi1 needs mu; run select_mu first")
-    ws = _Workspace(params, problem)
-    return GridFunction(ws.grid01, ws.solve(params.mu, ws.F1(params.mu, ws.f_values())))
-
-
-def build_rho(psi1: GridFunction, params: MethodParams) -> GridFunction:
-    """rho(x) = -lam int_0^1 h(x, xi) psi1(xi) d xi, sampled on [-1, 0]."""
-    ws = _Workspace(params, grid01=psi1.grid)
-    return GridFunction(ws.gridm, ws.rho(psi1.values))
-
-
-def build_kappa(rho: GridFunction, params: MethodParams) -> GridFunction:
-    """kappa = rho + Lambda int_-1^0 L(x, xi) rho(xi) d xi."""
-    return GridFunction(rho.grid, _Workspace(params, gridm=rho.grid).kappa(rho.values))
-
-
-def build_F0(kappa: GridFunction, params: MethodParams,
-             grid: Grid1D | None = None) -> GridFunction:
-    """F0(x) = lam int_-1^0 H(x, xi) kappa(xi) d xi on [0, 1]."""
-    ws = _Workspace(params, grid01=grid, gridm=kappa.grid)
-    return GridFunction(ws.grid01, ws.F0(kappa.values))
 
 
 def method_v2(problem: FirstKindProblem, params: MethodParams,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, require_finite
-from .grid import GridFunction, Grid1D, apply_operator, gauss_legendre
+from .grid import GridFunction, apply_operator, gauss_legendre
 
 __all__ = [
     "FirstKindProblem",
@@ -69,10 +69,11 @@ class NoiseSpec:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def forward_apply(kernel, psi, quad_order: int = 64, out_grid: Grid1D | None = None,
+def forward_apply(kernel, psi, quad_order: int = 64,
                   diag_split: bool = False) -> GridFunction:
-    """Direct problem: sample f(x) = int_0^1 k(x, xi) psi(xi) d xi on a grid."""
-    grid = out_grid if out_grid is not None else gauss_legendre(quad_order, 0.0, 1.0)
+    """Direct problem: sample f(x) = int_0^1 k(x, xi) psi(xi) d xi on the
+    ``quad_order``-point Gauss grid."""
+    grid = gauss_legendre(quad_order, 0.0, 1.0)
     values = apply_operator(kernel, grid.nodes, psi, lo=0.0, hi=1.0,
                             diag_split=diag_split, quad_order=quad_order)
     return GridFunction(grid, values)

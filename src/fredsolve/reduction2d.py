@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
                      UndefinedDeltaError)
-from .fredholm2 import SecondKindSystem, certified_mu, gate_mu, solve_direct
+from .fredholm2 import certified_mu, gate_mu, gated_system, solve_direct
 from .grid import GridFunction, Grid1D, gauss_legendre, interp_matrix, operator_matrix
 from .method_core import MethodParams, ResidualReport, _verdict, _Workspace
 
@@ -124,7 +124,8 @@ def reduce_ode_fredholm(a, f, n: int = 64) -> tuple[GridFunction, GridFunction]:
         xi = np.asarray(xi, dtype=float)
         return np.asarray(a(x), dtype=float) * np.where(xi <= x, -(1.0 - x), -(1.0 - xi))
 
-    psi = solve_direct(SecondKindSystem(kern, f, 1.0, grid, diag_split=True)).values
+    fv = np.asarray(f(grid.nodes), dtype=float)
+    psi = solve_direct(gated_system(operator_matrix(kern, grid, diag_split=True), 1.0), fv)
     u = _volterra_cumulative(grid) @ psi - float((grid.weights * (1.0 - grid.nodes)) @ psi)
     return GridFunction(grid, psi), GridFunction(grid, u)
 

@@ -13,11 +13,12 @@ import pytest
 
 import fredsolve as fs
 from fredsolve.cli import main as cli_main
+from fredsolve.fredholm2 import gated_system
 from fredsolve.grid import operator_matrix
 from fredsolve.kernels import kernel_matrix
-from fredsolve.method_core import MethodParams
+from fredsolve.method_core import MethodParams, _Workspace
 
-from oracles import membrane_psi, split_gauss, tri_green
+from oracles import composite_gauss, membrane_psi, split_gauss, tri_green
 
 
 @contextlib.contextmanager
@@ -48,7 +49,10 @@ def test_criterion_01_poisson_kernel_identities():
         xs = np.linspace(0.0, 1.0, 101)
         bound = 2.0 * 0.5 ** 41 / 0.5
         assert bound <= 4e-12
-        dev = np.abs(fs.poisson_h_series(xs, 0.3, p, n_terms=40) - fs.poisson_h(xs, 0.3, p))
+        # at lambda = 0 the H series is the h series, here cut at N = 40
+        p40 = fs.PoissonParams.create(r=0.5, lam=0.0, n_trunc=40, series_tol=bound)
+        series = kernel_matrix("H", p40, xs, [0.3], min_rel_dist=0.0)[:, 0]
+        dev = np.abs(series - fs.poisson_h(xs, 0.3, p))
         assert np.max(dev) <= bound
         g = fs.gauss_legendre(64, 0.0, 1.0)
         for x in (0.0, 0.31, 0.77):
@@ -67,7 +71,7 @@ def test_criterion_02_resolvent_identities_lattice():
             for lam in (-0.3, 0.2, 0.35):
                 p = fs.PoissonParams.create(r=r, lam=lam)
                 s = np.linspace(-1, 1, 33)
-                g = fs.gauss_panels([-1.0, 0.0, 1.0], 128)
+                g = fs.Grid1D(*composite_gauss(-1.0, 1.0, 2, 128), -1.0, 1.0)
                 res_H = kernel_matrix("H", p, s, s) - (
                     fs.poisson_h(s[:, None], s[None, :], p)
                     + lam * (fs.poisson_h(s[:, None], g.nodes[None, :], p)
@@ -87,11 +91,10 @@ def test_criterion_03_nystrom_vs_eigen_expansion():
                    max_seconds=1.0):
         grid = fs.gauss_legendre(64, 0.0, 1.0)
         alpha = 0.1
-        system = fs.SecondKindSystem(tri_green, lambda x: np.sin(np.pi * x) / alpha,
-                                     mu=-1.0 / alpha, grid=grid, diag_split=True)
-        psi = fs.solve_direct(system)
+        M = gated_system(operator_matrix(tri_green, grid, diag_split=True), -1.0 / alpha)
+        psi = fs.solve_direct(M, np.sin(np.pi * grid.nodes) / alpha)
         exact = np.pi ** 2 / (1.0 + alpha * np.pi ** 2) * np.sin(np.pi * grid.nodes)
-        assert np.max(np.abs(psi.values - exact)) < 1e-8
+        assert np.max(np.abs(psi - exact)) < 1e-8
 
 
 def test_criterion_04_lavrentiev_accuracy_law():
@@ -129,7 +132,8 @@ def test_criterion_05_iteration_families():
                              (fs.krasnoselskii_iterate, 1.0)):
             h = runner(prob, step, lambda x: np.sin(np.pi * x), max_iter=3)
             assert h.residual_norms[0] < 1e-10
-            assert np.max(h.displacements()) < 1e-10
+            assert max(grid.l2_norm(b - a)
+                       for a, b in zip(h.iterates[:-1], h.iterates[1:])) < 1e-10
 
 
 def test_criterion_06_noise_amplification():
@@ -162,38 +166,24 @@ def test_criterion_07_method_v2_structural_suite():
         for lam in (0.5, -1.0 + np.sqrt(2.0)):
             with pytest.raises(fs.ParameterExclusionError):
                 fs.method_v2(prob, MethodParams.create(r=0.5, lam=lam, mu=0.05))
-        # linearity of every pipeline stage
-        grid = state.psi1.grid
-        gm = state.rho.grid
-        u = fs.GridFunction.sample(lambda x: np.sin(2 * np.pi * x) + 0.25, grid)
-        v = fs.GridFunction.sample(lambda x: x * np.cos(4 * np.pi * x), grid)
-        combo = fs.GridFunction(grid, 1.5 * u.values - 2.0 * v.values)
-        ru, rv, rc = (fs.build_rho(g, params) for g in (u, v, combo))
-        assert np.max(np.abs(rc.values - 1.5 * ru.values + 2.0 * rv.values)) < 1e-10
-        um = fs.GridFunction.sample(lambda x: np.sin(2 * np.pi * x) + 0.25, gm)
-        vm = fs.GridFunction.sample(lambda x: x * np.cos(4 * np.pi * x), gm)
-        cm = fs.GridFunction(gm, 1.5 * um.values - 2.0 * vm.values)
-        for stage in (lambda g: fs.build_kappa(g, params),
-                      lambda g: fs.build_F0(g, params, grid)):
-            a, b, c = stage(um), stage(vm), stage(cm)
-            assert np.max(np.abs(c.values - 1.5 * a.values + 2.0 * b.values)) < 1e-10
-        F1u = fs.build_F1(lambda x: np.sin(2 * np.pi * x) + 0.25, params, grid)
-        F1v = fs.build_F1(lambda x: x * np.cos(4 * np.pi * x), params, grid)
-        F1c = fs.build_F1(lambda x: 1.5 * (np.sin(2 * np.pi * x) + 0.25)
-                          - 2.0 * x * np.cos(4 * np.pi * x), params, grid)
-        assert np.max(np.abs(F1c.values - 1.5 * F1u.values + 2.0 * F1v.values)) < 1e-10
+        # linearity of every pipeline stage, on the workspace that method_v2 runs
+        ws = _Workspace(params, prob)
+        x, xm = ws.grid01.nodes, ws.gridm.nodes
+        u, v = np.sin(2 * np.pi * x) + 0.25, x * np.cos(4 * np.pi * x)
+        um, vm = np.sin(2 * np.pi * xm) + 0.25, xm * np.cos(4 * np.pi * xm)
+        for stage, (a, b) in ((ws.rho, (u, v)), (ws.kappa, (um, vm)), (ws.F0, (um, vm)),
+                              (lambda g: ws.F1(0.05, g), (u, v))):
+            ra, rb, rc = stage(a), stage(b), stage(1.5 * a - 2.0 * b)
+            assert np.max(np.abs(rc - 1.5 * ra + 2.0 * rb)) < 1e-10
         # eigencomponent propagation factors
         lam, r = 0.2, 0.5
         for n in (1, 2, 4):
-            src = fs.GridFunction.sample(lambda x: np.cos(2 * n * np.pi * x), grid)
-            out = fs.build_F0(fs.build_kappa(fs.build_rho(src, params), params),
-                              params, grid)
+            out = ws.F0(ws.kappa(ws.rho(np.cos(2 * n * np.pi * x))))
             rn = r ** n
             factor = (-lam * rn) * ((1 - 2 * lam * rn)
                                     / (1 - 2 * lam * rn - lam ** 2 * rn ** 2)) \
                 * (lam * rn / (1 - 2 * lam * rn))
-            assert np.max(np.abs(out.values
-                                 - factor * np.cos(2 * n * np.pi * grid.nodes))) < 1e-9
+            assert np.max(np.abs(out - factor * np.cos(2 * n * np.pi * x))) < 1e-9
 
 
 def test_criterion_08_cross_route_consistency():

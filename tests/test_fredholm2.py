@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fredsolve.errors import ConfigError, NoValidMuError, OnSpectrumError
-from fredsolve.fredholm2 import (DEFAULT_MU_CANDIDATES, SecondKindSystem,
-                                 estimate_spectrum, gate_mu, solve_direct)
+from fredsolve.fredholm2 import (DEFAULT_MU_CANDIDATES, estimate_spectrum, gate_mu,
+                                 gated_system, solve_direct)
 from fredsolve.grid import gauss_legendre, operator_matrix
 
 from oracles import tri_green
@@ -21,33 +21,34 @@ def _assert_rank_one(est):
     assert np.max(np.abs(est.eigenfunctions[0].values - 1.0)) < 1e-8
 
 
+def _system(kernel, mu, diag_split=False):
+    # the gated Nystrom matrix I - mu A on GRID
+    return gated_system(operator_matrix(kernel, GRID, diag_split=diag_split), mu)
+
+
 class TestSolveDirect:
     def test_zero_kernel(self):
-        sys_ = SecondKindSystem(lambda x, xi: 0.0 * x * xi, np.sin, mu=0.7, grid=GRID)
-        psi = solve_direct(sys_)
-        assert np.array_equal(psi.values, np.sin(GRID.nodes))
+        psi = solve_direct(_system(lambda x, xi: 0.0 * x * xi, 0.7), np.sin(GRID.nodes))
+        assert np.array_equal(psi, np.sin(GRID.nodes))
 
     def test_rank_one_constant(self):
-        sys_ = SecondKindSystem(lambda x, xi: _ones(x * xi), _ones, mu=0.5, grid=GRID)
-        psi = solve_direct(sys_)
-        assert np.max(np.abs(psi.values - 2.0)) < 1e-12
+        psi = solve_direct(_system(lambda x, xi: _ones(x * xi), 0.5), _ones(GRID.nodes))
+        assert np.max(np.abs(psi - 2.0)) < 1e-12
 
     def test_regularized_canonical_form(self):
         # alpha psi + A psi = f in canonical form psi = -(1/alpha) A psi + f/alpha;
         # oracle: eigen-expansion with lambda_n = (n pi)^2, psi_n = sqrt2 sin(n pi x)
         alpha = 0.1
-        sys_ = SecondKindSystem(tri_green, lambda x: np.sin(np.pi * x) / alpha,
-                                mu=-1.0 / alpha, grid=GRID, diag_split=True)
-        psi = solve_direct(sys_)
+        psi = solve_direct(_system(tri_green, -1.0 / alpha, diag_split=True),
+                           np.sin(np.pi * GRID.nodes) / alpha)
         exact = np.pi ** 2 / (1.0 + alpha * np.pi ** 2) * np.sin(np.pi * GRID.nodes)
-        assert np.max(np.abs(psi.values - exact)) < 1e-8
+        assert np.max(np.abs(psi - exact)) < 1e-8
 
     def test_on_spectrum_raises(self):
         est = estimate_spectrum(tri_green, GRID, count=1)
         mu_hit = float(est.char_numbers[0])
-        sys_ = SecondKindSystem(tri_green, np.sin, mu=mu_hit, grid=GRID, diag_split=True)
         with pytest.raises(OnSpectrumError):
-            solve_direct(sys_)
+            _system(tri_green, mu_hit, diag_split=True)
 
 
 class TestGateMu:
@@ -72,10 +73,10 @@ class TestGateMu:
         assert gate_mu(np.zeros((2, 2)))[0] == DEFAULT_MU_CANDIDATES[0]
 
     def test_gated_matrix_is_solved_without_a_second_check(self, monkeypatch):
-        sys_ = SecondKindSystem(tri_green, np.sin, mu=0.5, grid=GRID, diag_split=True)
-        _, M = gate_mu(sys_.matrix(), sys_.mu)
+        _, M = gate_mu(operator_matrix(tri_green, GRID, diag_split=True), 0.5)
         monkeypatch.setattr(np.linalg, "svd", None)
-        assert np.array_equal(solve_direct(sys_, M).values, np.linalg.solve(M, sys_.rhs()))
+        rhs = np.sin(GRID.nodes)
+        assert np.array_equal(solve_direct(M, rhs), np.linalg.solve(M, rhs))
 
 
 class TestEstimateSpectrum:

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from fredsolve import grid as grid_module
 from fredsolve.errors import ConfigError, NonFiniteValueError
 from fredsolve.grid import (MIN_PRODUCT_ORDER, FourierCoeffs, Grid1D, GridFunction,
-                            apply_operator, fourier_coeffs, gauss_legendre, gauss_panels,
-                            integrate, interp_matrix, kernel_fourier_coeffs, operator_matrix)
+                            apply_operator, fourier_coeffs, gauss_legendre, interp_matrix,
+                            kernel_fourier_coeffs, operator_matrix)
 
 from fredsolve.method_core import verify_solution
 from fredsolve.problems import green_triangular, make_manufactured
 from fredsolve.reduction2d import reduce_membrane
 
-from oracles import (apply_operator_rows, kernel_fourier_coeffs_rows,
+from oracles import (apply_operator_rows, composite_gauss, kernel_fourier_coeffs_rows,
                      operator_matrix_rows, product_rows, row_rules, split_gauss, tri_green)
 
 EPS = np.finfo(float).eps
@@ -37,7 +37,7 @@ def _trapezoid(n):
 # it is the barycentric map
 GRIDS = {"gauss16": gauss_legendre(16, 0.0, 1.0), "gauss64": gauss_legendre(64, 0.0, 1.0),
          "gauss128": gauss_legendre(128, 0.0, 1.0), "trapezoid": _trapezoid(17),
-         "panels": gauss_panels([0.0, 0.3, 1.0], 8)}
+         "panels": Grid1D(*split_gauss(0.0, 0.3, 1.0, 8), 0.0, 1.0)}
 
 
 def _projection_oracle(n):
@@ -156,23 +156,9 @@ class TestGridInvariants:
             Grid1D(np.array([0.2, 0.5]), np.array([0.5, 0.6]), 0.0, 1.0)
 
     def test_panels_grid_valid(self):
-        g = gauss_panels([0.0, 0.3, 1.0], 16)
+        g = Grid1D(*split_gauss(0.0, 0.3, 1.0, 16), 0.0, 1.0)
         assert abs(g.weights.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(g.nodes) > 0)
-
-
-class TestIntegrate:
-    def test_constant(self):
-        g = gauss_legendre(8, 0.0, 1.0)
-        assert integrate(GridFunction.sample(lambda x: np.ones_like(x), g)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_full_period_sine(self):
-        g = gauss_legendre(32, 0.0, 1.0)
-        assert integrate(GridFunction.sample(lambda x: np.sin(2 * np.pi * x), g)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_exponential(self):
-        g = gauss_legendre(16, 0.0, 1.0)
-        assert integrate(GridFunction.sample(np.exp, g)) == pytest.approx(np.e - 1.0, abs=1e-12)
 
 
 class TestFourierCoeffs:
@@ -197,7 +183,7 @@ class TestFourierCoeffs:
         f = lambda x: np.sin(2 * np.pi * x) + 3.0 * np.cos(6 * np.pi * x)
         c = fourier_coeffs(f, N=4)
         g = gauss_legendre(64, 0.0, 1.0)
-        energy = integrate(GridFunction.sample(lambda x: f(x) ** 2, g))
+        energy = g.l2_norm(f(g.nodes)) ** 2
         assert energy == pytest.approx((c.cn_prime[0] ** 2 + c.cn[2] ** 2) / 2.0, abs=1e-8)
 
     def test_evaluate_round_trip(self):
@@ -360,7 +346,7 @@ class TestOperatorMatrix:
 
     def test_many_panel_grid_raises_instead_of_returning_nan(self):
         # one global interpolant through 4 panels of 16 nodes cancels to 0/0
-        g = gauss_panels(np.linspace(0.0, 1.0, 5), 16)
+        g = Grid1D(*composite_gauss(0.0, 1.0, 4, 16), 0.0, 1.0)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteValueError, match="must be finite"):
             operator_matrix(green_triangular, g, diag_split=True)
 

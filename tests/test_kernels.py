@@ -3,14 +3,22 @@ import pytest
 
 from fredsolve import kernels
 from fredsolve.errors import ConfigError, ParameterExclusionError
-from fredsolve.grid import gauss_legendre, gauss_panels
-from fredsolve.kernels import (PoissonParams, kernel_l, kernel_matrix,
-                               poisson_h, poisson_h_series, resolvent_H,
-                               resolvent_L, validate_lambda)
+from fredsolve.grid import Grid1D, gauss_legendre
+from fredsolve.kernels import PoissonParams, kernel_matrix, poisson_h, validate_lambda
 
-from oracles import series_coeffs, series_kernel
+from oracles import composite_gauss, series_coeffs, series_kernel
 
 P = PoissonParams.create(r=0.5, lam=0.2)
+# [-1, 1] as two 128-point Gauss panels, split where the resolvents' half
+# intervals meet
+FULL = Grid1D(*composite_gauss(-1.0, 1.0, 2, 128), -1.0, 1.0)
+
+
+def h_series(p, x, xi):
+    """kernel_matrix's factored h series: at lambda = 0 the H coefficients are
+    r^n / (1 - 0) = r^n and its constant 1, exactly those of h."""
+    p0 = PoissonParams.create(r=p.r, lam=0.0, n_trunc=p.n_trunc, series_tol=p.series_tol)
+    return kernel_matrix("H", p0, x, xi, min_rel_dist=0.0)
 
 
 class TestPoissonParams:
@@ -54,25 +62,27 @@ class TestPoissonH:
 
 
 class TestPoissonSeries:
-    def test_zero_terms_is_one(self):
-        assert poisson_h_series(0.3, 0.9, P, n_terms=0) == 1.0
+    def test_no_terms_is_refused(self):
+        with pytest.raises(ConfigError):
+            PoissonParams.create(r=0.5, n_trunc=0)
 
     def test_r_tiny_is_one(self):
         p = PoissonParams.create(r=1e-15)
-        assert poisson_h_series(0.2, 0.7, p) == pytest.approx(1.0, abs=1e-14)
+        assert h_series(p, [0.2], [0.7])[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_tail_bound_against_closed_form(self):
         # geometric tail: |partial sum - closed form| <= 2 r^(N+1) / (1 - r)
         xs = np.linspace(0.0, 1.0, 101)
         N = 40
         bound = 2.0 * 0.5 ** (N + 1) / 0.5
-        dev = np.abs(poisson_h_series(xs, 0.3, P, n_terms=N) - poisson_h(xs, 0.3, P))
+        p = PoissonParams.create(r=0.5, n_trunc=N, series_tol=bound)
+        dev = np.abs(h_series(p, xs, [0.3])[:, 0] - poisson_h(xs, 0.3, P))
         assert np.max(dev) <= bound + 1e-15
 
 
 class TestEigenAction:
     def test_full_interval(self):
-        g = gauss_panels([-1.0, 0.0, 1.0], 64)
+        g = Grid1D(*composite_gauss(-1.0, 1.0, 2, 64), -1.0, 1.0)
         for n in range(1, 9):
             lhs = (poisson_h(np.linspace(0, 1, 33)[:, None], g.nodes[None, :], P)
                    * g.weights[None, :]) @ np.cos(2 * n * np.pi * g.nodes)
@@ -93,16 +103,17 @@ class TestResolventH:
     def test_lambda_zero_matches_poisson_series(self):
         p = PoissonParams.create(r=0.5, lam=0.0)
         xs = np.linspace(0, 1, 21)
-        dev = resolvent_H(xs, 0.4, p, min_rel_dist=0.0) - poisson_h_series(xs, 0.4, p)
-        assert np.max(np.abs(dev)) == 0.0
+        dev = kernel_matrix("H", p, xs, [0.4], min_rel_dist=0.0) \
+            - series_kernel("h", p, xs[:, None], 0.4)
+        assert np.max(np.abs(dev)) <= _series_rounding_bound("h", p, xs, [0.4])
 
     def test_r_tiny_constant(self):
         p = PoissonParams.create(r=1e-15, lam=0.25)
-        assert resolvent_H(0.3, 0.8, p) == pytest.approx(2.0, abs=1e-12)
+        assert kernel_matrix("H", p, [0.3], [0.8])[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_resolvent_identity(self):
         # H = h + lam * int_{-1}^{1} h(x, z) H(z, xi) dz on a 33 x 33 sample
-        g = gauss_panels([-1.0, 0.0, 1.0], 128)
+        g = FULL
         s = np.linspace(-1, 1, 33)
         H_ss = kernel_matrix("H", P, s, s)
         h_sq = poisson_h(s[:, None], g.nodes[None, :], P)
@@ -113,7 +124,7 @@ class TestResolventH:
 
     def test_excluded_lambda_raises(self):
         with pytest.raises(ParameterExclusionError):
-            resolvent_H(0.1, 0.2, PoissonParams.create(r=0.5, lam=0.5))
+            kernel_matrix("H", PoissonParams.create(r=0.5, lam=0.5), [0.1], [0.2])
 
 
 class TestKernelL:
@@ -121,12 +132,13 @@ class TestKernelL:
         p = PoissonParams.create(r=0.5, lam=0.0)
         p_rsq = PoissonParams.create(r=0.25, lam=0.0)
         xs = np.linspace(0, 1, 21)
-        dev = kernel_l(xs, 0.3, p, min_rel_dist=0.0) - poisson_h_series(xs, 0.3, p_rsq)
+        dev = kernel_matrix("l", p, xs, [0.3], min_rel_dist=0.0) \
+            - series_kernel("h", p_rsq, xs[:, None], 0.3)
         assert np.max(np.abs(dev)) < 1e-12
 
     def test_constant_part(self):
         g = gauss_legendre(64, 0.0, 1.0)
-        val = float((kernel_l(0.37, g.nodes, P) * g.weights).sum())
+        val = float(kernel_matrix("l", P, [0.37], g.nodes)[0] @ g.weights)
         assert val == pytest.approx(1.0 / 0.6, abs=1e-10)
 
     def test_equals_half_interval_composition(self):
@@ -143,12 +155,13 @@ class TestResolventL:
     def test_lambda_zero_matches_kernel_l(self):
         p = PoissonParams.create(r=0.5, lam=0.0)
         xs = np.linspace(0, 1, 21)
-        dev = resolvent_L(xs, 0.6, p, min_rel_dist=0.0) - kernel_l(xs, 0.6, p, min_rel_dist=0.0)
+        dev = kernel_matrix("L", p, xs, [0.6], min_rel_dist=0.0) \
+            - kernel_matrix("l", p, xs, [0.6], min_rel_dist=0.0)
         assert np.max(np.abs(dev)) < 1e-12
 
     def test_constant_part(self):
         g = gauss_legendre(64, 0.0, 1.0)
-        val = float((resolvent_L(0.62, g.nodes, P) * g.weights).sum())
+        val = float(kernel_matrix("L", P, [0.62], g.nodes)[0] @ g.weights)
         assert val == pytest.approx(1.0 / 0.56, abs=1e-10)
 
     def test_resolvent_identity(self):
@@ -167,7 +180,7 @@ class TestResolventL:
 def test_resolvent_identities_on_lattice(r, lam):
     p = PoissonParams.create(r=r, lam=lam)
     s = np.linspace(-1, 1, 17)
-    g = gauss_panels([-1.0, 0.0, 1.0], 128)
+    g = FULL
     residual_H = kernel_matrix("H", p, s, s) - (
         poisson_h(s[:, None], s[None, :], p)
         + lam * (poisson_h(s[:, None], g.nodes[None, :], p) * g.weights[None, :])
@@ -247,9 +260,9 @@ def _series_rounding_bound(kind, p, x, xi):
 
 
 def _factored(kind, p, x, xi):
-    # h through the series entry point (kernel_matrix samples its closed form)
+    # h through the factored series (kernel_matrix samples its closed form)
     if kind == "h":
-        return poisson_h_series(x[:, None], xi[None, :], p)
+        return h_series(p, x, xi)
     return kernel_matrix(kind, p, x, xi)
 
 
@@ -269,17 +282,3 @@ def test_oracle_cases_span_more_than_one_chunk():
     # at r = 0.99 both node pairings above sum the series over several chunks
     n_trunc = PoissonParams.create(r=0.99, lam=0.2).n_trunc
     assert n_trunc > kernels._CHUNK // (40 + 50) and n_trunc > kernels._CHUNK // (64 + 64)
-
-
-def test_pointwise_series_shapes():
-    # outer-product and paired broadcasts both agree with the matrix evaluator
-    p = PoissonParams.create(r=0.9, lam=0.2)
-    x = np.linspace(0.0, 1.0, 7)
-    xi = np.linspace(-1.0, 0.0, 5)
-    M = kernel_matrix("H", p, x, xi)
-    assert np.array_equal(resolvent_H(x[:, None], xi[None, :], p), M)
-    assert np.array_equal(resolvent_H(xi[None, :], x[:, None], p), kernel_matrix("H", p, xi, x).T)
-    paired = resolvent_H(x[:5], xi, p)
-    assert paired.shape == (5,)
-    assert np.max(np.abs(paired - np.diag(M[:5]))) <= _series_rounding_bound("H", p, x, xi)
-    assert isinstance(resolvent_H(0.3, 0.8, p), float)

@@ -10,10 +10,9 @@ from fredsolve import baselines
 from fredsolve.errors import (NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
-from fredsolve.method_core import (MethodParams, _verdict, _Workspace, build_F0,
-                                   build_F1, build_kappa, build_rho, method_v1,
+from fredsolve.method_core import (MethodParams, _verdict, _Workspace, method_v1,
                                    method_v2, method_v2_single, select_mu,
-                                   solve_psi1, verify_solution)
+                                   verify_solution)
 from fredsolve.problems import FirstKindProblem, make_manufactured
 from fredsolve.reduction2d import method2d_solve, reduce_membrane
 
@@ -22,6 +21,7 @@ from oracles import build_K, tri_green
 LAM, R, MU = 0.2, 0.5, 0.1
 PARAMS = MethodParams.create(r=R, lam=LAM, mu=MU)
 GRID = gauss_legendre(64, 0.0, 1.0)
+GRIDM = gauss_legendre(64, -1.0, 0.0)
 
 
 def m1_problem():
@@ -70,6 +70,34 @@ class TestWorkspace:
         _, A, _ = baselines._setup(prob, n)
         assert np.array_equal(ws.A_K, ws.smooth(A))
 
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_solve_takes_right_hand_sides_as_columns(self, n):
+        # (I - mu A_K) Psi = B for B of shape (n, 2) solves its columns.  A
+        # column and the single solve of that column are two computed
+        # solutions of M psi = b, so they differ by at most ||M^-1||_2 times
+        # the sum of their true residual norms; a residual computed in
+        # floating point is within gamma_{n+1} (|M| |psi| + |b|) of the true
+        # one, entry by entry.  The columns are not bit-equal to single
+        # solves: blocked and unblocked kernels may order the sums differently.
+        ws = _Workspace(MethodParams.create(r=R, lam=LAM, mu=MU, n_out=n), m1_problem())
+        x = ws.grid01.nodes
+        B = np.stack([np.sin(np.pi * x), x * x - 0.3], axis=1)
+        both = ws.solve(MU, B)
+        assert both.shape == (n, 2)
+        u = np.finfo(float).eps / 2.0
+        gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+        inv_norm = 1.0 / np.linalg.svd(ws.M, compute_uv=False)[-1]
+
+        def residual_bound(psi, b):
+            return (np.linalg.norm(ws.M @ psi - b)
+                    + gamma * np.linalg.norm(np.abs(ws.M) @ np.abs(psi) + np.abs(b)))
+
+        for col in range(2):
+            b = B[:, col]
+            single = ws.solve(MU, b)
+            bound = inv_norm * (residual_bound(both[:, col], b) + residual_bound(single, b))
+            assert np.linalg.norm(both[:, col] - single) <= bound
+
 
 class TestBuildK:
     def test_lambda_zero_reduces_to_kernel(self):
@@ -98,120 +126,117 @@ class TestBuildK:
         assert abs(v64 - v128) < 1e-8
 
 
-class TestBuildF1:
+class TestStageF1:
     def test_lambda_zero(self):
         params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
-        F1 = build_F1(np.sin, params0, GRID)
-        assert np.max(np.abs(F1.values + MU * np.sin(GRID.nodes))) < 1e-14
+        F1 = _Workspace(params0).F1(MU, np.sin(GRID.nodes))
+        assert np.max(np.abs(F1 + MU * np.sin(GRID.nodes))) < 1e-14
 
     def test_first_cosine_eigencomponent(self):
-        F1 = build_F1(lambda x: np.cos(2 * np.pi * x), PARAMS, GRID)
+        F1 = _Workspace(PARAMS).F1(MU, np.cos(2 * np.pi * GRID.nodes))
         factor = -MU * (1 - LAM * R) / (1 - 2 * LAM * R)
-        assert np.max(np.abs(F1.values - factor * np.cos(2 * np.pi * GRID.nodes))) < 1e-10
+        assert np.max(np.abs(F1 - factor * np.cos(2 * np.pi * GRID.nodes))) < 1e-10
         assert factor == pytest.approx(-MU * 0.9 / 0.8, abs=1e-15)
 
     def test_constant_eigencomponent(self):
-        F1 = build_F1(lambda x: np.ones_like(x), PARAMS, GRID)
-        assert np.max(np.abs(F1.values + MU * (1 - LAM) / (1 - 2 * LAM))) < 1e-10
+        F1 = _Workspace(PARAMS).F1(MU, np.ones(GRID.n))
+        assert np.max(np.abs(F1 + MU * (1 - LAM) / (1 - 2 * LAM))) < 1e-10
 
 
-class TestSolvePsi1:
+def psi1_of(problem, params):
+    """psi1 from the workspace stages that method_v2 runs."""
+    ws = _Workspace(params, problem)
+    return ws.solve(params.mu, ws.F1(params.mu, ws.f_values()))
+
+
+class TestStagePsi1:
     def test_zero_free_term(self):
-        psi1 = solve_psi1(zero_kernel_problem(lambda x: 0.0 * x), PARAMS)
-        assert np.max(np.abs(psi1.values)) == 0.0
+        psi1 = psi1_of(zero_kernel_problem(lambda x: 0.0 * x), PARAMS)
+        assert np.max(np.abs(psi1)) == 0.0
 
     def test_zero_kernel_gives_F1(self):
         prob = zero_kernel_problem(np.sin)
-        psi1 = solve_psi1(prob, PARAMS)
-        F1 = build_F1(np.sin, PARAMS, psi1.grid)
-        assert np.max(np.abs(psi1.values - F1.values)) < 1e-14
+        psi1 = psi1_of(prob, PARAMS)
+        F1 = _Workspace(PARAMS).F1(MU, np.sin(GRID.nodes))
+        assert np.max(np.abs(psi1 - F1)) < 1e-14
         # lambda = 0 composes to psi1 = -mu f
         params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
-        psi0 = solve_psi1(prob, params0)
-        assert np.max(np.abs(psi0.values + MU * np.sin(psi0.grid.nodes))) < 1e-14
+        psi0 = psi1_of(prob, params0)
+        assert np.max(np.abs(psi0 + MU * np.sin(GRID.nodes))) < 1e-14
 
     def test_grid_refinement_consistency(self):
         p64 = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=64)
         p128 = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=128)
-        a = solve_psi1(m1_problem(), p64)
-        b = solve_psi1(m1_problem(), p128)
-        resampled = interp_matrix(b.grid.nodes, a.grid.nodes) @ b.values
-        assert np.max(np.abs(a.values - resampled)) < 1e-6
+        a = psi1_of(m1_problem(), p64)
+        b = psi1_of(m1_problem(), p128)
+        resampled = interp_matrix(gauss_legendre(128, 0.0, 1.0).nodes, GRID.nodes) @ b
+        assert np.max(np.abs(a - resampled)) < 1e-6
 
 
 class TestRhoKappaF0:
+    WS = _Workspace(PARAMS)
+
     def test_rho_zero(self):
-        rho = build_rho(GridFunction(GRID, np.zeros(GRID.n)), PARAMS)
-        assert np.max(np.abs(rho.values)) == 0.0
+        rho = self.WS.rho(np.zeros(GRID.n))
+        assert np.max(np.abs(rho)) == 0.0
 
     def test_rho_cosine(self):
-        rho = build_rho(GridFunction.sample(lambda x: np.cos(2 * np.pi * x), GRID), PARAMS)
-        expected = -LAM * R * np.cos(2 * np.pi * rho.grid.nodes)
-        assert np.max(np.abs(rho.values - expected)) < 1e-10
+        rho = self.WS.rho(np.cos(2 * np.pi * GRID.nodes))
+        expected = -LAM * R * np.cos(2 * np.pi * GRIDM.nodes)
+        assert np.max(np.abs(rho - expected)) < 1e-10
 
     def test_rho_constant(self):
-        rho = build_rho(GridFunction(GRID, np.ones(GRID.n)), PARAMS)
-        assert np.max(np.abs(rho.values + LAM)) < 1e-10
+        rho = self.WS.rho(np.ones(GRID.n))
+        assert np.max(np.abs(rho + LAM)) < 1e-10
 
     def test_kappa_zero(self):
-        gm = gauss_legendre(64, -1.0, 0.0)
-        kap = build_kappa(GridFunction(gm, np.zeros(64)), PARAMS)
-        assert np.max(np.abs(kap.values)) == 0.0
+        kap = self.WS.kappa(np.zeros(64))
+        assert np.max(np.abs(kap)) == 0.0
 
     def test_kappa_constant(self):
-        gm = gauss_legendre(64, -1.0, 0.0)
-        kap = build_kappa(GridFunction(gm, np.ones(64)), PARAMS)
+        kap = self.WS.kappa(np.ones(64))
         expected = (1 - 2 * LAM) / (1 - 2 * LAM - LAM ** 2)
         assert expected == pytest.approx(0.6 / 0.56, abs=1e-15)
-        assert np.max(np.abs(kap.values - expected)) < 1e-10
+        assert np.max(np.abs(kap - expected)) < 1e-10
 
     def test_kappa_cosine(self):
-        gm = gauss_legendre(64, -1.0, 0.0)
-        kap = build_kappa(GridFunction.sample(lambda x: np.cos(2 * np.pi * x), gm), PARAMS)
+        kap = self.WS.kappa(np.cos(2 * np.pi * GRIDM.nodes))
         factor = (1 - 2 * LAM * R) / (1 - 2 * LAM * R - LAM ** 2 * R ** 2)
-        assert np.max(np.abs(kap.values - factor * np.cos(2 * np.pi * gm.nodes))) < 1e-10
+        assert np.max(np.abs(kap - factor * np.cos(2 * np.pi * GRIDM.nodes))) < 1e-10
 
     def test_F0_zero(self):
-        gm = gauss_legendre(64, -1.0, 0.0)
-        F0 = build_F0(GridFunction(gm, np.zeros(64)), PARAMS, GRID)
-        assert np.max(np.abs(F0.values)) == 0.0
+        F0 = self.WS.F0(np.zeros(64))
+        assert np.max(np.abs(F0)) == 0.0
 
     def test_F0_constant(self):
-        gm = gauss_legendre(64, -1.0, 0.0)
-        F0 = build_F0(GridFunction(gm, np.ones(64)), PARAMS, GRID)
-        assert np.max(np.abs(F0.values - LAM / (1 - 2 * LAM))) < 1e-10
+        F0 = self.WS.F0(np.ones(64))
+        assert np.max(np.abs(F0 - LAM / (1 - 2 * LAM))) < 1e-10
 
     def test_F0_cosine(self):
-        gm = gauss_legendre(64, -1.0, 0.0)
-        F0 = build_F0(GridFunction.sample(lambda x: np.cos(2 * np.pi * x), gm), PARAMS, GRID)
+        F0 = self.WS.F0(np.cos(2 * np.pi * GRIDM.nodes))
         factor = LAM * R / (1 - 2 * LAM * R)
-        assert np.max(np.abs(F0.values - factor * np.cos(2 * np.pi * GRID.nodes))) < 1e-10
+        assert np.max(np.abs(F0 - factor * np.cos(2 * np.pi * GRID.nodes))) < 1e-10
 
     def test_stage_linearity(self):
-        f1 = GridFunction.sample(lambda x: np.sin(2 * np.pi * x) + 0.3, GRID)
-        f2 = GridFunction.sample(lambda x: np.cos(4 * np.pi * x) * x, GRID)
-        combo = GridFunction(GRID, 2.0 * f1.values - 0.7 * f2.values)
-        for stage in (lambda g: build_rho(g, PARAMS),):
-            a, b, c = stage(f1), stage(f2), stage(combo)
-            assert np.max(np.abs(c.values - 2.0 * a.values + 0.7 * b.values)) < 1e-10
-        gm = gauss_legendre(64, -1.0, 0.0)
-        g1 = GridFunction.sample(lambda x: np.sin(2 * np.pi * x) + 0.3, gm)
-        g2 = GridFunction.sample(lambda x: np.cos(4 * np.pi * x) * x, gm)
-        gc = GridFunction(gm, 2.0 * g1.values - 0.7 * g2.values)
-        for stage in (lambda g: build_kappa(g, PARAMS), lambda g: build_F0(g, PARAMS, GRID)):
-            a, b, c = stage(g1), stage(g2), stage(gc)
-            assert np.max(np.abs(c.values - 2.0 * a.values + 0.7 * b.values)) < 1e-10
+        f1 = np.sin(2 * np.pi * GRID.nodes) + 0.3
+        f2 = np.cos(4 * np.pi * GRID.nodes) * GRID.nodes
+        a, b, c = (self.WS.rho(v) for v in (f1, f2, 2.0 * f1 - 0.7 * f2))
+        assert np.max(np.abs(c - 2.0 * a + 0.7 * b)) < 1e-10
+        g1 = np.sin(2 * np.pi * GRIDM.nodes) + 0.3
+        g2 = np.cos(4 * np.pi * GRIDM.nodes) * GRIDM.nodes
+        for stage in (self.WS.kappa, self.WS.F0):
+            a, b, c = stage(g1), stage(g2), stage(2.0 * g1 - 0.7 * g2)
+            assert np.max(np.abs(c - 2.0 * a + 0.7 * b)) < 1e-10
 
     def test_cosine_propagation_chain(self):
         # rho -> kappa -> F0 multiplies cos(2 n pi x) by
         # -lam r^n * (1-2 lam r^n)/(1-2 lam r^n - Lam r^2n) * lam r^n/(1-2 lam r^n)
         for n in (1, 2, 3):
-            src = GridFunction.sample(lambda x: np.cos(2 * n * np.pi * x), GRID)
-            out = build_F0(build_kappa(build_rho(src, PARAMS), PARAMS), PARAMS, GRID)
+            out = self.WS.F0(self.WS.kappa(self.WS.rho(np.cos(2 * n * np.pi * GRID.nodes))))
             rn = R ** n
             factor = (-LAM * rn) * ((1 - 2 * LAM * rn) / (1 - 2 * LAM * rn - LAM ** 2 * rn ** 2)) \
                 * (LAM * rn / (1 - 2 * LAM * rn))
-            assert np.max(np.abs(out.values - factor * np.cos(2 * n * np.pi * GRID.nodes))) < 1e-9
+            assert np.max(np.abs(out - factor * np.cos(2 * n * np.pi * GRID.nodes))) < 1e-9
 
 
 class TestMethodV2:
@@ -246,18 +271,19 @@ class TestMethodV2:
                 method_v2(m1_problem(), MethodParams.create(r=R, lam=lam, mu=MU))
 
     @pytest.mark.parametrize("n", [64, 128])
-    def test_stages_are_the_public_stage_functions(self, n):
-        # the tests of build_* check the path that method_v2 runs, bit for bit
+    def test_state_holds_the_workspace_stages(self, n):
+        # the stage tests above check the path that method_v2 runs, bit for bit
         prob = m1_problem()
         params = MethodParams.create(r=R, lam=LAM, mu=MU, n_out=n)
         state = method_v2(prob, params)
-        pairs = ((state.F1, build_F1(prob.free_term, params)),
-                 (state.psi1, solve_psi1(prob, params)),
-                 (state.rho, build_rho(state.psi1, params)),
-                 (state.kappa, build_kappa(state.rho, params)),
-                 (state.F0, build_F0(state.kappa, params)))
-        for stage, public in pairs:
-            assert np.array_equal(stage.values, public.values)
+        ws = _Workspace(params, prob)
+        pairs = ((state.F1, ws.F1(MU, ws.f_values())),
+                 (state.psi1, psi1_of(prob, params)),
+                 (state.rho, ws.rho(state.psi1.values)),
+                 (state.kappa, ws.kappa(state.rho.values)),
+                 (state.F0, ws.F0(state.kappa.values)))
+        for stage, direct in pairs:
+            assert np.array_equal(stage.values, direct)
 
     def test_stored_residual_matches_recompute(self):
         prob = m1_problem()
