@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import mmap
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,9 +38,11 @@ __all__ = [
 # smallest Gauss order per half-interval of the product-integration rule
 MIN_PRODUCT_ORDER = 24
 
-# bytes of forward matrices (and their kernel-weight arrays) kept for reuse by
-# apply_operator from a GridFunction: a default CLI verification stores about
-# 0.2 MB, one at --grid 256 about 0.6 MB
+# bytes kept in the one matrix cache (``_ForwardCache``): apply_operator's
+# forward matrices and operator_matrix's Legendre moments, each with its
+# kernel-weight array.  A default CLI verification stores about 0.2 MB, one
+# at --grid 256 about 0.6 MB; a green_triangular assembly 0.1 MB at n = 64 and
+# 0.4 MB at n = 128
 _FORWARD_CACHE_BYTES = 4 << 20
 
 
@@ -301,35 +304,53 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     interpolant breaks down on many-panel grids; a matrix that is not finite
     raises NonFiniteValueError.  Kernel values (B, n, P) on the (n, P) points
     give a (B, n, n) stack, one matrix per leading index, from one moment sweep.
+
+    The kernel is evaluated on every call.  G, the moment sweep, is kept
+    read-only in ``_ForwardCache`` under the nodes' bytes, a and b, both
+    flags, the rule order and the exact kernel values times weights, so a
+    repeated assembly skips only the sweep; L, Pi L and the product with G
+    are formed on every call, and A is a fresh array.
     """
     xs, ws = grid.nodes, grid.weights
     if not diag_split and not volterra:
         A = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float) * ws
     else:
         n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
+        order = max(MIN_PRODUCT_ORDER, n)
         zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split,
-                              max(MIN_PRODUCT_ORDER, n))
+                              order)
         PiL = _projection(n) @ interp_matrix(xs, half * _gauss_rule(n)[0] + mid)
-        A = _legendre_moments((zq - mid) / half, kw, n) @ PiL
+        key = ("moments", xs.tobytes(), np.array([grid.a, grid.b], dtype=float).tobytes(),
+               bool(diag_split), bool(volterra), order)
+        G = _forward_cache.get(key, kw)
+        if G is None:
+            G = _legendre_moments((zq - mid) / half, kw, n)
+            _forward_cache.put(key, kw, G)
+        A = G @ PiL
     if not np.all(np.isfinite(A)):
         raise NonFiniteValueError(f"the Nystrom matrix on {grid.n} nodes must be finite")
     return A
 
 
 class _ForwardCache:
-    """Forward matrices B of apply_operator from a GridFunction, reused by value.
+    """Matrices fixed by a product rule's geometry and kernel values, reused by value.
 
-    An entry is found by a small key (the out nodes' bytes, the interval, the
-    split flag, the rule order and the source nodes' bytes) and used only when
-    the call's kernel values times weights kw equal the stored ones bit for
-    bit; a differing kw replaces the entry.  Together these fix B exactly, so
-    the kernel may be any callable and is still evaluated on every call.
-    Stored arrays are read-only copies, each in its own anonymous memory map:
-    long-lived arrays taken from the malloc heap in mid-request fragment it,
-    which on the solve_1d benchmark workload cost about 1 MB more peak RSS
-    than the maps.  The least recently used entries go first once the
-    stored bytes pass the budget; an entry larger than the budget is never
-    kept.  A lock guards the table; B is built outside it.
+    It holds two kinds of entry under one budget and one lock:
+    apply_operator's forward matrices B (from a GridFunction) and
+    operator_matrix's Legendre moments G.  The caller's key names the kind
+    and the geometry (node bytes, interval, flags, rule order); the cache
+    adds the shape and a CRC-32 of the call's kernel values times weights
+    kw, and an entry is used only when kw also equals the stored kw bit for
+    bit.  So the match is on the exact kw, and several kernels on one
+    geometry (the 2D reductions' tau1 and tau2) each keep their own entry.
+    Together these fix the stored matrix exactly, so the kernel may be any
+    callable and is still evaluated on every call.  Stored arrays are
+    read-only copies, each in its own anonymous memory map: long-lived
+    arrays taken from the malloc heap in mid-request fragment it, which on
+    the solve_1d benchmark workload cost about 1 MB more peak RSS than the
+    maps.  The least recently used entries go first once the stored bytes
+    pass the budget; an entry larger than the budget is never kept.  The
+    lock guards the table; matrices are built outside it.
     """
 
     def __init__(self, budget: int):
@@ -342,7 +363,12 @@ class _ForwardCache:
     def _size(key, kw, B) -> int:
         return kw.nbytes + B.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
 
+    @staticmethod
+    def _full_key(key, kw) -> tuple:
+        return key + (kw.shape, zlib.crc32(kw))
+
     def get(self, key, kw):
+        key = self._full_key(key, kw)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or not np.array_equal(entry[0].view(np.uint64),
@@ -360,6 +386,7 @@ class _ForwardCache:
         return out
 
     def put(self, key, kw, B) -> None:
+        key = self._full_key(key, kw)
         size = self._size(key, kw, B)
         if size > self.budget:
             return
@@ -386,8 +413,8 @@ def _forward_matrix(kernel, x, lo: float, hi: float, diag_split: bool,
     # m = max(quad_order, n) points per half, never below the source grid.
     order = max(int(quad_order), nodes.size)
     zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, order)
-    key = (x.tobytes(), np.array([lo, hi], dtype=float).tobytes(), bool(diag_split),
-           order, nodes.tobytes())
+    key = ("forward", x.tobytes(), np.array([lo, hi], dtype=float).tobytes(),
+           bool(diag_split), order, nodes.tobytes())
     B = _forward_cache.get(key, kw)
     if B is None:
         B = np.empty((x.size, nodes.size))

@@ -108,6 +108,30 @@ class TestParserReuse:
         assert_same_files(tmp_path / "warm", tmp_path / "fresh")
 
 
+class TestWarmMatrixCache:
+    """A run whose assemblies and verifications take their matrices from grid's
+    cache writes the same bytes as a run that builds them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "v2", "--grid", "128"],
+        ["bench", "--methods", "lavrentiev,quasisolution,v2", "--grid", "64"],
+        ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"]],
+        ids=["solve", "bench", "reduce"])
+    def test_warm_run_writes_the_cold_bytes(self, tmp_path, monkeypatch, argv):
+        cache = grid._ForwardCache(grid._FORWARD_CACHE_BYTES)
+        monkeypatch.setattr(grid, "_forward_cache", cache)
+        sweeps = []
+        moments = grid._legendre_moments
+        monkeypatch.setattr(grid, "_legendre_moments",
+                            lambda z, kw, n: sweeps.append(n) or moments(z, kw, n))
+        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+        assert sweeps and cache._entries
+        cold_sweeps = len(sweeps)
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        assert len(sweeps) == cold_sweeps
+        assert_same_files(tmp_path / "cold", tmp_path / "warm")
+
+
 class TestGridOrder:
     # every subcommand that reads --grid refuses an order below 1 before it writes anything
     @pytest.mark.parametrize("grid_order", ["0", "-5"])

@@ -466,15 +466,19 @@ class TestApplyOperator:
 
 @pytest.fixture()
 def forward_cache(monkeypatch):
-    """A fresh forward-matrix cache at the production budget, and the list of
-    barycentric matrices built since (one per output row on a miss)."""
+    """A fresh matrix cache at the production budget, the list of barycentric
+    matrices built since (one per output row on a forward-matrix miss), and
+    the list of Legendre moment sweeps run since (one per assembly miss)."""
     cache = grid_module._ForwardCache(grid_module._FORWARD_CACHE_BYTES)
     monkeypatch.setattr(grid_module, "_forward_cache", cache)
-    built = []
+    built, sweeps = [], []
     interp = grid_module.interp_matrix
     monkeypatch.setattr(grid_module, "interp_matrix",
                         lambda nodes, targets: built.append(len(targets)) or interp(nodes, targets))
-    return cache, built
+    moments = grid_module._legendre_moments
+    monkeypatch.setattr(grid_module, "_legendre_moments",
+                        lambda z, kw, n: sweeps.append(kw.shape) or moments(z, kw, n))
+    return cache, built, sweeps
 
 
 def _bumped_kernel(x, xi):
@@ -492,6 +496,17 @@ def _nudged_grid():
     return Grid1D(nodes, g.weights, 0.0, 1.0)
 
 
+def _widened_grid(a, b):
+    # the 20-point Gauss grid's nodes on [a, b], weights rescaled to its length
+    g = gauss_legendre(20, 0.0, 1.0)
+    return Grid1D(g.nodes, g.weights * (b - a), a, b)
+
+
+def _tau_stack(x, xi):
+    # three kinked kernels at once, values (3, n, P) as the 2D tau stacks give
+    return np.stack([tri_green(x, xi), 2.0 * tri_green(x, xi) + x * xi, x - xi])
+
+
 class TestForwardCache:
     X = gauss_legendre(24, 0.0, 1.0).nodes
 
@@ -500,34 +515,87 @@ class TestForwardCache:
         return apply_operator(kernel, self.X, source,
                               **{"diag_split": True, "quad_order": 32, **options})
 
+    @staticmethod
+    def _assemble(kernel=tri_green, grid=None, min_order=MIN_PRODUCT_ORDER, **flags):
+        # operator_matrix by product integration; min_order moves the rule order
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "MIN_PRODUCT_ORDER", min_order)
+            return operator_matrix(kernel, grid or gauss_legendre(20, 0.0, 1.0),
+                                   **{"diag_split": True, **flags})
+
     def test_warm_call_returns_the_cold_bits(self, forward_cache):
-        _, built = forward_cache
+        _, built, _ = forward_cache
         cold = self._apply()
         assert len(built) == self.X.size
         warm = self._apply()
         assert len(built) == self.X.size
         assert np.array_equal(cold, warm)
 
-    @pytest.mark.parametrize("change", [
-        {"kernel": _bumped_kernel}, {"grid": _nudged_grid()}, {"lo": -0.25}, {"hi": 1.25},
-        {"diag_split": False}, {"quad_order": 40}],
-        ids=["kernel_value", "node_ulp", "lo", "hi", "diag_split", "order"])
-    def test_no_stale_hit(self, forward_cache, monkeypatch, change):
-        _, built = forward_cache
-        want = self._apply(**change)
-        base = self._apply()
+    @pytest.mark.parametrize("kernel, flags, n", [
+        (tri_green, {}, 20), (tri_green, {}, 128), (tri_green, {"volterra": True}, 20),
+        (tri_green, {"diag_split": False, "volterra": True}, 64), (_tau_stack, {}, 20)],
+        ids=["diag_split", "diag_split_128", "volterra", "volterra_only_64", "stack"])
+    def test_warm_assembly_returns_the_cold_bits(self, forward_cache, kernel, flags, n):
+        _, _, sweeps = forward_cache
+        g = gauss_legendre(n, 0.0, 1.0)
+        cold = self._assemble(kernel, g, **flags)
+        warm = self._assemble(kernel, g, **flags)
+        assert len(sweeps) == 1
+        assert cold.shape == warm.shape and np.array_equal(cold, warm)
+        assert warm.flags.writeable and not np.shares_memory(cold, warm)
+
+    @pytest.mark.parametrize("route, change", [
+        ("forward", {"kernel": _bumped_kernel}), ("forward", {"grid": _nudged_grid()}),
+        ("forward", {"lo": -0.25}), ("forward", {"hi": 1.25}),
+        ("forward", {"diag_split": False}), ("forward", {"quad_order": 40}),
+        ("moments", {"kernel": _bumped_kernel}), ("moments", {"grid": _nudged_grid()}),
+        ("moments", {"grid": _widened_grid(-0.25, 1.0)}),
+        ("moments", {"grid": _widened_grid(0.0, 1.25)}),
+        ("moments", {"volterra": True}), ("moments", {"diag_split": False, "volterra": True}),
+        ("moments", {"min_order": 32})],
+        ids=["kernel_value", "node_ulp", "lo", "hi", "diag_split", "order",
+             "moments_kernel_value", "moments_node_ulp", "moments_a", "moments_b",
+             "moments_volterra", "moments_diag_split", "moments_order"])
+    def test_no_stale_hit(self, forward_cache, monkeypatch, route, change):
+        # a miss builds one barycentric matrix per output row, or one moment sweep
+        _, built, sweeps = forward_cache
+        call, builds = {"forward": (self._apply, lambda: len(built) / self.X.size),
+                        "moments": (self._assemble, lambda: len(sweeps))}[route]
+        want = call(**change)
+        base = call()
         monkeypatch.setattr(grid_module, "_forward_cache",
                             grid_module._ForwardCache(grid_module._FORWARD_CACHE_BYTES))
-        assert np.array_equal(self._apply(), base)
-        before = len(built)
-        assert np.array_equal(self._apply(**change), want)
-        assert len(built) == before + self.X.size
-        # and the base call, whose entry a changed kernel value replaced, keeps its bits
-        assert np.array_equal(self._apply(), base)
+        assert np.array_equal(call(), base)
+        before = builds()
+        assert np.array_equal(call(**change), want)
+        assert builds() == before + 1
+        # and the base call keeps its bits
+        assert np.array_equal(call(), base)
 
-    def test_stored_matrices_are_read_only(self, forward_cache):
-        cache, _ = forward_cache
-        self._apply()
+    def test_two_kernels_on_one_grid_both_hit(self, forward_cache):
+        # like the 2D reductions' tau1 and tau2: one geometry, two sets of kernel values
+        cache, _, sweeps = forward_cache
+        kernels = (tri_green, lambda x, xi: 2.0 * tri_green(x, xi) + x * xi)
+        cold = [self._assemble(kernel) for kernel in kernels]
+        assert len(sweeps) == 2 and len(cache._entries) == 2
+        for _ in range(3):
+            for kernel, want in zip(kernels, cold):
+                assert np.array_equal(self._assemble(kernel), want)
+        assert len(sweeps) == 2
+
+    def test_writing_into_the_matrix_leaves_the_next_call(self, forward_cache):
+        cold = self._assemble()
+        want = cold.copy()
+        cold[...] = np.nan
+        warm = self._assemble()
+        assert np.array_equal(warm, want)
+        warm += 1.0
+        assert np.array_equal(self._assemble(), want)
+
+    @pytest.mark.parametrize("route", ["forward", "moments"])
+    def test_stored_matrices_are_read_only(self, forward_cache, route):
+        cache, _, _ = forward_cache
+        {"forward": self._apply, "moments": self._assemble}[route]()
         (kw, B), = cache._entries.values()
         for stored in (kw, B):
             assert not stored.flags.writeable
@@ -535,7 +603,7 @@ class TestForwardCache:
                 stored[0, 0] = 0.0
 
     def test_budget_bounds_the_stored_bytes(self, forward_cache, monkeypatch):
-        cache, _ = forward_cache
+        cache, _, _ = forward_cache
         self._apply()
         size = cache._bytes
         for budget, kept in ((size - 1, 0), (size, 1), (2 * size + size // 2, 2)):
@@ -545,13 +613,13 @@ class TestForwardCache:
                 self._apply(lo=lo)
             assert len(small._entries) == kept and small._bytes <= budget
         # the least recently used entry went first
-        assert [key[1] for key in small._entries] == [
+        assert [key[2] for key in small._entries] == [
             np.array([lo, 1.0]).tobytes() for lo in (-0.25, -0.5)]
 
     # room for two of the four forward matrices, or for all of them
     @pytest.mark.parametrize("slots", [2, 8], ids=["evicting", "holding"])
     def test_pool_verifications_equal_serial_ones(self, forward_cache, monkeypatch, slots):
-        cache, _ = forward_cache
+        cache, _, _ = forward_cache
         prob = make_manufactured("green_triangular", lambda x: np.sin(np.pi * np.asarray(x)))
         psis = [GridFunction.sample(lambda x, k=k: np.sin(k * np.pi * x),
                                     gauss_legendre(n, 0.0, 1.0))
