@@ -12,8 +12,8 @@ from .errors import (ConfigError, DegenerateProblemError, ExprParseError,
                      FredsolveError, InvalidRadiusError, NonFiniteValueError,
                      NoValidMuError, NumericalParameterError, OnSpectrumError,
                      ParameterExclusionError, UndefinedDeltaError)
-from .grid import (FourierCoeffs, Grid1D, GridFunction, KernelFourierCoeffs,
-                   fourier_coeffs, gauss_legendre, kernel_fourier_coeffs)
+from .grid import (FourierCoeffs, Grid1D, GridFunction, fourier_coeffs, gauss_legendre,
+                   kernel_fourier_coeffs)
 from .kernels import ExclusionReport, PoissonParams, poisson_h, validate_lambda
 from .fredholm2 import SpectrumEstimate, estimate_spectrum, solve_direct
 from .problems import (FirstKindProblem, NoiseSpec, forward_apply,

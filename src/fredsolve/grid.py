@@ -6,7 +6,10 @@ Integral operators are discretized either with the plain Nystrom rule
 (kernel values times weights) or, for kernels with an interior kink, with
 product integration: per-row split Gauss panels integrate the grid's
 interpolating polynomial, taken in Legendre form.  The split restores
-spectral accuracy that a global rule loses at a C0 kink.
+spectral accuracy that a global rule loses at a C0 kink.  Trigonometric
+coefficients come from one table [1 | cos | sin] on a Gauss grid: a free
+term's as 2 T^T (W f), a kernel's moments as 2 (W T)^T A T from that grid's
+Nystrom matrix A, so the Fourier route shares the one assembly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "Grid1D",
     "GridFunction",
     "FourierCoeffs",
-    "KernelFourierCoeffs",
     "gauss_legendre",
     "interp_matrix",
     "operator_matrix",
@@ -138,32 +140,6 @@ class FourierCoeffs:
         n = np.arange(1, self.order + 1)
         phase = 2.0 * np.pi * np.multiply.outer(x, n)
         return 0.5 * self.c0 + np.cos(phase) @ self.cn + np.sin(phase) @ self.cn_prime
-
-
-@dataclass(frozen=True)
-class KernelFourierCoeffs:
-    """The nine trigonometric moment families of a 2D kernel on [0,1]^2.
-
-    All entries are 2 * double integrals of k against products of
-    {1, cos(2n pi .), sin(2n pi .)}; `row0_*` pair the constant in x with a
-    harmonic in xi, `col0_*` pair a harmonic in x with the constant in xi,
-    and the four matrices take one harmonic in each variable
-    (cc = cos_x cos_xi, cs = cos_x sin_xi, sc = sin_x cos_xi, ss = sin_x sin_xi).
-    """
-
-    p00: float
-    row0_cos: np.ndarray
-    row0_sin: np.ndarray
-    col0_cos: np.ndarray
-    col0_sin: np.ndarray
-    cc: np.ndarray
-    cs: np.ndarray
-    sc: np.ndarray
-    ss: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.row0_cos.size
 
 
 @lru_cache(maxsize=64)
@@ -450,6 +426,12 @@ def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.
     return out
 
 
+def _trig_table(x, N: int) -> np.ndarray:
+    # T[i] = [1, cos(2n pi x_i), sin(2n pi x_i)] for n = 1..N: (x.size, 2N + 1)
+    phase = 2.0 * np.pi * np.multiply.outer(x, np.arange(1, N + 1))
+    return np.hstack([np.ones((x.size, 1)), np.cos(phase), np.sin(phase)])
+
+
 def fourier_coeffs(f, N: int, quad_order: int = 64) -> FourierCoeffs:
     """Full-period Fourier coefficients of f on [0, 1].
 
@@ -458,54 +440,26 @@ def fourier_coeffs(f, N: int, quad_order: int = 64) -> FourierCoeffs:
     if N < 1:
         raise ConfigError(f"need N >= 1, got {N}")
     g = gauss_legendre(int(quad_order), 0.0, 1.0)
-    fv = np.asarray(f(g.nodes), dtype=float) * g.weights
-    n = np.arange(1, N + 1)
-    phase = 2.0 * np.pi * np.multiply.outer(n, g.nodes)
-    return FourierCoeffs(
-        c0=2.0 * float(np.sum(fv)),
-        cn=2.0 * (np.cos(phase) @ fv),
-        cn_prime=2.0 * (np.sin(phase) @ fv),
-    )
+    c = 2.0 * (_trig_table(g.nodes, N).T @ (np.asarray(f(g.nodes), dtype=float) * g.weights))
+    return FourierCoeffs(c0=c[0], cn=c[1:N + 1], cn_prime=c[N + 1:])
 
 
 def kernel_fourier_coeffs(kernel, N: int, quad_order: int = 64,
-                          diag_split: bool = False) -> KernelFourierCoeffs:
-    """All nine trigonometric moment families of a kernel on [0,1]^2.
+                          diag_split: bool = False) -> np.ndarray:
+    """Trigonometric moments of a kernel on [0,1]^2, from its Nystrom matrix.
 
-    With ``diag_split`` the inner xi-integral is split at xi = x per outer
-    node, which keeps kinked kernels at full quadrature accuracy.
+    P = 2 (W T)^T A T, (2N+1) x (2N+1): A = operator_matrix(kernel,
+    gauss_legendre(quad_order, 0, 1), diag_split=diag_split), T the table
+    [1 | cos(2n pi x) | sin(2n pi x)] (n = 1..N) on that grid's nodes and W
+    its weights.  Row a of P takes harmonic a in x, column b harmonic b in
+    xi, so P[0, 0] = 2 int int k and P[1, 1] = 2 int int k cos(2 pi x)
+    cos(2 pi xi).  A kinked kernel keeps A's product-integration accuracy
+    in xi.  Like a per-row split rule on the same grid, the moments lose
+    accuracy as N grows toward quad_order / 2.
     """
     if N < 1:
         raise ConfigError(f"need N >= 1, got {N}")
     g = gauss_legendre(int(quad_order), 0.0, 1.0)
-    w = g.weights
-    n = np.arange(1, N + 1)
-    phase_x = 2.0 * np.pi * np.multiply.outer(n, g.nodes)
-    cw = np.cos(phase_x) * w  # (N, q), trig moments fused with weights
-    sw = np.sin(phase_x) * w
-    if not diag_split:
-        K = np.asarray(kernel(g.nodes[:, None], g.nodes[None, :]), dtype=float)
-        inner0 = K @ w                    # (q,): int k(x_i, xi) d xi
-        innerC = K @ cw.T                 # (q, N): int k cos(2m pi xi)
-        innerS = K @ sw.T
-    else:
-        zq, kw, used = _row_rule(kernel, g.nodes, 0.0, 1.0, True, quad_order)
-        inner0 = np.zeros(g.n)
-        innerC = np.zeros((g.n, N))
-        innerS = np.zeros((g.n, N))
-        for i, u in enumerate(used):
-            phase_z = 2.0 * np.pi * np.multiply.outer(zq[i, :u], n)
-            inner0[i] = kw[i, :u].sum()
-            innerC[i] = kw[i, :u] @ np.cos(phase_z)
-            innerS[i] = kw[i, :u] @ np.sin(phase_z)
-    return KernelFourierCoeffs(
-        p00=2.0 * float(w @ inner0),
-        row0_cos=2.0 * (w @ innerC),
-        row0_sin=2.0 * (w @ innerS),
-        col0_cos=2.0 * (cw @ inner0),
-        col0_sin=2.0 * (sw @ inner0),
-        cc=2.0 * (cw @ innerC),
-        cs=2.0 * (cw @ innerS),
-        sc=2.0 * (sw @ innerC),
-        ss=2.0 * (sw @ innerS),
-    )
+    A = operator_matrix(kernel, g, diag_split=diag_split)
+    T = _trig_table(g.nodes, N)
+    return 2.0 * ((T * g.weights[:, None]).T @ (A @ T))

@@ -29,9 +29,8 @@ import numpy as np
 from .errors import (ConfigError, NoValidMuError, ParameterExclusionError, require_finite,
                      require_order)
 from .fredholm2 import gate_mu, solve_direct
-from .grid import (FourierCoeffs, GridFunction, Grid1D, KernelFourierCoeffs,
-                   apply_operator, fourier_coeffs, gauss_legendre,
-                   kernel_fourier_coeffs, operator_matrix)
+from .grid import (FourierCoeffs, GridFunction, Grid1D, apply_operator, fourier_coeffs,
+                   gauss_legendre, kernel_fourier_coeffs, operator_matrix)
 from .kernels import PoissonParams, kernel_matrix, require_lambda_valid
 from .problems import FirstKindProblem
 
@@ -87,10 +86,15 @@ class PipelineState:
 
 @dataclass(frozen=True)
 class FourierState:
-    """Fourier-route output: coefficient sets of f, k, psi1, phi1', psi."""
+    """Fourier-route output: coefficient sets of f, psi1, phi1' and psi.
+
+    p is the kernel's (2N+1)-square moment matrix from kernel_fourier_coeffs,
+    rows and columns ordered [1 | cos(2n pi .) | sin(2n pi .)], row the
+    harmonic in x and column the harmonic in xi.
+    """
 
     c: FourierCoeffs
-    p: KernelFourierCoeffs
+    p: np.ndarray
     s: FourierCoeffs
     a: FourierCoeffs
     t: FourierCoeffs
@@ -249,41 +253,36 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
     then maps them to psi's coefficients t = sigma * b with
     sigma = -mu lam^2 (1-lam) / [(1-2 lam)(1-2 lam-lam^2)].
     """
+    N = int(n_fourier)
+    if N < 1:
+        raise ConfigError(f"need n_fourier >= 1, got {N}")
     lam = params.poisson.lam
     _check_lambda_r1(lam, params.min_rel_dist)
     mu = params.mu
     if mu is None:
         mu = select_mu(problem, params)
-    N = int(n_fourier)
-    if N < 1:
-        raise ConfigError(f"need n_fourier >= 1, got {N}")
     c = fourier_coeffs(problem.free_term, N, params.n_out)
-    pk = kernel_fourier_coeffs(problem.kernel, N, params.n_out,
-                               diag_split=problem.diag_split)
+    # a probed mu leaves select_mu's moment sweep of this grid cached for the moments
+    P = kernel_fourier_coeffs(problem.kernel, N, params.n_out, diag_split=problem.diag_split)
     g = mu * (1.0 - lam)
     d = 2.0 * (1.0 - 2.0 * lam)
     # column 0 (the constant harmonic) carries -g, every other column -2g
-    A = np.block([[pk.p00, pk.row0_cos, pk.row0_sin],
-                  [pk.col0_cos[:, None], pk.cc, pk.cs],
-                  [pk.col0_sin[:, None], pk.sc, pk.ss]]) * np.r_[-g, np.full(2 * N, -2.0 * g)]
+    A = P * np.r_[-g, np.full(2 * N, -2.0 * g)]
     np.fill_diagonal(A, A.diagonal() + d)
-    b = -2.0 * g * np.concatenate(([c.c0], c.cn, c.cn_prime))
+    cv = np.concatenate(([c.c0], c.cn, c.cn_prime))
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12:
         raise NoValidMuError([mu])
-    sol = np.linalg.solve(A, b)
-    s = FourierCoeffs(c0=sol[0], cn=sol[1:N + 1], cn_prime=sol[N + 1:])
-    b0 = 0.5 * s.c0 * pk.p00 + float(pk.row0_cos @ s.cn + pk.row0_sin @ s.cn_prime) - c.c0
-    bn = 0.5 * s.c0 * pk.col0_cos + pk.cc @ s.cn + pk.cs @ s.cn_prime - c.cn
-    bpn = 0.5 * s.c0 * pk.col0_sin + pk.sc @ s.cn + pk.ss @ s.cn_prime - c.cn_prime
+    sol = np.linalg.solve(A, -2.0 * g * cv)
+    res = P @ np.r_[0.5 * sol[0], sol[1:]] - cv
     sigma = -mu * lam ** 2 * (1.0 - lam) / ((1.0 - 2.0 * lam) * (1.0 - 2.0 * lam - lam ** 2))
     scale = mu * lam / (1.0 - 2.0 * lam)
-    return FourierState(
-        c=c, p=pk, s=s,
-        a=FourierCoeffs(c0=scale * b0, cn=scale * bn, cn_prime=scale * bpn),
-        t=FourierCoeffs(c0=sigma * b0, cn=sigma * bn, cn_prime=sigma * bpn),
-        sigma=sigma,
-    )
+
+    def coeffs(v):
+        return FourierCoeffs(c0=v[0], cn=v[1:N + 1], cn_prime=v[N + 1:])
+
+    return FourierState(c=c, p=P, s=coeffs(sol), a=coeffs(scale * res), t=coeffs(sigma * res),
+                        sigma=sigma)
 
 
 def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05,

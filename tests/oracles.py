@@ -7,8 +7,7 @@ eigen-expansions, and separation-of-variables series.
 
 import numpy as np
 
-from fredsolve.grid import (MIN_PRODUCT_ORDER, KernelFourierCoeffs, gauss_legendre,
-                            interp_matrix, operator_matrix)
+from fredsolve.grid import MIN_PRODUCT_ORDER, gauss_legendre, interp_matrix, operator_matrix
 from fredsolve.kernels import kernel_matrix
 from fredsolve.method_core import _Workspace
 
@@ -61,26 +60,25 @@ def operator_matrix_rows(kernel, grid, volterra=False, quad_order=None):
                      for zq, kw in product_rows(kernel, grid, volterra, quad_order)])
 
 
+def trig_table(x, N):
+    """[1 | cos(2n pi x) | sin(2n pi x)], n = 1..N, one row per point."""
+    phase = 2.0 * np.pi * np.multiply.outer(x, np.arange(1, N + 1))
+    return np.hstack([np.ones((x.size, 1)), np.cos(phase), np.sin(phase)])
+
+
 def kernel_fourier_coeffs_rows(kernel, N, quad_order=64):
-    """The nine moment families with the inner xi-integral split at xi = x,
-    one outer node at a time."""
+    """The (2N+1)-square moment matrix P = 2 int int T(x)^T k(x, xi) T(xi)
+    (row: harmonic in x, column: harmonic in xi) with the inner xi-integral
+    split at xi = x, one outer node and its own trigonometric samples at a
+    time."""
     t, v = np.polynomial.legendre.leggauss(int(quad_order))
     x, w = 0.5 * t + 0.5, 0.5 * v
-    n = np.arange(1, N + 1)
-    phase_x = 2.0 * np.pi * np.multiply.outer(n, x)
-    cw, sw = np.cos(phase_x) * w, np.sin(phase_x) * w
-    inner0, innerC, innerS = np.zeros(x.size), np.zeros((x.size, N)), np.zeros((x.size, N))
+    inner = np.zeros((x.size, 2 * N + 1))
     for i, xi in enumerate(x):
         zq, wq = split_rule(0.0, xi, 1.0, t, v)
         kv = np.asarray(kernel(np.full_like(zq, xi), zq), dtype=float) * wq
-        inner0[i] = kv.sum()
-        phase_z = 2.0 * np.pi * np.multiply.outer(zq, n)
-        innerC[i] = kv @ np.cos(phase_z)
-        innerS[i] = kv @ np.sin(phase_z)
-    return KernelFourierCoeffs(
-        p00=2.0 * float(w @ inner0), row0_cos=2.0 * (w @ innerC), row0_sin=2.0 * (w @ innerS),
-        col0_cos=2.0 * (cw @ inner0), col0_sin=2.0 * (sw @ inner0), cc=2.0 * (cw @ innerC),
-        cs=2.0 * (cw @ innerS), sc=2.0 * (sw @ innerC), ss=2.0 * (sw @ innerS))
+        inner[i] = kv @ trig_table(zq, N)
+    return 2.0 * ((trig_table(x, N) * w[:, None]).T @ inner)
 
 
 def build_K(kernel, params):

@@ -115,21 +115,33 @@ class TestWarmMatrixCache:
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "v2", "--grid", "128"],
         ["bench", "--methods", "lavrentiev,quasisolution,v2", "--grid", "64"],
-        ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"]],
-        ids=["solve", "bench", "reduce"])
-    def test_warm_run_writes_the_cold_bytes(self, tmp_path, monkeypatch, argv):
-        cache = grid._ForwardCache(grid._FORWARD_CACHE_BYTES)
-        monkeypatch.setattr(grid, "_forward_cache", cache)
-        sweeps = []
-        moments = grid._legendre_moments
-        monkeypatch.setattr(grid, "_legendre_moments",
-                            lambda z, kw, n: sweeps.append(n) or moments(z, kw, n))
+        ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"],
+        ["solve", "--method", "v1", "--grid", "64"]],
+        ids=["solve", "bench", "reduce", "solve-v1"])
+    def test_warm_run_writes_the_cold_bytes(self, tmp_path, argv, sweeps):
         assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
-        assert sweeps and cache._entries
+        assert sweeps and grid._forward_cache._entries
         cold_sweeps = len(sweeps)
         assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
         assert len(sweeps) == cold_sweeps
         assert_same_files(tmp_path / "cold", tmp_path / "warm")
+
+    def test_cold_v1_request_sweeps_once(self, tmp_path, sweeps):
+        # select_mu's workspace assembles the kernel on kernel_fourier_coeffs's
+        # grid, so the moments reuse its sweep
+        assert main(["solve", "--method", "v1", "--grid", "64",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert sweeps == [64]
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        # an empty matrix cache, and the size n of every moment sweep run after it
+        monkeypatch.setattr(grid, "_forward_cache", grid._ForwardCache(grid._FORWARD_CACHE_BYTES))
+        sweeps = []
+        moments = grid._legendre_moments
+        monkeypatch.setattr(grid, "_legendre_moments",
+                            lambda z, kw, n: sweeps.append(n) or moments(z, kw, n))
+        return sweeps
 
 
 class TestGridOrder:

@@ -1,6 +1,7 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from fredsolve.grid import (MIN_PRODUCT_ORDER, FourierCoeffs, Grid1D, GridFuncti
                             kernel_fourier_coeffs, operator_matrix)
 
 from fredsolve.method_core import verify_solution
-from fredsolve.problems import green_triangular, make_manufactured
+from fredsolve.problems import get_kernel, green_triangular, make_manufactured
 from fredsolve.reduction2d import reduce_membrane
 
 from oracles import (apply_operator_rows, composite_gauss, kernel_fourier_coeffs_rows,
-                     operator_matrix_rows, product_rows, row_rules, split_gauss, tri_green)
+                     operator_matrix_rows, product_rows, row_rules, split_gauss, tri_green,
+                     trig_table)
 
 EPS = np.finfo(float).eps
 
@@ -193,21 +195,32 @@ class TestFourierCoeffs:
         assert np.allclose(c.evaluate(x), expected, atol=1e-14)
 
 
+@lru_cache(maxsize=None)
+def _moment_reference(name):
+    # the per-row oracle at q = 512 and N = 16, far past both routes' aliasing
+    return kernel_fourier_coeffs_rows(SPLIT_KERNELS[name], 16, 512)
+
+
+def _harmonics(P, N, N_full=16):
+    # the [1 | cos 1..N | sin 1..N] rows and columns of an N_full moment matrix
+    idx = np.r_[0, 1:N + 1, N_full + 1:N_full + N + 1]
+    return P[np.ix_(idx, idx)]
+
+
 class TestKernelFourierCoeffs:
+    # P is (2N+1)-square: row a the harmonic in x, column b the harmonic in xi,
+    # each ordered [1 | cos(2n pi .) | sin(2n pi .)]
     def test_constant_kernel(self):
-        p = kernel_fourier_coeffs(lambda x, xi: np.ones(np.broadcast(x, xi).shape), N=3)
-        assert p.p00 == pytest.approx(2.0, abs=1e-10)
-        for fam in (p.row0_cos, p.row0_sin, p.col0_cos, p.col0_sin,
-                    p.cc, p.cs, p.sc, p.ss):
-            assert np.max(np.abs(fam)) < 1e-10
+        P = kernel_fourier_coeffs(lambda x, xi: np.ones(np.broadcast(x, xi).shape), N=3)
+        assert P.shape == (7, 7)
+        assert P[0, 0] == pytest.approx(2.0, abs=1e-10)
+        assert np.max(np.abs(P.ravel()[1:])) < 1e-10
 
     def test_separable_cosine(self):
-        p = kernel_fourier_coeffs(lambda x, xi: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * xi), N=3)
-        assert p.cc[0, 0] == pytest.approx(0.5, abs=1e-10)
-        others = np.concatenate([
-            [p.p00], p.row0_cos, p.row0_sin, p.col0_cos, p.col0_sin,
-            np.delete(p.cc.ravel(), 0), p.cs.ravel(), p.sc.ravel(), p.ss.ravel()])
-        assert np.max(np.abs(others)) < 1e-10
+        P = kernel_fourier_coeffs(lambda x, xi: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * xi), N=3)
+        assert P[1, 1] == pytest.approx(0.5, abs=1e-10)
+        P[1, 1] = 0.0
+        assert np.max(np.abs(P)) < 1e-10
 
     def test_triangular_p00_against_quadrature_oracle(self):
         # oracle: inner xi-integral split at the kink, outer 96-point Gauss;
@@ -220,25 +233,45 @@ class TestKernelFourierCoeffs:
             zq, zw = split_gauss(0.0, x, 1.0, 96)
             acc += w * np.sum(zw * tri_green(x, zq))
         oracle = 2.0 * acc
-        p = kernel_fourier_coeffs(tri_green, N=2, diag_split=True)
+        P = kernel_fourier_coeffs(tri_green, N=2, diag_split=True)
         assert oracle == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert p.p00 == pytest.approx(oracle, abs=1e-8)
+        assert P[0, 0] == pytest.approx(oracle, abs=1e-8)
 
-    @pytest.mark.parametrize("quad_order", [32, 64])
+    @pytest.mark.parametrize("quad_order", [16, 24, 32, 48, 64, 128])
+    @pytest.mark.parametrize("N", [4, 8, 16])
     @pytest.mark.parametrize("name", sorted(SPLIT_KERNELS))
-    def test_split_moments_match_per_row_oracle_bit_for_bit(self, name, quad_order):
-        got = kernel_fourier_coeffs(SPLIT_KERNELS[name], 8, quad_order, diag_split=True)
-        want = kernel_fourier_coeffs_rows(SPLIT_KERNELS[name], 8, quad_order)
-        for field in ("p00", "row0_cos", "row0_sin", "col0_cos", "col0_sin",
-                      "cc", "cs", "sc", "ss"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    def test_split_moments_as_accurate_as_per_row_oracle(self, name, N, quad_order):
+        # The modal moments integrate A's interpolant of each harmonic, the
+        # oracle samples each harmonic on its own split rule; both lose
+        # accuracy as N grows toward quad_order / 2.  Against a q = 512 reference the modal error
+        # stays within 1.5 times the oracle's (1.25 at worst here), plus a
+        # rounding floor of 64 eps max|P| where both are exact.
+        ref = _harmonics(_moment_reference(name), N)
+        got = kernel_fourier_coeffs(SPLIT_KERNELS[name], N, quad_order, diag_split=True)
+        rows = kernel_fourier_coeffs_rows(SPLIT_KERNELS[name], N, quad_order)
+        assert got.shape == rows.shape == (2 * N + 1, 2 * N + 1)
+        err, err_rows = np.max(np.abs(got - ref)), np.max(np.abs(rows - ref))
+        assert err <= 1.5 * err_rows + 64 * EPS * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("quad_order", [16, 64])
+    @pytest.mark.parametrize("name", ["poisson_r", "constant"])
+    def test_plain_moments_match_kernel_matrix_within_rounding(self, name, quad_order):
+        # plain rule: P = 2 (W T)^T (K W) T against 2 (W T)^T K (W T); each
+        # product of the two q-term sums lies within gamma_{2q+2} of the exact
+        # sum of |terms|, so the two differ by at most twice that
+        kernel, N = get_kernel(name)[0], 8
+        g = gauss_legendre(quad_order, 0.0, 1.0)
+        WT = trig_table(g.nodes, N) * g.weights[:, None]
+        K = np.asarray(kernel(g.nodes[:, None], g.nodes[None, :]), dtype=float)
+        got = kernel_fourier_coeffs(kernel, N, quad_order)
+        want = 2.0 * (WT.T @ K @ WT)
+        bound = 2.0 * _gamma(2 * quad_order + 2) * 2.0 * (np.abs(WT).T @ np.abs(K) @ np.abs(WT))
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_symmetric_kernel_moment_symmetry(self):
         kern = lambda x, xi: np.exp(-np.abs(0.0 * x) ) * (1.0 + 0.3 * np.cos(2 * np.pi * (x - xi)))
-        p = kernel_fourier_coeffs(kern, N=4)
-        assert np.max(np.abs(p.cc - p.cc.T)) < 1e-8
-        assert np.max(np.abs(p.ss - p.ss.T)) < 1e-8
-        assert np.max(np.abs(p.cs - p.sc.T)) < 1e-8
+        P = kernel_fourier_coeffs(kern, N=4)
+        assert np.max(np.abs(P - P.T)) < 1e-8
 
 
 class TestOperatorMatrix:

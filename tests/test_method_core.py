@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredsolve import baselines
-from fredsolve.errors import (NonFiniteValueError, NoValidMuError, OnSpectrumError,
+from fredsolve import baselines, grid, method_core
+from fredsolve.errors import (ConfigError, NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
 from fredsolve.method_core import (MethodParams, _verdict, _Workspace, method_v1,
@@ -424,6 +424,17 @@ class TestMethodV1:
         g = gauss_legendre(128, 0.0, 1.0)
         recon = g.l2_norm(state.evaluate(g.nodes) - np.sin(np.pi * g.nodes))
         print(f"\n[method_v1 m=1] reconstruction_error={recon:.6e}")
+
+    @pytest.mark.parametrize("n_fourier", [0, -3])
+    def test_fourier_order_refused_before_any_assembly(self, monkeypatch, n_fourier):
+        # with mu unset, a valid order would probe mu on an assembled A first
+        calls = []
+        for module in (method_core, grid):
+            monkeypatch.setattr(module, "operator_matrix",
+                                lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match="n_fourier"):
+            method_v1(m1_problem(), MethodParams.create(r=R, lam=LAM), n_fourier=n_fourier)
+        assert calls == []
 
     def test_r1_exclusions(self):
         for lam in (0.5, 1.0, -1.0 + np.sqrt(2.0)):
