@@ -21,9 +21,8 @@ from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
 from .method_core import (FourierState, MethodParams, PipelineState,
                           ResidualReport, method_v1, method_v2, method_v2_single,
                           select_mu, verify_solution)
-from .baselines import (IterateHistory, fridman_iterate, implicit_iterate,
-                        krasnoselskii_iterate, lavrentiev, quasisolution,
-                        steepest_descent, tikhonov_weighted)
+from .baselines import (fridman_iterate, implicit_iterate, krasnoselskii_iterate,
+                        lavrentiev, quasisolution, steepest_descent, tikhonov_weighted)
 from .reduction2d import (Bvp2DReduction, GridFunction2D, Method2DResult,
                           closure_delta, forward2d, method2d_solve,
                           reconstruct_u, reduce_heat, reduce_membrane,

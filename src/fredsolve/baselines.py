@@ -1,27 +1,31 @@
 """Classical first-kind machinery for head-to-head comparison.
 
-Regularized solves (Lavrentiev, weighted zero-order Tikhonov), the classical
-iteration families (residual correction, normal-equation relaxation, implicit
-regularized stepping, steepest descent), and the quasisolution on a norm
-ball.
+Regularized solves (Lavrentiev, zero-order Tikhonov), the classical
+iteration families (residual correction, normal-equation relaxation,
+implicit regularized stepping, steepest descent), and the quasisolution on a
+norm ball.
 
 The discrete adjoint is taken with respect to the grid inner product
-<u, v> = sum w_i u_i v_i, i.e. A* = W^-1 A^T W.
+<u, v> = sum w_i u_i v_i, i.e. A* = W^-1 A^T W.  With D = W^1/2, z = D psi
+carries that inner product to the Euclidean one, A to S = D A D^-1 and A* to
+S^T.  So residual correction and implicit stepping are diagonal in the
+eigenbasis S = Q diag(lambda) Q^T of a symmetric kernel, and normal-equation
+relaxation in the eigenbasis S^T S = V diag(sigma^2) V^T of any kernel: each
+runs its one-step update on the coordinates y = Q^T D psi at O(n) a step
+(Hansen, Discrete Inverse Problems, 2010, ch. 4-6).  Steepest descent keeps
+its line search on A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, InvalidRadiusError, require_finite
-from .fredholm2 import estimate_spectrum
+from .fredholm2 import _symmetric_eigh, estimate_spectrum
 from .grid import GridFunction, Grid1D, gauss_legendre, operator_matrix
 from .problems import FirstKindProblem
 
 __all__ = [
-    "IterateHistory",
     "lavrentiev",
     "tikhonov_weighted",
     "fridman_iterate",
@@ -30,19 +34,6 @@ __all__ = [
     "steepest_descent",
     "quasisolution",
 ]
-
-
-@dataclass
-class IterateHistory:
-    """Iterates plus their closure errors ||A psi_n - f||."""
-
-    grid: Grid1D
-    iterates: list = field(default_factory=list)
-    residual_norms: list = field(default_factory=list)
-    converged: bool = False
-
-    def final(self) -> GridFunction:
-        return GridFunction(self.grid, self.iterates[-1])
 
 
 def _setup(problem: FirstKindProblem, n: int):
@@ -58,131 +49,116 @@ def _adjoint_matrix(A: np.ndarray, grid: Grid1D) -> np.ndarray:
     return (A.T * w[None, :]) / w[:, None]
 
 
-def _iterate(grid: Grid1D, A: np.ndarray, f: np.ndarray, psi0, step,
-             max_iter: int, stop: float | None) -> IterateHistory:
-    # the one-step loop psi_{k+1} = step(psi_k, A psi_k - f) shared by every
-    # iteration family; a step returning None has converged in place
-    psi = np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float).copy()
-    res = A @ psi - f
-    hist = IterateHistory(grid, [psi], [grid.l2_norm(res)])
+def _start(psi0, grid: Grid1D) -> np.ndarray:
+    return np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float)
+
+
+def _iterate_diagonal(grid: Grid1D, Q: np.ndarray, psi0, step, max_iter: int) -> GridFunction:
+    # psi_k of y <- step(y) on the coordinates y = Q^T W^1/2 psi
+    sw = np.sqrt(grid.weights)
+    y = Q.T @ (sw * _start(psi0, grid))
     for _ in range(max_iter):
-        nxt = step(psi, res)
-        if nxt is None:
-            hist.converged = True
-            break
-        res = A @ nxt - f
-        hist.iterates.append(nxt)
-        hist.residual_norms.append(grid.l2_norm(res))
-        if stop is not None and grid.l2_norm(nxt - psi) <= stop:
-            hist.converged = True
-            break
-        psi = nxt
-    return hist
+        y = step(y)
+    return GridFunction(grid, (Q @ y) / sw)
 
 
 def lavrentiev(problem: FirstKindProblem, alpha: float, n: int = 64) -> GridFunction:
-    """Solve alpha psi + A psi = f: weighted Tikhonov with unit weight."""
-    return tikhonov_weighted(problem, alpha, np.ones_like, n)
-
-
-def tikhonov_weighted(problem: FirstKindProblem, alpha: float, p0, n: int = 64) -> GridFunction:
-    """Solve alpha p0(x) psi(x) + A psi = f; p0 must stay positive."""
+    """Solve alpha psi + A psi = f."""
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     grid, A, f = _setup(problem, n)
-    pv = np.asarray(p0(grid.nodes), dtype=float)
-    if np.any(pv <= 0):
-        raise ConfigError("weight p0 must be positive on the grid")
-    return GridFunction(grid, np.linalg.solve(alpha * np.diag(pv) + A, f))
+    return GridFunction(grid, np.linalg.solve(alpha * np.eye(grid.n) + A, f))
 
 
-def fridman_iterate(problem: FirstKindProblem, lambda_step: float, psi0,
-                    max_iter: int = 200, stop: float | None = None,
-                    n: int = 64) -> IterateHistory:
-    """Residual correction psi <- psi + lambda_step (f - A psi).
+def tikhonov_weighted(problem: FirstKindProblem, alpha: float, n: int = 64) -> GridFunction:
+    """Zero-order Tikhonov: solve (alpha I + A* A) psi = A* f, A* the weighted adjoint.
 
-    Requires a symmetric positive-definite kernel and
-    0 < lambda_step < 2 lambda_1 (lambda_1 measured from the grid spectrum).
+    Any kernel is accepted.  alpha acts on the scale of A*A, the square of
+    Lavrentiev's.
+    """
+    if alpha <= 0:
+        raise ConfigError(f"alpha must be positive, got {alpha}")
+    grid, A, f = _setup(problem, n)
+    Astar = _adjoint_matrix(A, grid)
+    return GridFunction(grid, np.linalg.solve(alpha * np.eye(grid.n) + Astar @ A, Astar @ f))
+
+
+def fridman_iterate(problem: FirstKindProblem, lambda_step: float | None, psi0,
+                    max_iter: int = 200, n: int = 64) -> GridFunction:
+    """psi_max_iter of the residual correction psi <- psi + lambda_step (f - A psi).
+
+    Requires a symmetric kernel whose largest-magnitude eigenvalue
+    lambda_max is positive, and 0 < lambda_step < 2 lambda_1 with
+    lambda_1 = 1 / lambda_max, the first characteristic number on the grid.
+    ``lambda_step=None`` takes lambda_step = lambda_1.
     """
     require_finite(step=lambda_step)
     grid, A, f = _setup(problem, n)
-    lam1 = float(estimate_spectrum(problem.kernel, grid, count=1, diag_split=problem.diag_split,
-                                   matrix=A).char_numbers[0])
-    if not 0.0 < lambda_step < 2.0 * lam1:
-        raise ConfigError(
-            f"step {lambda_step:g} outside (0, 2*lambda_1) with lambda_1 = {lam1:.6g}")
-    return _iterate(grid, A, f, psi0, lambda psi, res: psi - lambda_step * res,
-                    max_iter, stop)
-
-
-def _power_norm(M: np.ndarray, steps: int = 50, tol: float = 1e-8) -> float:
-    # spectral norm by power iteration on M^T M with a fixed start
-    v = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
-    prev = 0.0
-    for _ in range(steps):
-        v = M.T @ (M @ v)
-        s = np.linalg.norm(v)
-        if s == 0.0:
-            return 0.0
-        v /= s
-        if abs(np.sqrt(s) - prev) <= tol * max(1.0, prev):
-            break
-        prev = np.sqrt(s)
-    return float(np.sqrt(s))
+    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split, A)
+    c = Q.T @ (np.sqrt(grid.weights) * f)
+    lam_max = float(lam[np.argmax(np.abs(lam))])
+    if lam_max <= 0.0:
+        raise ConfigError(f"residual correction needs lambda_max > 0, got {lam_max:.6g}")
+    lam1 = 1.0 / lam_max
+    tau = lam1 if lambda_step is None else lambda_step
+    if not 0.0 < tau < 2.0 * lam1:
+        raise ConfigError(f"step {tau:g} outside (0, 2*lambda_1) with lambda_1 = {lam1:.6g}")
+    return _iterate_diagonal(grid, Q, psi0, lambda y: y - tau * (lam * y - c), max_iter)
 
 
 def krasnoselskii_iterate(problem: FirstKindProblem, nu: float, psi0,
-                          max_iter: int = 200, stop: float | None = None,
-                          n: int = 64) -> IterateHistory:
-    """Normal-equation relaxation psi <- (I - nu A* A) psi + nu A* f."""
+                          max_iter: int = 200, n: int = 64) -> GridFunction:
+    """psi_max_iter of the normal-equation relaxation psi <- psi - nu A*(A psi - f).
+
+    Any kernel is accepted; 0 < nu < 2 / ||A*A|| with ||A*A|| = sigma_max^2.
+    """
     require_finite(step=nu)
     grid, A, f = _setup(problem, n)
-    Astar = _adjoint_matrix(A, grid)
-    A1 = Astar @ A
-    norm_A1 = _power_norm(A1)
-    if not 0.0 < nu < 2.0 / norm_A1:
-        raise ConfigError(f"step {nu:g} outside (0, 2/||A*A||) with ||A*A|| = {norm_A1:.6g}")
-    f1 = Astar @ f
-    return _iterate(grid, A, f, psi0, lambda psi, res: psi - nu * (A1 @ psi) + nu * f1,
-                    max_iter, stop)
+    sw = np.sqrt(grid.weights)
+    S = sw[:, None] * A / sw[None, :]
+    sigma2, V = np.linalg.eigh(S.T @ S)
+    norm = float(sigma2[-1])
+    if not 0.0 < nu * norm < 2.0:
+        raise ConfigError(f"step {nu:g} outside (0, 2/||A*A||) with ||A*A|| = {norm:.6g}")
+    c = V.T @ (S.T @ (sw * f))
+    return _iterate_diagonal(grid, V, psi0, lambda y: y - nu * (sigma2 * y - c), max_iter)
 
 
 def implicit_iterate(problem: FirstKindProblem, alpha: float, psi0,
-                     max_iter: int = 100, stop: float | None = None,
-                     n: int = 64) -> IterateHistory:
-    """Implicit stepping (alpha I + A) psi_{k+1} = alpha psi_k + f.
+                     max_iter: int = 100, n: int = 64) -> GridFunction:
+    """psi_max_iter of the implicit stepping (alpha I + A) psi_{k+1} = alpha psi_k + f.
 
-    One factorization serves every step; large alpha with many steps is the
+    Requires a symmetric kernel.  Large alpha with many steps is the
     intended regime (in contrast to one small-alpha solve).
     """
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     grid, A, f = _setup(problem, n)
-    M = np.linalg.inv(alpha * np.eye(grid.n) + A)
-    return _iterate(grid, A, f, psi0, lambda psi, res: M @ (alpha * psi + f),
-                    max_iter, stop)
+    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split, A)
+    c = Q.T @ (np.sqrt(grid.weights) * f)
+    return _iterate_diagonal(grid, Q, psi0, lambda y: (alpha * y + c) / (alpha + lam),
+                             max_iter)
 
 
 def steepest_descent(problem: FirstKindProblem, psi0, max_iter: int = 200,
-                     stop: float | None = None, n: int = 64) -> IterateHistory:
-    """Gradient descent on the closure error with the exact line-search step.
+                     n: int = 64) -> GridFunction:
+    """psi_max_iter of gradient descent on the closure error, exact line search.
 
-    beta_n = ||A*(A psi - f)||^2 / ||A A*(A psi - f)||^2; a vanishing gradient
-    means convergence (flagged, not an error).
+    beta_k = ||A*(A psi - f)||^2 / ||A A*(A psi - f)||^2; a vanishing
+    gradient ends the descent at the current iterate.
     """
     grid, A, f = _setup(problem, n)
     Astar = _adjoint_matrix(A, grid)
-
-    def step(psi, res):
-        g = Astar @ res
-        gnorm2 = np.sum(grid.weights * g * g)
+    w = grid.weights
+    psi = _start(psi0, grid)
+    for _ in range(max_iter):
+        g = Astar @ (A @ psi - f)
+        gnorm2 = np.sum(w * g * g)
         if gnorm2 <= 1e-30:
-            return None
+            break
         Ag = A @ g
-        beta = gnorm2 / np.sum(grid.weights * Ag * Ag)
-        return psi - beta * g
-
-    return _iterate(grid, A, f, psi0, step, max_iter, stop)
+        psi = psi - gnorm2 / np.sum(w * Ag * Ag) * g
+    return GridFunction(grid, psi)
 
 
 def quasisolution(problem: FirstKindProblem, R: float, n: int = 64,

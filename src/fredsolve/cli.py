@@ -31,9 +31,6 @@ from .problems import NoiseSpec
 
 __all__ = ["main"]
 
-_METHODS = ("v2", "v2_single", "v1", "lavrentiev", "tikhonov", "fridman",
-            "krasnoselskii", "implicit", "steepest", "quasisolution")
-
 
 def _fmt(value) -> str:
     """One cell of a mixed row: None is empty, a float has 17 digits, else str()."""
@@ -165,48 +162,57 @@ def _method_params(args):
     return MethodParams.create(r=args.r, lam=args.lam, mu=args.mu, n_out=args.grid)
 
 
+def _run_v2(prob, args, params):
+    state = method_core.method_v2(prob, params)
+    return state.psi, {"mu": state.mu}
+
+
+def _run_v2_single(prob, args, params):
+    psi, mu = method_core.method_v2_single(prob, params)
+    return psi, {"mu": mu}
+
+
+def _run_v1(prob, args, params):
+    state = method_core.method_v1(prob, params, n_fourier=args.fourier_n)
+    grid = gauss_legendre(args.grid, 0.0, 1.0)
+    return GridFunction(grid, state.evaluate(grid.nodes)), {}
+
+
+def _steps(args):
+    # the iterative baselines start from psi = 0 and take --iters steps
+    return {"psi0": np.zeros(args.grid), "max_iter": args.iters, "n": args.grid}
+
+
+# --method -> run(problem, args, params) -> (psi, summary extras).  Each entry
+# looks its solver up on the module when it runs, so a replaced module
+# attribute (a wrapper, a test double) is the one called.
+_RUNNERS = {
+    "v2": _run_v2,
+    "v2_single": _run_v2_single,
+    "v1": _run_v1,
+    "lavrentiev": lambda prob, args, _: (baselines.lavrentiev(prob, args.alpha, n=args.grid), {}),
+    "tikhonov": lambda prob, args, _: (
+        baselines.tikhonov_weighted(prob, args.alpha, n=args.grid), {}),
+    # without --step, fridman steps by the first characteristic number on the grid
+    "fridman": lambda prob, args, _: (
+        baselines.fridman_iterate(prob, args.step, **_steps(args)), {}),
+    "krasnoselskii": lambda prob, args, _: (baselines.krasnoselskii_iterate(
+        prob, 1.0 if args.step is None else args.step, **_steps(args)), {}),
+    "implicit": lambda prob, args, _: (
+        baselines.implicit_iterate(prob, args.alpha, **_steps(args)), {}),
+    "steepest": lambda prob, args, _: (baselines.steepest_descent(prob, **_steps(args)), {}),
+    "quasisolution": lambda prob, args, _: (
+        baselines.quasisolution(prob, args.radius, n=args.grid), {}),
+}
+_METHODS = tuple(_RUNNERS)
+
+
 def _run_method(method, prob, args):
     """Run one solver; returns (GridFunction, summary dict)."""
     params = _method_params(args)
-    extras = {}
-    if method == "v2":
-        state = method_core.method_v2(prob, params)
-        psi = state.psi
-        extras = {"mu": state.mu}
-    elif method == "v2_single":
-        psi, mu = method_core.method_v2_single(prob, params)
-        extras = {"mu": mu}
-    elif method == "v1":
-        state = method_core.method_v1(prob, params, n_fourier=args.fourier_n)
-        grid = gauss_legendre(args.grid, 0.0, 1.0)
-        psi = GridFunction(grid, state.evaluate(grid.nodes))
-    elif method == "lavrentiev":
-        psi = baselines.lavrentiev(prob, args.alpha, n=args.grid)
-    elif method == "tikhonov":
-        psi = baselines.tikhonov_weighted(prob, args.alpha, lambda x: np.ones_like(x),
-                                          n=args.grid)
-    elif method == "fridman":
-        step = args.step if args.step is not None else math.pi ** 2
-        hist = baselines.fridman_iterate(prob, step, np.zeros(args.grid),
-                                         max_iter=args.iters, n=args.grid)
-        psi = hist.final()
-    elif method == "krasnoselskii":
-        nu = args.step if args.step is not None else 1.0
-        hist = baselines.krasnoselskii_iterate(prob, nu, np.zeros(args.grid),
-                                               max_iter=args.iters, n=args.grid)
-        psi = hist.final()
-    elif method == "implicit":
-        hist = baselines.implicit_iterate(prob, args.alpha, np.zeros(args.grid),
-                                          max_iter=args.iters, n=args.grid)
-        psi = hist.final()
-    elif method == "steepest":
-        hist = baselines.steepest_descent(prob, np.zeros(args.grid),
-                                          max_iter=args.iters, n=args.grid)
-        psi = hist.final()
-    elif method == "quasisolution":
-        psi = baselines.quasisolution(prob, args.radius, n=args.grid)
-    else:
+    if method not in _RUNNERS:
         raise ConfigError(f"unknown method {method!r}; known: {_METHODS}")
+    psi, extras = _RUNNERS[method](prob, args, params)
 
     report = method_core.verify_solution(prob, psi, threshold=args.threshold)
     recon = None

@@ -170,19 +170,11 @@ def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
     decades below the smallest eigenvalue of green_triangular
     (5.6e-9 |lambda_max|).
     """
-    xs, ws = grid.nodes, grid.weights
-    K = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float)
-    asym = float(np.max(np.abs(K - K.T)))
-    if asym > 1e-8:
-        raise ConfigError(f"kernel asymmetry {asym:.3g} exceeds 1e-8")
-    sw = np.sqrt(ws)
-    A = operator_matrix(kernel, grid, diag_split=diag_split) if matrix is None else matrix
-    S = sw[:, None] * A / sw[None, :]
-    S = 0.5 * (S + S.T)  # assembly asymmetry is at rounding level
-    evals, evecs = np.linalg.eigh(S)
+    evals, evecs, kappa = _symmetric_eigh(kernel, grid, diag_split, matrix)
+    sw = np.sqrt(grid.weights)
     order = np.argsort(np.abs(evals))[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    tau = _rounding_bound(float(np.max(np.abs(K))), abs(evals[0]), grid, diag_split)
+    tau = _rounding_bound(kappa, abs(evals[0]), grid, diag_split)
     count = min(int(count), grid.n)
     keep = [i for i in range(count) if abs(evals[i]) > tau]
     char_numbers = np.array([1.0 / evals[i] for i in keep])
@@ -194,6 +186,27 @@ def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
             v = -v
         funcs.append(GridFunction(grid, v))
     return SpectrumEstimate(char_numbers=char_numbers, eigenfunctions=funcs)
+
+
+def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,
+                   matrix: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(evals, Q, kappa): S = W^1/2 A W^-1/2 = Q diag(evals) Q^T, kappa = max |k|.
+
+    Every pair, in ``eigh``'s order: a rank-deficient kernel keeps its null
+    modes.  ``matrix`` is as in ``estimate_spectrum``.  ConfigError when the
+    kernel's grid values are asymmetric by more than 1e-8.
+    """
+    xs = grid.nodes
+    K = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float)
+    asym = float(np.max(np.abs(K - K.T)))
+    if asym > 1e-8:
+        raise ConfigError(f"kernel asymmetry {asym:.3g} exceeds 1e-8")
+    sw = np.sqrt(grid.weights)
+    A = operator_matrix(kernel, grid, diag_split=diag_split) if matrix is None else matrix
+    S = sw[:, None] * A / sw[None, :]
+    S = 0.5 * (S + S.T)  # assembly asymmetry is at rounding level
+    evals, evecs = np.linalg.eigh(S)
+    return evals, evecs, float(np.max(np.abs(K)))
 
 
 def _rounding_bound(kappa: float, lam_max: float, grid: Grid1D, diag_split: bool) -> float:

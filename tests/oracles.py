@@ -289,3 +289,40 @@ def membrane_u(x, y, n_terms=20):
 def heat_mode(x, t):
     """Single separated mode of the heat problem with u0 = sin(pi x)."""
     return np.exp(-np.pi ** 2 * np.asarray(t, dtype=float)) * np.sin(np.pi * np.asarray(x, dtype=float))
+
+
+def textbook_trajectory(method, problem, grid, param, psi0, k):
+    """psi_0, ..., psi_k of an iteration family's one-step update, written out
+    on the matrix the baselines assemble and applied k times:
+
+    * ``fridman``: psi + param (f - A psi);
+    * ``krasnoselskii``: psi - param A*A psi + param A* f, A* = W^-1 A^T W;
+    * ``implicit``: the solution of (param I + A) psi' = param psi + f, one
+      dense solve a step;
+    * ``steepest``: psi - beta A*(A psi - f) with the exact line-search beta,
+      psi unchanged once ||A*(A psi - f)||^2 <= 1e-30.
+
+    ``param`` is the step (ignored by ``steepest``) or alpha.
+    """
+    A = operator_matrix(problem.kernel, grid, diag_split=problem.diag_split)
+    f = np.asarray(problem.free_term(grid.nodes), dtype=float)
+    w = grid.weights
+    Astar = (A.T * w[None, :]) / w[:, None]
+
+    def steepest(psi):
+        g = Astar @ (A @ psi - f)
+        gnorm2 = np.sum(w * g * g)
+        if gnorm2 <= 1e-30:
+            return psi
+        return psi - gnorm2 / np.sum(w * (A @ g) * (A @ g)) * g
+
+    update = {
+        "fridman": lambda psi: psi + param * (f - A @ psi),
+        "krasnoselskii": lambda psi: psi - param * (Astar @ A @ psi) + param * (Astar @ f),
+        "implicit": lambda psi: np.linalg.solve(param * np.eye(grid.n) + A, param * psi + f),
+        "steepest": steepest,
+    }[method]
+    out = [np.asarray(psi0(grid.nodes) if callable(psi0) else psi0, dtype=float)]
+    for _ in range(k):
+        out.append(update(out[-1]))
+    return out

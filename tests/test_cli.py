@@ -321,6 +321,41 @@ class TestSolveCommand:
         assert flags == (tmp_path / "file" / name).read_bytes()
         assert b"error:" not in flags and b"excluded" not in flags and b"nan" not in flags
 
+    @pytest.mark.parametrize("kernel", ["poisson_r", "constant"])
+    def test_fridman_default_step_follows_the_kernel(self, tmp_path, kernel):
+        # without --step, fridman steps by the kernel's own lambda_1 (1 for both, not pi^2)
+        assert main(["solve", "--method", "fridman", "--problem", kernel, "--grid", "32",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["solvable"] in ("yes", "no", "unknown")
+
+    @pytest.mark.parametrize("method,code", [("fridman", 1), ("implicit", 1),
+                                             ("krasnoselskii", 0)])
+    def test_asymmetric_table_needs_the_normal_equations(self, tmp_path, capsys, method, code):
+        # k(x, xi) = (1 + x) / 2: fridman and implicit run on a symmetric eigenbasis
+        # and refuse it; krasnoselskii's default step 1 lies inside (0, 2/||A*A||)
+        table = tmp_path / "k.csv"
+        table.write_text("x,0,0.5,1\n0,0.5,0.5,0.5\n0.5,0.75,0.75,0.75\n1,1,1,1\n")
+        rc = main(["solve", "--method", method, "--problem", "tabulated", "--csv", str(table),
+                   "--f", "x", "--grid", "16", "--out", str(tmp_path / "o")])
+        assert rc == code
+        assert ("kernel asymmetry" in capsys.readouterr().err) == (code == 1)
+        assert (tmp_path / "o" / "summary.json").exists() == (code == 0)
+
+    def test_method_is_looked_up_when_it_runs(self, tmp_path, monkeypatch):
+        # a replaced module attribute (perfbench's span wrapper, say) is the one called
+        calls = []
+        real = baselines.fridman_iterate
+
+        def patched(*args, **kwargs):
+            calls.append(kwargs["max_iter"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "fridman_iterate", patched)
+        assert main(["solve", "--method", "fridman", "--iters", "7", "--grid", "16",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [7]
+
     def test_zero_free_term(self, tmp_path):
         out = str(tmp_path)
         assert main(["solve", "--method", "v2", "--f", "0", "--mu", "0.05",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fredsolve import baselines, grid, method_core
 from fredsolve.errors import (ConfigError, NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
+from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
 from fredsolve.method_core import (MethodParams, _verdict, _Workspace, method_v1,
                                    method_v2, method_v2_single, select_mu,
@@ -486,3 +487,50 @@ class TestVerifySolution:
         fnorm = g.l2_norm(np.asarray(prob.free_term(g.nodes)))
         assert report.residual_l2 == pytest.approx(fnorm, rel=1e-12)
         assert report.solvable == "no"
+
+
+def tri_problem(f):
+    return FirstKindProblem(name="tri", kernel=tri_green, free_term=f, provenance="test",
+                            diag_split=True)
+
+
+class TestResidualNearOne:
+    """Why the grid route scores a relative residual of about 1.
+
+    At fixed mu the route is a linear map T_mu: f -> psi.  The verifier
+    evaluates A psi on its own 96-point grid through its forward matrix B, so
+    its residual is B T_mu f - f there.  By the triangle inequality, with
+    ||.||_n the grid norm on n Gauss points,
+
+        ||B T_mu f - f||_96 / ||f||_96 >= 1 - ||W96^1/2 B T_mu W64^-1/2||_2 ||f||_64 / ||f||_96
+
+    for every free term.  The norm is 0.006 to 0.066 over the five default mu
+    on green_triangular at n = 64, so no f can score much below 1.  The
+    rounding term 96 n eps covers the 64-term products behind each of the 96
+    residual entries, the norms, and psi against T_mu f (about 1e-15 apart).
+    """
+
+    FREE_TERMS = {"sin": lambda x: np.sin(np.pi * np.asarray(x)) / np.pi ** 2,
+                  "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                  "x": lambda x: np.asarray(x, dtype=float),
+                  "cos3": lambda x: np.cos(3.0 * np.asarray(x))}
+
+    @pytest.mark.parametrize("mu", DEFAULT_MU_CANDIDATES)
+    def test_relative_residual_obeys_the_transfer_bound(self, mu):
+        n = 64
+        params = MethodParams.create(r=R, lam=LAM, mu=mu, n_out=n)
+        ws = _Workspace(params, tri_problem(self.FREE_TERMS["one"]))
+        # T_mu from the production stages, one column per unit free term
+        psi1 = ws.solve(mu, ws.F1(mu, np.eye(n)))
+        T = ws.solve(mu, ws.F0(ws.kappa(ws.rho(psi1)))) + psi1
+        g64, g96 = ws.grid01, gauss_legendre(96, 0.0, 1.0)
+        B = grid._forward_matrix(tri_green, g96.nodes, 0.0, 1.0, True, g64.nodes, 96)
+        gain = np.linalg.norm(np.sqrt(g96.weights)[:, None] * (B @ T)
+                              / np.sqrt(g64.weights)[None, :], 2)
+        print(f"\n[mu={mu}] ||W^1/2 B T_mu W^-1/2||_2 = {gain:.4f}")
+        slack = 96 * n * np.finfo(float).eps
+        for name, f in self.FREE_TERMS.items():
+            prob = tri_problem(f)
+            report = verify_solution(prob, method_v2(prob, params).psi)
+            ratio = g64.l2_norm(f(g64.nodes)) / g96.l2_norm(f(g96.nodes))
+            assert report.relative >= 1.0 - gain * ratio - slack, name
