@@ -12,15 +12,13 @@ from .errors import (ConfigError, DegenerateProblemError, ExprParseError,
                      FredsolveError, InvalidRadiusError, NonFiniteValueError,
                      NoValidMuError, NumericalParameterError, OnSpectrumError,
                      ParameterExclusionError, UndefinedDeltaError)
-from .grid import (FourierCoeffs, Grid1D, GridFunction, fourier_coeffs, gauss_legendre,
-                   kernel_fourier_coeffs)
+from .grid import Grid1D, GridFunction, fourier_coeffs, gauss_legendre, kernel_fourier_coeffs
 from .kernels import ExclusionReport, PoissonParams, poisson_h, validate_lambda
 from .fredholm2 import SpectrumEstimate, estimate_spectrum, solve_direct
 from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
                        green_triangular, make_manufactured, perturb)
-from .method_core import (FourierState, MethodParams, PipelineState,
-                          ResidualReport, method_v1, method_v2, method_v2_single,
-                          select_mu, verify_solution)
+from .method_core import (MethodParams, PipelineState, ResidualReport, method_v1, method_v2,
+                          method_v2_single, select_mu, verify_solution)
 from .baselines import (fridman_iterate, implicit_iterate, krasnoselskii_iterate,
                         lavrentiev, quasisolution, steepest_descent, tikhonov_weighted)
 from .reduction2d import (Bvp2DReduction, GridFunction2D, Method2DResult,

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import baselines, method_core, problems, reduction2d
 from .errors import (ConfigError, FredsolveError, NonFiniteValueError,
                      NumericalParameterError, require_finite, require_order)
 from .expr import compile_expr
-from .grid import GridFunction, gauss_legendre
+from .grid import gauss_legendre
 from .method_core import MethodParams
 from .problems import NoiseSpec
 
@@ -172,12 +171,6 @@ def _run_v2_single(prob, args, params):
     return psi, {"mu": mu}
 
 
-def _run_v1(prob, args, params):
-    state = method_core.method_v1(prob, params, n_fourier=args.fourier_n)
-    grid = gauss_legendre(args.grid, 0.0, 1.0)
-    return GridFunction(grid, state.evaluate(grid.nodes)), {}
-
-
 def _steps(args):
     # the iterative baselines start from psi = 0 and take --iters steps
     return {"psi0": np.zeros(args.grid), "max_iter": args.iters, "n": args.grid}
@@ -189,7 +182,8 @@ def _steps(args):
 _RUNNERS = {
     "v2": _run_v2,
     "v2_single": _run_v2_single,
-    "v1": _run_v1,
+    "v1": lambda prob, args, params: (
+        method_core.method_v1(prob, params, n_fourier=args.fourier_n), {}),
     "lavrentiev": lambda prob, args, _: (baselines.lavrentiev(prob, args.alpha, n=args.grid), {}),
     "tikhonov": lambda prob, args, _: (
         baselines.tikhonov_weighted(prob, args.alpha, n=args.grid), {}),
@@ -207,11 +201,15 @@ _RUNNERS = {
 _METHODS = tuple(_RUNNERS)
 
 
+def _require_method(method, option="--method"):
+    if method not in _RUNNERS:
+        raise ConfigError(f"{option}: unknown method {method!r}; known: {_METHODS}")
+
+
 def _run_method(method, prob, args):
     """Run one solver; returns (GridFunction, summary dict)."""
     params = _method_params(args)
-    if method not in _RUNNERS:
-        raise ConfigError(f"unknown method {method!r}; known: {_METHODS}")
+    _require_method(method)
     psi, extras = _RUNNERS[method](prob, args, params)
 
     report = method_core.verify_solution(prob, psi, threshold=args.threshold)
@@ -296,20 +294,28 @@ def _bench_one(method, noise, base_problem, args):
     return row
 
 
+def _number_list(option, text):
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{option} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_bench(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    epsilons = [float(v) for v in args.epsilons.split(",") if v.strip()]
-    omegas = [float(v) for v in args.omegas.split(",") if v.strip()]
+    epsilons = _number_list("--epsilons", args.epsilons)
+    omegas = _number_list("--omegas", args.omegas)
     if not methods or not epsilons or not omegas:
         raise ConfigError("bench needs nonempty --methods, --epsilons, --omegas")
-    # every noise level, the threshold and the counts are validated before the first row runs
+    # every method, noise level, the threshold and the counts are validated
+    # before the first row runs
+    for m in methods:
+        _require_method(m, "--methods")
     noises = [NoiseSpec(e, o) for e in epsilons for o in omegas]
     require_finite(threshold=args.threshold)
     require_order(grid=args.grid, iters=args.iters, fourier_n=args.fourier_n)
     base_problem = _problem_from_args(args)
-    jobs = [(m, noise) for m in methods for noise in noises]
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        rows = list(pool.map(lambda j: _bench_one(j[0], j[1], base_problem, args), jobs))
+    rows = [_bench_one(m, noise, base_problem, args) for m in methods for noise in noises]
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bench.csv")
     write_csv(csv_path, ["method", "epsilon", "omega", "residual",

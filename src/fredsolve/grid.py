@@ -15,7 +15,6 @@ Nystrom matrix A, so the Fourier route shares the one assembly.
 from __future__ import annotations
 
 import mmap
-import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .errors import ConfigError, NonFiniteValueError
 __all__ = [
     "Grid1D",
     "GridFunction",
-    "FourierCoeffs",
     "gauss_legendre",
     "interp_matrix",
     "operator_matrix",
@@ -107,39 +105,6 @@ class GridFunction:
 
     def l2_norm(self) -> float:
         return self.grid.l2_norm(self.values)
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """Full-period trigonometric coefficients on [0, 1].
-
-    c0 doubles the mean; cn/cn_prime multiply cos(2n pi x) / sin(2n pi x),
-    so that f = c0/2 + sum cn cos + cn' sin.
-    """
-
-    c0: float
-    cn: np.ndarray
-    cn_prime: np.ndarray
-
-    def __post_init__(self):
-        cn = np.atleast_1d(np.asarray(self.cn, dtype=float))
-        cp = np.atleast_1d(np.asarray(self.cn_prime, dtype=float))
-        object.__setattr__(self, "cn", cn)
-        object.__setattr__(self, "cn_prime", cp)
-        if cn.size != cp.size or cn.size < 1:
-            raise ConfigError("cn and cn_prime must have equal length >= 1")
-        if not (np.isfinite(self.c0) and np.all(np.isfinite(cn)) and np.all(np.isfinite(cp))):
-            raise NonFiniteValueError("non-finite Fourier coefficients")
-
-    @property
-    def order(self) -> int:
-        return self.cn.size
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        n = np.arange(1, self.order + 1)
-        phase = 2.0 * np.pi * np.multiply.outer(x, n)
-        return 0.5 * self.c0 + np.cos(phase) @ self.cn + np.sin(phase) @ self.cn_prime
 
 
 @lru_cache(maxsize=64)
@@ -311,7 +276,7 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
 class _ForwardCache:
     """Matrices fixed by a product rule's geometry and kernel values, reused by value.
 
-    It holds two kinds of entry under one budget and one lock:
+    It holds two kinds of entry under one budget:
     apply_operator's forward matrices B (from a GridFunction) and
     operator_matrix's Legendre moments G.  The caller's key names the kind
     and the geometry (node bytes, interval, flags, rule order); the cache
@@ -325,15 +290,13 @@ class _ForwardCache:
     arrays taken from the malloc heap in mid-request fragment it, which on
     the solve_1d benchmark workload cost about 1 MB more peak RSS than the
     maps.  The least recently used entries go first once the stored bytes
-    pass the budget; an entry larger than the budget is never kept.  The
-    lock guards the table; matrices are built outside it.
+    pass the budget; an entry larger than the budget is never kept.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self._entries: OrderedDict = OrderedDict()
         self._bytes = 0
-        self._lock = threading.Lock()
 
     @staticmethod
     def _size(key, kw, B) -> int:
@@ -345,13 +308,11 @@ class _ForwardCache:
 
     def get(self, key, kw):
         key = self._full_key(key, kw)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or not np.array_equal(entry[0].view(np.uint64),
-                                                   kw.view(np.uint64)):
-                return None
-            self._entries.move_to_end(key)
-            return entry[1]
+        entry = self._entries.get(key)
+        if entry is None or not np.array_equal(entry[0].view(np.uint64), kw.view(np.uint64)):
+            return None
+        self._entries.move_to_end(key)
+        return entry[1]
 
     @staticmethod
     def _stored(a: np.ndarray) -> np.ndarray:
@@ -366,16 +327,14 @@ class _ForwardCache:
         size = self._size(key, kw, B)
         if size > self.budget:
             return
-        kw, B = self._stored(kw), self._stored(B)
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= self._size(key, *old)
-            self._entries[key] = (kw, B)
-            self._bytes += size
-            while self._bytes > self.budget:
-                k, v = self._entries.popitem(last=False)
-                self._bytes -= self._size(k, *v)
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= self._size(key, *old)
+        self._entries[key] = (self._stored(kw), self._stored(B))
+        self._bytes += size
+        while self._bytes > self.budget:
+            k, v = self._entries.popitem(last=False)
+            self._bytes -= self._size(k, *v)
 
 
 _forward_cache = _ForwardCache(_FORWARD_CACHE_BYTES)
@@ -426,22 +385,35 @@ def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.
     return out
 
 
-def _trig_table(x, N: int) -> np.ndarray:
-    # T[i] = [1, cos(2n pi x_i), sin(2n pi x_i)] for n = 1..N: (x.size, 2N + 1)
-    phase = 2.0 * np.pi * np.multiply.outer(x, np.arange(1, N + 1))
-    return np.hstack([np.ones((x.size, 1)), np.cos(phase), np.sin(phase)])
+def _trig_table(x, modes, ones: bool = False) -> np.ndarray:
+    # [cos(2 pi n x) | sin(2 pi n x)] for n in modes, one row per point x,
+    # written in place; with ``ones`` a leading column of ones, so that
+    # modes 1..N give the (x.size, 2N + 1) table [1 | cos | sin]
+    k = int(ones)
+    phase = 2.0 * np.pi * np.multiply.outer(x, modes)
+    table = np.empty((x.size, k + 2 * modes.size))
+    table[:, :k] = 1.0
+    np.cos(phase, out=table[:, k:k + modes.size])
+    np.sin(phase, out=table[:, k + modes.size:])
+    return table
 
 
-def fourier_coeffs(f, N: int, quad_order: int = 64) -> FourierCoeffs:
-    """Full-period Fourier coefficients of f on [0, 1].
+def fourier_coeffs(f, N: int, quad_order: int = 64) -> np.ndarray:
+    """Full-period Fourier coefficients of f on [0, 1], in P's layout.
 
-    c0 = 2 int f, cn = 2 int f cos(2n pi xi), cn' = 2 int f sin(2n pi xi).
+    Returns c = 2 T^T (W f), (2N+1,), on the table T = [1 | cos(2n pi x) |
+    sin(2n pi x)] (n = 1..N) of gauss_legendre(quad_order, 0, 1): c[0] =
+    2 int f, c[n] = 2 int f cos(2n pi xi), c[N + n] = 2 int f sin(2n pi xi),
+    so f = c[0]/2 + sum c[n] cos + c[N + n] sin.
     """
     if N < 1:
         raise ConfigError(f"need N >= 1, got {N}")
     g = gauss_legendre(int(quad_order), 0.0, 1.0)
-    c = 2.0 * (_trig_table(g.nodes, N).T @ (np.asarray(f(g.nodes), dtype=float) * g.weights))
-    return FourierCoeffs(c0=c[0], cn=c[1:N + 1], cn_prime=c[N + 1:])
+    T = _trig_table(g.nodes, np.arange(1, N + 1), ones=True)
+    c = 2.0 * (T.T @ (np.asarray(f(g.nodes), dtype=float) * g.weights))
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteValueError("non-finite Fourier coefficients")
+    return c
 
 
 def kernel_fourier_coeffs(kernel, N: int, quad_order: int = 64,
@@ -461,5 +433,5 @@ def kernel_fourier_coeffs(kernel, N: int, quad_order: int = 64,
         raise ConfigError(f"need N >= 1, got {N}")
     g = gauss_legendre(int(quad_order), 0.0, 1.0)
     A = operator_matrix(kernel, g, diag_split=diag_split)
-    T = _trig_table(g.nodes, N)
+    T = _trig_table(g.nodes, np.arange(1, N + 1), ones=True)
     return 2.0 * ((T * g.weights[:, None]).T @ (A @ T))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParameterExclusionError, require_finite
+from .grid import _trig_table
 
 __all__ = [
     "PoissonParams",
@@ -146,15 +147,6 @@ def poisson_h(x, xi, p: PoissonParams):
     """Closed-form Poisson kernel (1-r^2) / (1 - 2 r cos(2 pi (x-xi)) + r^2)."""
     u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
     return (1.0 - p.r ** 2) / (1.0 - 2.0 * p.r * np.cos(2.0 * np.pi * u) + p.r ** 2)
-
-
-def _trig_table(nodes, n):
-    # [cos(2 pi n x) | sin(2 pi n x)], one row per node
-    phase = 2.0 * np.pi * np.multiply.outer(nodes, n)
-    table = np.empty((nodes.size, 2 * n.size))
-    np.cos(phase, out=table[:, :n.size])
-    np.sin(phase, out=table[:, n.size:])
-    return table
 
 
 def _cosine_series(c0, coeffs, out_nodes, in_nodes):

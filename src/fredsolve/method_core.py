@@ -11,12 +11,13 @@ Two routes are provided.  The grid route (``method_v2``) runs the chain
     psi0 solves  psi = mu * int K psi + F0          (same K, same mu)
     psi = psi0 + psi1
 
-The Fourier route (``method_v1``) works at the r -> 1 limit entirely in
-trigonometric coefficients: a (2N+1) x (2N+1) linear system for the
+The Fourier route (``method_v1``) works at the r -> 1 limit in
+trigonometric coefficients, all in the layout [1 | cos | sin] of
+``kernel_fourier_coeffs``: a (2N+1) x (2N+1) linear system for the
 coefficients of psi1, then closed-form multipliers to the coefficients of
-psi.  Reconstruction quality of either route is an empirical question;
-``verify_solution`` measures it by substituting the output back into the
-first-kind equation.
+psi, which is evaluated on the grid the other routes use.  Reconstruction
+quality of either route is an empirical question; ``verify_solution``
+measures it by substituting the output back into the first-kind equation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import (ConfigError, NoValidMuError, ParameterExclusionError, require_finite,
                      require_order)
 from .fredholm2 import gate_mu, solve_direct
-from .grid import (FourierCoeffs, GridFunction, Grid1D, apply_operator, fourier_coeffs,
+from .grid import (GridFunction, Grid1D, _trig_table, apply_operator, fourier_coeffs,
                    gauss_legendre, kernel_fourier_coeffs, operator_matrix)
 from .kernels import PoissonParams, kernel_matrix, require_lambda_valid
 from .problems import FirstKindProblem
@@ -37,7 +38,6 @@ from .problems import FirstKindProblem
 __all__ = [
     "MethodParams",
     "PipelineState",
-    "FourierState",
     "ResidualReport",
     "select_mu",
     "method_v2",
@@ -82,26 +82,6 @@ class PipelineState:
     relative_residual: float
     mu: float
     reconstruction_error: float | None = None
-
-
-@dataclass(frozen=True)
-class FourierState:
-    """Fourier-route output: coefficient sets of f, psi1, phi1' and psi.
-
-    p is the kernel's (2N+1)-square moment matrix from kernel_fourier_coeffs,
-    rows and columns ordered [1 | cos(2n pi .) | sin(2n pi .)], row the
-    harmonic in x and column the harmonic in xi.
-    """
-
-    c: FourierCoeffs
-    p: np.ndarray
-    s: FourierCoeffs
-    a: FourierCoeffs
-    t: FourierCoeffs
-    sigma: float
-
-    def evaluate(self, x):
-        return self.t.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -188,11 +168,10 @@ def select_mu(problem: FirstKindProblem, params: MethodParams, candidates=None) 
     return _Workspace(params, problem).gate(None, candidates)
 
 
-def method_v2(problem: FirstKindProblem, params: MethodParams,
-              mu_candidates=None, verify_threshold: float = 0.05) -> PipelineState:
-    """Run the full grid route and verify the output against A psi = f."""
+def method_v2(problem: FirstKindProblem, params: MethodParams) -> PipelineState:
+    """Run the full grid route and measure the output's residual in A psi = f."""
     ws = _Workspace(params, problem)
-    mu = ws.gate(params.mu, mu_candidates)
+    mu = ws.gate(params.mu)
     F1 = ws.F1(mu, ws.f_values())
     psi1 = ws.solve(mu, F1)
     rho = ws.rho(psi1)
@@ -201,8 +180,7 @@ def method_v2(problem: FirstKindProblem, params: MethodParams,
     psi0 = ws.solve(mu, F0)
     g, gm = ws.grid01, ws.gridm
     psi = GridFunction(g, psi0 + psi1)
-    report = verify_solution(problem, psi, threshold=verify_threshold,
-                             quad_order=max(96, params.n_out))
+    report = verify_solution(problem, psi, quad_order=max(96, params.n_out))
     recon = None
     if problem.psi_star is not None:
         recon = g.l2_norm(psi.values - np.asarray(problem.psi_star(g.nodes), dtype=float))
@@ -245,15 +223,14 @@ def _check_lambda_r1(lam: float, min_rel_dist: float) -> None:
             raise ParameterExclusionError(lam, f"{name} (r=1)", 0, value, dist)
 
 
-def method_v1(problem: FirstKindProblem, params: MethodParams,
-              n_fourier: int = 16) -> FourierState:
-    """Fourier route at the r -> 1 limit.
+def _fourier_route(problem: FirstKindProblem, params: MethodParams,
+                   N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors (s, t) of psi1 and psi, each (2N+1,) in P's layout.
 
-    Solves the truncated (2N+1)-coefficient system for psi1's coefficients s,
-    then maps them to psi's coefficients t = sigma * b with
+    Solves the truncated system for s; then t = sigma * (P [s0/2, s...] - c)
+    with c the free term's coefficients and
     sigma = -mu lam^2 (1-lam) / [(1-2 lam)(1-2 lam-lam^2)].
     """
-    N = int(n_fourier)
     if N < 1:
         raise ConfigError(f"need n_fourier >= 1, got {N}")
     lam = params.poisson.lam
@@ -269,20 +246,26 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
     # column 0 (the constant harmonic) carries -g, every other column -2g
     A = P * np.r_[-g, np.full(2 * N, -2.0 * g)]
     np.fill_diagonal(A, A.diagonal() + d)
-    cv = np.concatenate(([c.c0], c.cn, c.cn_prime))
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12:
         raise NoValidMuError([mu])
-    sol = np.linalg.solve(A, -2.0 * g * cv)
-    res = P @ np.r_[0.5 * sol[0], sol[1:]] - cv
+    s = np.linalg.solve(A, -2.0 * g * c)
     sigma = -mu * lam ** 2 * (1.0 - lam) / ((1.0 - 2.0 * lam) * (1.0 - 2.0 * lam - lam ** 2))
-    scale = mu * lam / (1.0 - 2.0 * lam)
+    return s, sigma * (P @ np.r_[0.5 * s[0], s[1:]] - c)
 
-    def coeffs(v):
-        return FourierCoeffs(c0=v[0], cn=v[1:N + 1], cn_prime=v[N + 1:])
 
-    return FourierState(c=c, p=P, s=coeffs(sol), a=coeffs(scale * res), t=coeffs(sigma * res),
-                        sigma=sigma)
+def method_v1(problem: FirstKindProblem, params: MethodParams,
+              n_fourier: int = 16) -> GridFunction:
+    """Fourier route at the r -> 1 limit: psi on gauss_legendre(n_out, 0, 1).
+
+    psi = t0/2 + sum t_n cos(2n pi x) + t_{N+n} sin(2n pi x) from the
+    coefficients t of ``_fourier_route``.
+    """
+    N = int(n_fourier)
+    _, t = _fourier_route(problem, params, N)
+    g = gauss_legendre(params.n_out, 0.0, 1.0)
+    T = _trig_table(g.nodes, np.arange(1, N + 1), ones=True)
+    return GridFunction(g, 0.5 * t[0] + T[:, 1:N + 1] @ t[1:N + 1] + T[:, N + 1:] @ t[N + 1:])
 
 
 def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05,

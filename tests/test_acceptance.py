@@ -16,7 +16,7 @@ from fredsolve.cli import main as cli_main
 from fredsolve.fredholm2 import gated_system
 from fredsolve.grid import operator_matrix
 from fredsolve.kernels import kernel_matrix
-from fredsolve.method_core import MethodParams, _Workspace
+from fredsolve.method_core import MethodParams, _fourier_route, _Workspace
 
 from oracles import composite_gauss, membrane_psi, split_gauss, textbook_trajectory, tri_green
 
@@ -213,20 +213,18 @@ def test_criterion_09_fourier_route():
         params = MethodParams.create(r=0.5, lam=0.2, mu=0.1)
         zero = fs.FirstKindProblem(name="zero", kernel=lambda x, xi: 0.0 * x * xi,
                                    free_term=lambda x: 0.0 * x, provenance="test")
-        state = fs.method_v1(zero, params, n_fourier=8)
-        assert np.max(np.abs(state.evaluate(np.linspace(0, 1, 17)))) == 0.0
+        assert np.max(np.abs(fs.method_v1(zero, params, n_fourier=8).values)) == 0.0
         ones = fs.FirstKindProblem(name="k0", kernel=lambda x, xi: 0.0 * x * xi,
                                    free_term=lambda x: np.ones_like(x), provenance="test")
-        state = fs.method_v1(ones, params, n_fourier=8)
+        s, t = _fourier_route(ones, params, 8)
         lam, mu, c0 = 0.2, 0.1, 2.0
-        assert state.s.c0 == pytest.approx(-mu * (1 - lam) * c0 / (1 - 2 * lam), abs=1e-12)
+        assert s[0] == pytest.approx(-mu * (1 - lam) * c0 / (1 - 2 * lam), abs=1e-12)
         sigma = -mu * lam ** 2 * (1 - lam) / ((1 - 2 * lam) * (1 - 2 * lam - lam ** 2))
-        assert state.t.c0 == pytest.approx(sigma * (-c0), abs=1e-12)
-        state = fs.method_v1(m1_problem(), params, n_fourier=16)
-        coeffs = np.concatenate([[state.s.c0], state.s.cn, state.s.cn_prime])
-        assert np.all(np.isfinite(coeffs)) and np.max(np.abs(coeffs)) < 1.0
-        g = fs.gauss_legendre(128, 0.0, 1.0)
-        recon = g.l2_norm(state.evaluate(g.nodes) - np.sin(np.pi * g.nodes))
+        assert t[0] == pytest.approx(sigma * (-c0), abs=1e-12)
+        s, _ = _fourier_route(m1_problem(), params, 16)
+        assert np.all(np.isfinite(s)) and np.max(np.abs(s)) < 1.0
+        psi = fs.method_v1(m1_problem(), params, n_fourier=16)
+        recon = psi.grid.l2_norm(psi.values - np.sin(np.pi * psi.grid.nodes))
         print(f"    [logged] v1 reconstruction error = {recon:.6e}")
 
 

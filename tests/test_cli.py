@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import math
@@ -430,8 +429,9 @@ class TestBenchCommand:
         assert rows[0][header.index("status")].startswith("excluded")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
-    def test_non_finite_row_excluded(self, tmp_path):
-        assert main(["bench", "--methods", "v2", "--epsilons", "0", "--f", "exp(1000*x)",
+    @pytest.mark.parametrize("method", ["v1", "v2_single", "v2"])
+    def test_non_finite_row_excluded(self, tmp_path, method):
+        assert main(["bench", "--methods", method, "--epsilons", "0", "--f", "exp(1000*x)",
                      "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "bench.csv")
         assert rows[0][header.index("status")] == "excluded: NonFiniteValueError"
@@ -439,7 +439,9 @@ class TestBenchCommand:
     @pytest.mark.parametrize("argv,code", [
         (["--epsilons", "nan,0"], 2), (["--epsilons", "0,inf"], 2), (["--epsilons=-0.01"], 1),
         (["--omegas", "nan"], 2), (["--epsilons", "0", "--omegas", "3,-inf"], 2),
-    ], ids=["eps-nan", "eps-inf", "eps-negative", "omega-nan", "omega-minus-inf"])
+        (["--epsilons", "abc"], 1), (["--omegas", "x"], 1),
+    ], ids=["eps-nan", "eps-inf", "eps-negative", "omega-nan", "omega-minus-inf",
+            "eps-not-a-number", "omega-not-a-number"])
     def test_invalid_noise_level_writes_nothing(self, tmp_path, capsys, argv, code):
         assert main(["bench", "--methods", "lavrentiev", "--out", str(tmp_path / "o")]
                     + argv) == code
@@ -457,6 +459,15 @@ class TestBenchCommand:
         assert "threshold" in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "o").exists()
 
+    def test_unknown_method_refused_before_any_row(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "_bench_one", lambda *args: ran.append(args))
+        assert main(["bench", "--methods", "lavrentiev,nosuch",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --methods") and "nosuch" in err
+        assert ran == [] and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line,code", [("noise.epsilon=nan", 2), ("noise.epsilon=-1", 1),
                                            ("noise.omega=inf", 2)])
     def test_invalid_problem_file_noise_writes_nothing(self, tmp_path, line, code):
@@ -465,17 +476,6 @@ class TestBenchCommand:
         assert main(["bench", "--methods", "lavrentiev", "--problem", str(spec),
                      "--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o" / "bench.csv").exists()
-
-    def test_rows_independent_of_pool_size(self, tmp_path, monkeypatch):
-        # the baseline rows run concurrently; one worker must give the same bytes
-        argv = ["bench", "--methods",
-                "lavrentiev,tikhonov,fridman,krasnoselskii,implicit,steepest,quasisolution"]
-        assert main(argv + ["--out", str(tmp_path / "pool")]) == 0
-        monkeypatch.setattr(cli, "ThreadPoolExecutor",
-                            lambda max_workers: concurrent.futures.ThreadPoolExecutor(1))
-        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
-        assert ((tmp_path / "pool" / "bench.csv").read_bytes()
-                == (tmp_path / "serial" / "bench.csv").read_bytes())
 
 
 class TestReduceCommand:

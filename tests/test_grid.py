@@ -1,5 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,12 +8,10 @@ from hypothesis import strategies as st
 
 from fredsolve import grid as grid_module
 from fredsolve.errors import ConfigError, NonFiniteValueError
-from fredsolve.grid import (MIN_PRODUCT_ORDER, FourierCoeffs, Grid1D, GridFunction,
+from fredsolve.grid import (MIN_PRODUCT_ORDER, Grid1D, GridFunction, _trig_table,
                             apply_operator, fourier_coeffs, gauss_legendre, interp_matrix,
                             kernel_fourier_coeffs, operator_matrix)
-
-from fredsolve.method_core import verify_solution
-from fredsolve.problems import get_kernel, green_triangular, make_manufactured
+from fredsolve.problems import get_kernel, green_triangular
 from fredsolve.reduction2d import reduce_membrane
 
 from oracles import (apply_operator_rows, composite_gauss, kernel_fourier_coeffs_rows,
@@ -164,35 +160,50 @@ class TestGridInvariants:
 
 
 class TestFourierCoeffs:
+    # c = [c0 | cos 1..N | sin 1..N], the layout of kernel_fourier_coeffs's P
     def test_pure_sine(self):
         c = fourier_coeffs(lambda x: np.sin(2 * np.pi * x), N=4)
-        assert c.cn_prime[0] == pytest.approx(1.0, abs=1e-10)
-        assert abs(c.c0) < 1e-10
-        assert np.max(np.abs(c.cn)) < 1e-10
-        assert np.max(np.abs(c.cn_prime[1:])) < 1e-10
+        assert c.shape == (9,)
+        assert c[5] == pytest.approx(1.0, abs=1e-10)
+        assert abs(c[0]) < 1e-10
+        assert np.max(np.abs(c[1:5])) < 1e-10
+        assert np.max(np.abs(c[6:])) < 1e-10
 
     def test_constant(self):
         c = fourier_coeffs(lambda x: np.ones_like(x), N=3)
-        assert c.c0 == pytest.approx(2.0, abs=1e-12)
-        assert np.max(np.abs(c.cn)) < 1e-12 and np.max(np.abs(c.cn_prime)) < 1e-12
+        assert c[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.max(np.abs(c[1:4])) < 1e-12 and np.max(np.abs(c[4:])) < 1e-12
 
     def test_second_cosine(self):
         c = fourier_coeffs(lambda x: np.cos(4 * np.pi * x), N=4)
-        assert c.cn[1] == pytest.approx(1.0, abs=1e-10)
-        assert abs(c.c0) < 1e-10 and abs(c.cn[0]) < 1e-10
+        assert c[2] == pytest.approx(1.0, abs=1e-10)
+        assert abs(c[0]) < 1e-10 and abs(c[1]) < 1e-10
 
     def test_parseval_spot_check(self):
         f = lambda x: np.sin(2 * np.pi * x) + 3.0 * np.cos(6 * np.pi * x)
         c = fourier_coeffs(f, N=4)
         g = gauss_legendre(64, 0.0, 1.0)
         energy = g.l2_norm(f(g.nodes)) ** 2
-        assert energy == pytest.approx((c.cn_prime[0] ** 2 + c.cn[2] ** 2) / 2.0, abs=1e-8)
+        assert energy == pytest.approx((c[5] ** 2 + c[3] ** 2) / 2.0, abs=1e-8)
 
-    def test_evaluate_round_trip(self):
-        c = FourierCoeffs(c0=2.0, cn=np.array([0.5, 0.0]), cn_prime=np.array([0.0, -1.0]))
+    def test_round_trip_through_the_table(self):
+        f = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x) - np.sin(4 * np.pi * x)
+        c = fourier_coeffs(f, N=2)
+        assert np.allclose(c, [2.0, 0.5, 0.0, 0.0, -1.0], rtol=0.0, atol=1e-14)
         x = np.linspace(0, 1, 7)
-        expected = 1.0 + 0.5 * np.cos(2 * np.pi * x) - np.sin(4 * np.pi * x)
-        assert np.allclose(c.evaluate(x), expected, atol=1e-14)
+        T = _trig_table(x, np.arange(1, 3), ones=True)
+        assert np.array_equal(T, trig_table(x, 2))
+        assert np.allclose(T @ np.r_[0.5 * c[0], c[1:]], f(x), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_order_below_one_refused(self, N):
+        with pytest.raises(ConfigError, match="N >= 1"):
+            fourier_coeffs(np.sin, N)
+
+    def test_non_finite_coefficients_refused(self):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValueError,
+                                                      match="non-finite Fourier"):
+            fourier_coeffs(lambda x: np.exp(1000.0 * x), N=3)
 
 
 @lru_cache(maxsize=None)
@@ -648,28 +659,3 @@ class TestForwardCache:
         # the least recently used entry went first
         assert [key[2] for key in small._entries] == [
             np.array([lo, 1.0]).tobytes() for lo in (-0.25, -0.5)]
-
-    # room for two of the four forward matrices, or for all of them
-    @pytest.mark.parametrize("slots", [2, 8], ids=["evicting", "holding"])
-    def test_pool_verifications_equal_serial_ones(self, forward_cache, monkeypatch, slots):
-        cache, _, _ = forward_cache
-        prob = make_manufactured("green_triangular", lambda x: np.sin(np.pi * np.asarray(x)))
-        psis = [GridFunction.sample(lambda x, k=k: np.sin(k * np.pi * x),
-                                    gauss_legendre(n, 0.0, 1.0))
-                for k, n in ((1, 16), (2, 20), (3, 24), (1, 32))]
-        serial = [verify_solution(prob, psi) for psi in psis]
-        budget = slots * max(cache._size(key, *entry) for key, entry in cache._entries.items())
-        shared = grid_module._ForwardCache(budget)
-        monkeypatch.setattr(grid_module, "_forward_cache", shared)
-        jobs = [k % len(psis) for k in range(24)]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda k: verify_solution(prob, psis[k]), jobs))
-        finally:
-            sys.setswitchinterval(switch)
-        assert got == [serial[k] for k in jobs]
-        assert shared._bytes == sum(shared._size(key, *entry)
-                                    for key, entry in shared._entries.items())
-        assert shared._bytes <= budget

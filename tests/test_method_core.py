@@ -11,8 +11,8 @@ from fredsolve.errors import (ConfigError, NonFiniteValueError, NoValidMuError, 
                               ParameterExclusionError)
 from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
-from fredsolve.method_core import (MethodParams, _verdict, _Workspace, method_v1,
-                                   method_v2, method_v2_single, select_mu,
+from fredsolve.method_core import (MethodParams, _fourier_route, _verdict, _Workspace,
+                                   method_v1, method_v2, method_v2_single, select_mu,
                                    verify_solution)
 from fredsolve.problems import FirstKindProblem, make_manufactured
 from fredsolve.reduction2d import method2d_solve, reduce_membrane
@@ -404,26 +404,30 @@ class TestMethodV2Single:
 
 class TestMethodV1:
     def test_zero_free_term(self):
-        state = method_v1(zero_kernel_problem(lambda x: 0.0 * x), PARAMS, n_fourier=6)
-        assert max(abs(state.s.c0), np.max(np.abs(state.s.cn)),
-                   np.max(np.abs(state.s.cn_prime))) == 0.0
-        assert np.max(np.abs(state.evaluate(np.linspace(0, 1, 11)))) == 0.0
+        prob = zero_kernel_problem(lambda x: 0.0 * x)
+        s, _ = _fourier_route(prob, PARAMS, 6)
+        assert np.max(np.abs(s)) == 0.0
+        assert np.max(np.abs(method_v1(prob, PARAMS, n_fourier=6).values)) == 0.0
 
     def test_zero_kernel_closed_form_row(self):
-        state = method_v1(zero_kernel_problem(lambda x: np.ones_like(x)), PARAMS, n_fourier=4)
+        s, t = _fourier_route(zero_kernel_problem(lambda x: np.ones_like(x)), PARAMS, 4)
         c0 = 2.0
-        assert state.s.c0 == pytest.approx(-MU * (1 - LAM) * c0 / (1 - 2 * LAM), abs=1e-12)
+        assert s[0] == pytest.approx(-MU * (1 - LAM) * c0 / (1 - 2 * LAM), abs=1e-12)
         sigma = -MU * LAM ** 2 * (1 - LAM) / ((1 - 2 * LAM) * (1 - 2 * LAM - LAM ** 2))
-        assert state.sigma == pytest.approx(sigma, abs=1e-15)
-        assert state.t.c0 == pytest.approx(sigma * (-c0), abs=1e-12)
+        assert t[0] == pytest.approx(sigma * (-c0), abs=1e-12)
 
     def test_m1_run(self):
-        state = method_v1(m1_problem(), PARAMS, n_fourier=16)
-        coeffs = np.concatenate([[state.t.c0], state.t.cn, state.t.cn_prime])
-        assert np.all(np.isfinite(coeffs))
-        assert np.max(np.abs(state.t.cn[8:])) < np.max(np.abs(state.t.cn[:4]))
-        g = gauss_legendre(128, 0.0, 1.0)
-        recon = g.l2_norm(state.evaluate(g.nodes) - np.sin(np.pi * g.nodes))
+        N = 16
+        _, t = _fourier_route(m1_problem(), PARAMS, N)
+        assert np.all(np.isfinite(t))
+        # t = [t0 | cos 1..N | sin 1..N]
+        assert np.max(np.abs(t[9:N + 1])) < np.max(np.abs(t[1:5]))
+        psi = method_v1(m1_problem(), PARAMS, n_fourier=N)
+        assert np.array_equal(psi.grid.nodes, gauss_legendre(PARAMS.n_out, 0.0, 1.0).nodes)
+        phase = 2 * np.pi * np.multiply.outer(psi.grid.nodes, np.arange(1, N + 1))
+        series = 0.5 * t[0] + np.cos(phase) @ t[1:N + 1] + np.sin(phase) @ t[N + 1:]
+        assert np.allclose(psi.values, series, rtol=0.0, atol=1e-14)
+        recon = psi.grid.l2_norm(psi.values - np.sin(np.pi * psi.grid.nodes))
         print(f"\n[method_v1 m=1] reconstruction_error={recon:.6e}")
 
     @pytest.mark.parametrize("n_fourier", [0, -3])
