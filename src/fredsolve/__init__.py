@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegenerateProblemError, ExprParseError,
                      NoValidMuError, NumericalParameterError, OnSpectrumError,
                      ParameterExclusionError, UndefinedDeltaError)
 from .grid import Grid1D, GridFunction, fourier_coeffs, gauss_legendre, kernel_fourier_coeffs
-from .kernels import ExclusionReport, PoissonParams, poisson_h, validate_lambda
+from .kernels import PoissonParams, poisson_h
 from .fredholm2 import SpectrumEstimate, estimate_spectrum, solve_direct
 from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
                        green_triangular, make_manufactured, perturb)

@@ -161,8 +161,7 @@ def steepest_descent(problem: FirstKindProblem, psi0, max_iter: int = 200,
     return GridFunction(grid, psi)
 
 
-def quasisolution(problem: FirstKindProblem, R: float, n: int = 64,
-                  count: int | None = None) -> GridFunction:
+def quasisolution(problem: FirstKindProblem, R: float, n: int = 64) -> GridFunction:
     """Residual minimizer over the ball ||psi|| <= R for a symmetric kernel.
 
     Inside the ball the plain eigen-expansion is returned; otherwise the
@@ -173,8 +172,7 @@ def quasisolution(problem: FirstKindProblem, R: float, n: int = 64,
         raise InvalidRadiusError(f"radius must be positive, got {R}")
     grid = gauss_legendre(n, 0.0, 1.0)
     f = np.asarray(problem.free_term(grid.nodes), dtype=float)
-    est = estimate_spectrum(problem.kernel, grid, count=count or grid.n,
-                            diag_split=problem.diag_split)
+    est = estimate_spectrum(problem.kernel, grid, diag_split=problem.diag_split)
     lam = est.char_numbers
     Phi = np.stack([e.values for e in est.eigenfunctions], axis=1)  # (n, k)
     c = Phi.T @ (grid.weights * f)

@@ -403,64 +403,83 @@ def cmd_reduce(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ConfigError (exit 1); subparsers inherit the class."""
+    """Usage errors raise ConfigError (exit 1); subparsers inherit the class.
+
+    No parser takes an abbreviated flag: with abbreviations, a flag one
+    subcommand lacks could run as a longer one it has (``bench --method``
+    as ``--methods``).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# the shared flags, in the order every subcommand lists the ones it reads
+_SHARED_FLAGS = {
+    "--problem": dict(default="green_triangular",
+                      help="registered kernel name or problem spec file"),
+    "--method": dict(default="v2", help=f"one of {', '.join(_METHODS)}"),
+    "--r": dict(type=float, default=0.5),
+    "--lambda": dict(dest="lam", type=float, default=0.2),
+    "--mu": dict(type=float, default=None),
+    "--alpha": dict(type=float, default=1e-4),
+    "--grid": dict(type=int, default=64),
+    "--fourier-n": dict(dest="fourier_n", type=int, default=16),
+    "--out": dict(default="out"),
+    "--psi": dict(default=None, help="psi expression (manufactures the problem)"),
+    "--f": dict(default=None, help="free-term expression"),
+    "--csv": dict(default=None, help="tabulated-kernel CSV path"),
+    "--threshold": dict(type=float, default=0.05),
+    "--iters": dict(type=int, default=200),
+    "--step": dict(type=float, default=None),
+    "--radius": dict(type=float, default=1.0),
+    "--seedless": dict(action="store_true",
+                       help="accepted for symmetry; every run is deterministic"),
+}
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process; parse_args keeps no state between calls."""
+    """The argument parser, built once per process; parse_args keeps no state between calls.
+
+    Each subcommand accepts only the flags it reads.
+    """
     parser = _Parser(prog="fredsolve",
                      description="first-kind integral equations: "
                                  "reformulation, baselines, reductions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--problem", default="green_triangular",
-                       help="registered kernel name or problem spec file")
-        p.add_argument("--method", default="v2", help=f"one of {', '.join(_METHODS)}")
-        p.add_argument("--r", type=float, default=0.5)
-        p.add_argument("--lambda", dest="lam", type=float, default=0.2)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=1e-4)
-        p.add_argument("--grid", type=int, default=64)
-        p.add_argument("--fourier-n", dest="fourier_n", type=int, default=16)
-        p.add_argument("--out", default="out")
-        p.add_argument("--psi", default=None, help="psi expression (manufactures the problem)")
-        p.add_argument("--f", default=None, help="free-term expression")
-        p.add_argument("--csv", default=None, help="tabulated-kernel CSV path")
-        p.add_argument("--threshold", type=float, default=0.05)
-        p.add_argument("--iters", type=int, default=200)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--seedless", action="store_true",
-                       help="accepted for symmetry; every run is deterministic")
+    def shared(p, *flags):
+        for flag, spec in _SHARED_FLAGS.items():
+            if flag in flags:
+                p.add_argument(flag, **spec)
 
     p = sub.add_parser("problems", help="list registered kernels")
-    common(p)
+    shared(p, "--csv")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_problems)
 
     p = sub.add_parser("forward", help="evaluate the direct problem f = A psi")
-    common(p)
+    shared(p, "--problem", "--r", "--grid", "--out", "--psi", "--f", "--csv")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("solve", help="run one method and verify the output")
-    common(p)
+    shared(p, *_SHARED_FLAGS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="noise sweep across methods")
-    common(p)
+    shared(p, *(flag for flag in _SHARED_FLAGS if flag != "--method"))
     p.add_argument("--methods", default="lavrentiev,v2")
     p.add_argument("--epsilons", default="0,0.0001,0.001,0.01")
     p.add_argument("--omegas", default=f"{math.pi:.17g}")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("reduce", help="reduce a boundary problem; optionally solve")
-    common(p)
+    shared(p, "--r", "--lambda", "--mu", "--grid", "--out", "--threshold")
     p.add_argument("bvp", choices=("ode", "membrane", "heat"))
     p.add_argument("--solve", action="store_true")
     p.add_argument("--verify", action="store_true")
@@ -476,7 +495,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow and invalid values reach the finite checks, which report them
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericalParameterError as exc:
         sys.stderr.write(f"numerical parameter error: {exc}\n")
         return 2

@@ -72,28 +72,26 @@ def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL,
     return M
 
 
-def gate_mu(A: np.ndarray, mu: float | None = None, candidates=None,
+def gate_mu(A: np.ndarray, mu: float | None = None,
             norm_bound: float | None = None) -> tuple[float, np.ndarray]:
     """mu and its I - mu A, checked once by ``gated_system``.
 
     A given mu is gated at ON_SPECTRUM_RTOL.  Without one, the first of
-    ``candidates`` (default DEFAULT_MU_CANDIDATES) whose matrix clears the
-    wider _MU_PROBE_RTOL margin is taken; NoValidMuError when none does.
-    ``norm_bound`` (an upper bound on ||A||_2) is passed to every check.
+    DEFAULT_MU_CANDIDATES whose matrix clears the wider _MU_PROBE_RTOL
+    margin is taken; NoValidMuError when none does.  ``norm_bound`` (an
+    upper bound on ||A||_2) is passed to every check.
     """
     if mu is not None:
         return mu, gated_system(A, mu, norm_bound=norm_bound)
-    candidates = _candidate_list(candidates)
-    for mu in candidates:
+    for mu in DEFAULT_MU_CANDIDATES:
         try:
             return float(mu), gated_system(A, mu, _MU_PROBE_RTOL, norm_bound)
         except OnSpectrumError:
             pass
-    raise NoValidMuError(candidates)
+    raise NoValidMuError(DEFAULT_MU_CANDIDATES)
 
 
-def certified_mu(mu: float | None = None, candidates=None,
-                 norm_bound: float | None = None) -> float | None:
+def certified_mu(mu: float | None = None, norm_bound: float | None = None) -> float | None:
     """The mu that ``gate_mu`` accepts on the certificate alone, or None.
 
     That is the given mu, or else the first candidate, when
@@ -101,19 +99,12 @@ def certified_mu(mu: float | None = None, candidates=None,
     it without reading A, so a caller that can solve without the dense
     I - mu A need not build A at all.  Otherwise the caller runs ``gate_mu``.
     """
-    first = mu if mu is not None else float(_candidate_list(candidates)[0])
+    first = mu if mu is not None else float(DEFAULT_MU_CANDIDATES[0])
     return first if _certified(first, norm_bound) else None
 
 
 def _certified(mu: float, norm_bound: float | None) -> bool:
     return norm_bound is not None and abs(mu) * norm_bound <= 0.5
-
-
-def _candidate_list(candidates) -> list:
-    candidates = list(DEFAULT_MU_CANDIDATES if candidates is None else candidates)
-    if not candidates:
-        raise ConfigError("the mu probe needs a nonempty candidate list")
-    return candidates
 
 
 def solve_direct(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -126,16 +117,13 @@ def solve_direct(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M, rhs)
 
 
-def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
-                      matrix: np.ndarray | None = None) -> SpectrumEstimate:
-    """Leading characteristic numbers/eigenfunctions of a symmetric kernel.
+def estimate_spectrum(kernel, grid: Grid1D, diag_split: bool = True) -> SpectrumEstimate:
+    """Characteristic numbers/eigenfunctions of a symmetric kernel on a grid.
 
     Works on the weight-symmetrized Nystrom matrix S = W^1/2 A W^-1/2;
-    ``matrix`` passes an A the caller has already assembled with the same
-    ``diag_split``, which is then not built again;
     eigenfunctions come back L2-normalized on the grid, ordered by ascending
     |characteristic number|.  Eigenvalues with |lambda| <= tau, the rounding
-    bound below, are reported as zero and dropped, so fewer than ``count``
+    bound below, are reported as zero and dropped, so fewer than grid.n
     pairs may come back.
 
     Rounding bound.  Let S^ be the matrix handed to ``eigh`` and S its exact
@@ -170,13 +158,12 @@ def estimate_spectrum(kernel, grid: Grid1D, count: int, diag_split: bool = True,
     decades below the smallest eigenvalue of green_triangular
     (5.6e-9 |lambda_max|).
     """
-    evals, evecs, kappa = _symmetric_eigh(kernel, grid, diag_split, matrix)
+    evals, evecs, kappa = _symmetric_eigh(kernel, grid, diag_split)
     sw = np.sqrt(grid.weights)
     order = np.argsort(np.abs(evals))[::-1]
     evals, evecs = evals[order], evecs[:, order]
     tau = _rounding_bound(kappa, abs(evals[0]), grid, diag_split)
-    count = min(int(count), grid.n)
-    keep = [i for i in range(count) if abs(evals[i]) > tau]
+    keep = [i for i in range(grid.n) if abs(evals[i]) > tau]
     char_numbers = np.array([1.0 / evals[i] for i in keep])
     funcs = []
     for i in keep:
@@ -193,8 +180,9 @@ def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,
     """(evals, Q, kappa): S = W^1/2 A W^-1/2 = Q diag(evals) Q^T, kappa = max |k|.
 
     Every pair, in ``eigh``'s order: a rank-deficient kernel keeps its null
-    modes.  ``matrix`` is as in ``estimate_spectrum``.  ConfigError when the
-    kernel's grid values are asymmetric by more than 1e-8.
+    modes.  ``matrix`` passes an A the caller has already assembled with the
+    same ``diag_split``.  ConfigError when the kernel's grid values are
+    asymmetric by more than 1e-8.
     """
     xs = grid.nodes
     K = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float)

@@ -279,10 +279,10 @@ class _ForwardCache:
     It holds two kinds of entry under one budget:
     apply_operator's forward matrices B (from a GridFunction) and
     operator_matrix's Legendre moments G.  The caller's key names the kind
-    and the geometry (node bytes, interval, flags, rule order); the cache
-    adds the shape and a CRC-32 of the call's kernel values times weights
-    kw, and an entry is used only when kw also equals the stored kw bit for
-    bit.  So the match is on the exact kw, and several kernels on one
+    and the geometry (node bytes, an assembly's interval, flags, rule
+    order); the cache adds the shape and a CRC-32 of the call's kernel
+    values times weights kw, and an entry is used only when kw also equals
+    the stored kw bit for bit.  So the match is on the exact kw, and several kernels on one
     geometry (the 2D reductions' tau1 and tau2) each keep their own entry.
     Together these fix the stored matrix exactly, so the kernel may be any
     callable and is still evaluated on every call.  Stored arrays are
@@ -340,16 +340,15 @@ class _ForwardCache:
 _forward_cache = _ForwardCache(_FORWARD_CACHE_BYTES)
 
 
-def _forward_matrix(kernel, x, lo: float, hi: float, diag_split: bool,
-                    nodes: np.ndarray, quad_order: int) -> np.ndarray:
-    # B with (B g)[i] = row i's product rule applied to k(x_i, .) times the
-    # interpolant of g's values at ``nodes``: B[i] = kw[i, :u] @ L_i, one
-    # barycentric matrix L_i per row on a miss.  The rule has
+def _forward_matrix(kernel, x, diag_split: bool, nodes: np.ndarray,
+                    quad_order: int) -> np.ndarray:
+    # B with (B g)[i] = row i's product rule on [0, 1] applied to k(x_i, .)
+    # times the interpolant of g's values at ``nodes``: B[i] = kw[i, :u] @ L_i,
+    # one barycentric matrix L_i per row on a miss.  The rule has
     # m = max(quad_order, n) points per half, never below the source grid.
     order = max(int(quad_order), nodes.size)
-    zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, order)
-    key = ("forward", x.tobytes(), np.array([lo, hi], dtype=float).tobytes(),
-           bool(diag_split), order, nodes.tobytes())
+    zq, kw, used = _row_rule(kernel, x, 0.0, 1.0, diag_split, order)
+    key = ("forward", x.tobytes(), bool(diag_split), order, nodes.tobytes())
     B = _forward_cache.get(key, kw)
     if B is None:
         B = np.empty((x.size, nodes.size))
@@ -359,9 +358,9 @@ def _forward_matrix(kernel, x, lo: float, hi: float, diag_split: bool,
     return B
 
 
-def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.0,
-                   diag_split: bool = False, quad_order: int = 64) -> np.ndarray:
-    """Evaluate x -> integral_lo^hi kernel(x, xi) g(xi) d xi at out_nodes.
+def apply_operator(kernel, out_nodes, source, *, diag_split: bool = False,
+                   quad_order: int = 64) -> np.ndarray:
+    """Evaluate x -> integral_0^1 kernel(x, xi) g(xi) d xi at out_nodes.
 
     ``source`` is either a callable or a GridFunction (interpolated from its
     own grid).  Split at xi = x when ``diag_split``.  Each row keeps its own
@@ -369,14 +368,14 @@ def apply_operator(kernel, out_nodes, source, *, lo: float = 0.0, hi: float = 1.
     a GridFunction.  The kernel and a callable source are evaluated once on
     the array of every row's points.  A GridFunction source is mapped by one
     product with the forward matrix B (``_ForwardCache``), which is reused
-    while the out nodes, interval, split, rule order, source nodes and kernel
-    values stay the same.
+    while the out nodes, split, rule order, source nodes and kernel values
+    stay the same.
     """
     x = np.asarray(out_nodes, dtype=float)
     if isinstance(source, GridFunction):
-        return _forward_matrix(kernel, x, lo, hi, diag_split, source.grid.nodes,
+        return _forward_matrix(kernel, x, diag_split, source.grid.nodes,
                                quad_order) @ source.values
-    zq, kw, used = _row_rule(kernel, x, lo, hi, diag_split, quad_order)
+    zq, kw, used = _row_rule(kernel, x, 0.0, 1.0, diag_split, quad_order)
     terms = kw * np.asarray(source(zq), dtype=float)
     out = np.zeros(x.shape)
     for u in np.unique(used[used > 0]):

@@ -1,4 +1,4 @@
-"""Poisson kernel, its resolvents, and the parameter-exclusion validator.
+"""Poisson kernel, its resolvents, and the parameters that admit them.
 
 All four kernels are 1-periodic difference kernels on the line, evaluated
 in closed form (h) or as truncated cosine series (H, l, L).  With u = x - xi
@@ -10,7 +10,8 @@ and coefficients a_n:
     L(u) = 1/(1-2L-L^2) + 2 sum r^2n/(1-2L r^n - L^2 r^2n) cos(2 n pi u)
 
 where L stands for lambda.  The series denominators degenerate when lambda
-approaches 0, r^-n, r^-n/2 or (-1 +- sqrt(2)) r^-n, hence the validator.
+approaches 0, r^-n, r^-n/2 or (-1 +- sqrt(2)) r^-n, so ``PoissonParams``
+refuses such a lambda when it is built.
 
 Every series is summed in separable form, K = c0 + 2 (C diag(a) C'^T +
 S diag(a) S'^T) with C, S the cosines and sines of 2 pi n x on the out-nodes
@@ -30,14 +31,16 @@ from .grid import _trig_table
 
 __all__ = [
     "PoissonParams",
-    "ExclusionReport",
+    "MIN_REL_DIST",
     "poisson_h",
-    "validate_lambda",
-    "require_lambda_valid",
     "kernel_matrix",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+# relative distance (absolute for the value 0) that lambda keeps from every
+# excluded value
+MIN_REL_DIST = 1e-3
 
 # cap keeps n_trunc finite as r -> 1; evaluation cost stays manageable
 _MAX_TRUNC = 200_000
@@ -59,7 +62,9 @@ class PoissonParams:
     """Parameters r, lambda of the reformulation; Lambda is pinned to lambda^2.
 
     ``n_trunc`` truncates every cosine series so the geometric tail
-    2 r^(n_trunc+1)/(1-r) stays below ``series_tol``.
+    2 r^(n_trunc+1)/(1-r) stays below ``series_tol``.  lambda keeps
+    MIN_REL_DIST from the excluded values, so every instance admits the
+    resolvents H, l and L.
     """
 
     r: float
@@ -80,6 +85,7 @@ class PoissonParams:
             raise ConfigError(
                 f"n_trunc={self.n_trunc} leaves series tail {tail:.3g} > {self.series_tol:.3g}"
             )
+        _check_exclusion(self.lam, self.r, self.n_trunc)
 
     @classmethod
     def create(cls, r: float = 0.5, lam: float = 0.2, series_tol: float = 1e-12,
@@ -93,17 +99,6 @@ class PoissonParams:
                    n_trunc=int(n_trunc), series_tol=float(series_tol))
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
-    """Names the excluded value an offered lambda came too close to."""
-
-    lam: float
-    family: str
-    n: int
-    value: float
-    rel_dist: float
-
-
 # family name -> base value at n = 0; members are base * r^(-n)
 _FAMILIES = (
     ("r^-n", 1.0),
@@ -113,34 +108,23 @@ _FAMILIES = (
 )
 
 
-def validate_lambda(p: PoissonParams, min_rel_dist: float = 1e-3) -> ExclusionReport | None:
-    """Check lambda against the excluded families {0, r^-n, r^-n/2, (-1+-sqrt2) r^-n}.
+def _check_exclusion(lam: float, r: float, n_trunc: int) -> None:
+    """Raise ParameterExclusionError when lambda comes within MIN_REL_DIST of
+    0 or of a member n = 0..n_trunc of {r^-n, r^-n/2, (-1+-sqrt2) r^-n}.
 
-    Returns None when lambda keeps relative distance >= min_rel_dist from
-    every member with n = 0..n_trunc (absolute distance for the value 0),
-    otherwise a report naming the violated family.
+    The distance is relative, absolute for the value 0.
     """
-    lam = p.lam
-    if abs(lam) < min_rel_dist:
-        return ExclusionReport(lam, "zero", 0, 0.0, abs(lam))
+    if abs(lam) < MIN_REL_DIST:
+        raise ParameterExclusionError(lam, "zero", 0, 0.0, abs(lam))
     for family, base in _FAMILIES:
         # |base| r^-n grows with n; stop once the family is permanently clear
-        for n in range(p.n_trunc + 1):
-            value = base / p.r ** n
-            if n > 0 and abs(value) > abs(lam) and 1.0 - abs(lam) / abs(value) >= min_rel_dist:
+        for n in range(n_trunc + 1):
+            value = base / r ** n
+            if n > 0 and abs(value) > abs(lam) and 1.0 - abs(lam) / abs(value) >= MIN_REL_DIST:
                 break
             rel = abs(lam - value) / abs(value)
-            if rel < min_rel_dist:
-                return ExclusionReport(lam, family, n, value, rel)
-    return None
-
-
-def require_lambda_valid(p: PoissonParams, min_rel_dist: float = 1e-3) -> None:
-    """Raise ParameterExclusionError when validate_lambda reports a hit."""
-    report = validate_lambda(p, min_rel_dist)
-    if report is not None:
-        raise ParameterExclusionError(report.lam, report.family, report.n,
-                                      report.value, report.rel_dist)
+            if rel < MIN_REL_DIST:
+                raise ParameterExclusionError(lam, family, n, value, rel)
 
 
 def poisson_h(x, xi, p: PoissonParams):
@@ -198,13 +182,11 @@ def _L_coeffs(p):
 _KINDS = {"H": _H_coeffs, "l": _l_coeffs, "L": _L_coeffs}
 
 
-def kernel_matrix(kind: str, p: PoissonParams, out_nodes, in_nodes,
-                  min_rel_dist: float = 1e-3) -> np.ndarray:
+def kernel_matrix(kind: str, p: PoissonParams, out_nodes, in_nodes) -> np.ndarray:
     """Dense cross matrix kind(out_i, in_j) for kind in {'h', 'H', 'l', 'L'}."""
     if kind == "h":
         return poisson_h(np.asarray(out_nodes, float)[:, None],
                          np.asarray(in_nodes, float)[None, :], p)
     if kind not in _KINDS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    require_lambda_valid(p, min_rel_dist)
     return _cosine_series(*_KINDS[kind](p), out_nodes, in_nodes)

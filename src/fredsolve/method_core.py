@@ -27,12 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, NoValidMuError, ParameterExclusionError, require_finite,
-                     require_order)
+from .errors import ConfigError, NoValidMuError, require_finite, require_order
 from .fredholm2 import gate_mu, solve_direct
 from .grid import (GridFunction, Grid1D, _trig_table, apply_operator, fourier_coeffs,
                    gauss_legendre, kernel_fourier_coeffs, operator_matrix)
-from .kernels import PoissonParams, kernel_matrix, require_lambda_valid
+from .kernels import PoissonParams, kernel_matrix
 from .problems import FirstKindProblem
 
 __all__ = [
@@ -55,16 +54,13 @@ class MethodParams:
     poisson: PoissonParams
     mu: float | None = None
     n_out: int = 64
-    min_rel_dist: float = 1e-3
 
     @classmethod
     def create(cls, r: float = 0.5, lam: float = 0.2, mu: float | None = None,
-               n_out: int = 64, min_rel_dist: float = 1e-3) -> "MethodParams":
+               n_out: int = 64) -> "MethodParams":
         require_finite(lam=lam, mu=mu)
         require_order(n_out=n_out)
-        poisson = PoissonParams.create(r=r, lam=lam)
-        require_lambda_valid(poisson, min_rel_dist)
-        return cls(poisson=poisson, mu=mu, n_out=n_out, min_rel_dist=min_rel_dist)
+        return cls(poisson=PoissonParams.create(r=r, lam=lam), mu=mu, n_out=n_out)
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,6 @@ class _Workspace:
 
     def __init__(self, params: MethodParams, problem: FirstKindProblem | None = None,
                  grid01: Grid1D | None = None, gridm: Grid1D | None = None):
-        require_lambda_valid(params.poisson, params.min_rel_dist)
         self.params = params
         self.problem = problem
         self.grid01 = grid01 if grid01 is not None else gauss_legendre(params.n_out, 0.0, 1.0)
@@ -114,8 +109,8 @@ class _Workspace:
         self.mu = self.M = None
 
     def _block(self, kind: str, out_grid: Grid1D, in_grid: Grid1D) -> np.ndarray:
-        return kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes,
-                             self.params.min_rel_dist) * in_grid.weights[None, :]
+        return (kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes)
+                * in_grid.weights[None, :])
 
     @cached_property
     def H_w(self) -> np.ndarray:
@@ -131,9 +126,9 @@ class _Workspace:
         """values + lam int_0^1 H(x, xi) values(xi) d xi."""
         return values + self.params.poisson.lam * (self.H_w @ values)
 
-    def gate(self, mu: float | None = None, candidates=None) -> float:
-        """Gate I - mu A_K for a given mu, or probe candidates when mu is None."""
-        self.mu, self.M = gate_mu(self.A_K, mu, candidates)
+    def gate(self, mu: float | None = None) -> float:
+        """Gate I - mu A_K for a given mu, or probe the candidates when mu is None."""
+        self.mu, self.M = gate_mu(self.A_K, mu)
         return self.mu
 
     def f_values(self) -> np.ndarray:
@@ -163,9 +158,9 @@ class _Workspace:
         return fprime + Lambda * (self._block("L", self.grid01, self.grid01) @ fprime)
 
 
-def select_mu(problem: FirstKindProblem, params: MethodParams, candidates=None) -> float:
+def select_mu(problem: FirstKindProblem, params: MethodParams) -> float:
     """First candidate for which I - mu A_K stays comfortably nonsingular."""
-    return _Workspace(params, problem).gate(None, candidates)
+    return _Workspace(params, problem).gate()
 
 
 def method_v2(problem: FirstKindProblem, params: MethodParams) -> PipelineState:
@@ -211,30 +206,20 @@ def method_v2_single(problem: FirstKindProblem, params: MethodParams,
     return GridFunction(ws.grid01, ws.single(psi1.values)), mu
 
 
-# r = 1 exclusion points of the Fourier route
-_R1_EXCLUDED = (("zero", 0.0), ("one", 1.0), ("one-half", 0.5),
-                ("-1+sqrt2", -1.0 + np.sqrt(2.0)), ("-1-sqrt2", -1.0 - np.sqrt(2.0)))
-
-
-def _check_lambda_r1(lam: float, min_rel_dist: float) -> None:
-    for name, value in _R1_EXCLUDED:
-        dist = abs(lam - value) if value == 0.0 else abs(lam - value) / abs(value)
-        if dist < min_rel_dist:
-            raise ParameterExclusionError(lam, f"{name} (r=1)", 0, value, dist)
-
-
 def _fourier_route(problem: FirstKindProblem, params: MethodParams,
                    N: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors (s, t) of psi1 and psi, each (2N+1,) in P's layout.
 
     Solves the truncated system for s; then t = sigma * (P [s0/2, s...] - c)
     with c the free term's coefficients and
-    sigma = -mu lam^2 (1-lam) / [(1-2 lam)(1-2 lam-lam^2)].
+    sigma = -mu lam^2 (1-lam) / [(1-2 lam)(1-2 lam-lam^2)].  The route's
+    excluded values 0, 1, 1/2 and -1 +- sqrt2 (sigma's poles among them) are
+    the zero check and the n = 0 members of the families that
+    ``PoissonParams`` keeps lambda away from.
     """
     if N < 1:
         raise ConfigError(f"need n_fourier >= 1, got {N}")
     lam = params.poisson.lam
-    _check_lambda_r1(lam, params.min_rel_dist)
     mu = params.mu
     if mu is None:
         mu = select_mu(problem, params)
@@ -278,7 +263,7 @@ def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05,
     kernel and grids reuse that matrix.
     """
     grid = gauss_legendre(quad_order, 0.0, 1.0)
-    forward = apply_operator(problem.kernel, grid.nodes, psi, lo=0.0, hi=1.0,
+    forward = apply_operator(problem.kernel, grid.nodes, psi,
                              diag_split=problem.diag_split, quad_order=quad_order)
     fv = np.asarray(problem.free_term(grid.nodes), dtype=float)
     return _verdict(grid.l2_norm(forward - fv), grid.l2_norm(fv), threshold)

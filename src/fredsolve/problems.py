@@ -74,8 +74,8 @@ def forward_apply(kernel, psi, quad_order: int = 64,
     """Direct problem: sample f(x) = int_0^1 k(x, xi) psi(xi) d xi on the
     ``quad_order``-point Gauss grid."""
     grid = gauss_legendre(quad_order, 0.0, 1.0)
-    values = apply_operator(kernel, grid.nodes, psi, lo=0.0, hi=1.0,
-                            diag_split=diag_split, quad_order=quad_order)
+    values = apply_operator(kernel, grid.nodes, psi, diag_split=diag_split,
+                            quad_order=quad_order)
     return GridFunction(grid, values)
 
 
@@ -166,16 +166,18 @@ def load_tabulated_kernel(path: str):
     return kern
 
 
-def make_manufactured(kernel_name: str, psi, quad_order: int = 64,
-                      r: float | None = None, csv_path: str | None = None,
+def make_manufactured(kernel_name: str, psi, r: float | None = None,
+                      csv_path: str | None = None,
                       label: str | None = None) -> FirstKindProblem:
-    """Problem with f = A psi computed by quadrature and psi recorded as psi*."""
+    """Problem with f = A psi computed by quadrature and psi recorded as psi*.
+
+    Each point's integral takes apply_operator's rule of 64 points per panel.
+    """
     kernel, diag_split = get_kernel(kernel_name, r=r, csv_path=csv_path)
 
     def free_term(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return apply_operator(kernel, x, psi, lo=0.0, hi=1.0,
-                              diag_split=diag_split, quad_order=quad_order)
+        return apply_operator(kernel, x, psi, diag_split=diag_split, quad_order=64)
 
     return FirstKindProblem(
         name=label or f"manufactured[{kernel_name}]",

@@ -324,7 +324,7 @@ def _fast_solver(P: np.ndarray, T: np.ndarray, M: np.ndarray, mu: float, w: np.n
 
 
 def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
-                   nx: int = 24, ny: int = 24, mu_candidates=None,
+                   nx: int = 24, ny: int = 24,
                    verify_threshold: float = 0.05) -> Method2DResult:
     """Grid-route reformulation of the 2D first-kind equation.
 
@@ -377,9 +377,9 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
         return A
 
     bound = _kronecker_norm_bound(N, lamH, T2[0]) if constant else None
-    mu, gated = certified_mu(params.mu, mu_candidates, bound), None
+    mu, gated = certified_mu(params.mu, bound), None
     if mu is None:
-        mu, gated = gate_mu(dense_A(), params.mu, mu_candidates, norm_bound=bound)
+        mu, gated = gate_mu(dense_A(), params.mu, norm_bound=bound)
     solve = _fast_solver(np.eye(nx) + lamH, T1[0], T2[0], mu, gx.weights) if constant else None
     if solve is None:
         gated = np.eye(nx * ny) - mu * dense_A() if gated is None else gated

@@ -116,7 +116,7 @@ def build_K(kernel, params):
         for idx in np.ndindex(x_arr.shape):
             xx, zz = float(x_arr[idx]), float(xi_arr[idx])
             zq, wq = z_rule(xx, zz)
-            Hv = kernel_matrix("H", p, np.array([xx]), zq, params.min_rel_dist)[0]
+            Hv = kernel_matrix("H", p, np.array([xx]), zq)[0]
             kv = np.asarray(kernel(zq, np.full_like(zq, zz)), dtype=float)
             out[idx] = (np.asarray(kernel(xx, zz), dtype=float)
                         + p.lam * float(np.sum(wq * Hv * kv)))

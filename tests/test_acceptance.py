@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fredsolve as fs
+from fredsolve import kernels
 from fredsolve.cli import main as cli_main
 from fredsolve.fredholm2 import gated_system
 from fredsolve.grid import operator_matrix
@@ -42,7 +43,7 @@ def m1_problem():
                                 lambda x: np.sin(np.pi * np.asarray(x)))
 
 
-def test_criterion_01_poisson_kernel_identities():
+def test_criterion_01_poisson_kernel_identities(monkeypatch):
     with criterion(1, "Poisson kernel identities (series bound, unit mass, eigen-action)",
                    max_seconds=1.0):
         p = fs.PoissonParams.create(r=0.5, lam=0.2)
@@ -50,8 +51,9 @@ def test_criterion_01_poisson_kernel_identities():
         bound = 2.0 * 0.5 ** 41 / 0.5
         assert bound <= 4e-12
         # at lambda = 0 the H series is the h series, here cut at N = 40
+        monkeypatch.setattr(kernels, "MIN_REL_DIST", 0.0)
         p40 = fs.PoissonParams.create(r=0.5, lam=0.0, n_trunc=40, series_tol=bound)
-        series = kernel_matrix("H", p40, xs, [0.3], min_rel_dist=0.0)[:, 0]
+        series = kernel_matrix("H", p40, xs, [0.3])[:, 0]
         dev = np.abs(series - fs.poisson_h(xs, 0.3, p))
         assert np.max(dev) <= bound
         g = fs.gauss_legendre(64, 0.0, 1.0)

@@ -130,7 +130,7 @@ class TestFridman:
 
     def test_default_step_is_the_first_characteristic_number(self):
         prob = m1_problem()
-        lam1 = estimate_spectrum(prob.kernel, GRID, count=1).char_numbers[0]
+        lam1 = estimate_spectrum(prob.kernel, GRID).char_numbers[0]
         assert lam1 == pytest.approx(np.pi ** 2, rel=1e-12)
         assert np.array_equal(fridman_iterate(prob, None, lambda x: x, max_iter=6).values,
                               fridman_iterate(prob, lam1, lambda x: x, max_iter=6).values)

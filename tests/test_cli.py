@@ -200,6 +200,35 @@ class TestUsageErrors:
         assert "error: fredsolve" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # each subcommand accepts only the flags it reads, and no abbreviation of one
+    @pytest.mark.parametrize("argv", [
+        ["problems", "--alpha", "1"], ["forward", "--iters", "3"],
+        ["reduce", "membrane", "--method", "lavrentiev"], ["bench", "--method", "v2"],
+        ["solve", "--meth", "v2"]],
+        ids=["problems-alpha", "forward-iters", "reduce-method", "bench-method",
+             "solve-abbreviation"])
+    def test_a_flag_the_command_never_reads_is_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ([] if argv[0] == "problems" else ["--out", str(out)])) == 1
+        captured = capsys.readouterr()
+        assert f"error: fredsolve: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv, code, lines", [
+        (["solve", "--method", "v1"], 2, 1), (["solve", "--method", "lavrentiev"], 2, 1),
+        (["bench"], 0, 0)], ids=["solve-v1", "solve-lavrentiev", "bench"])
+    def test_an_overflowing_free_term_prints_no_warning(self, tmp_path, argv, code, lines):
+        # the finite checks report exp(1000) on their own line; numpy stays silent
+        src = os.path.dirname(os.path.dirname(fredsolve.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "fredsolve.cli", *argv, "--grid", "16",
+                              "--f", "exp(1000*x)", "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code
+        assert len(run.stderr.splitlines()) == lines, run.stderr
+        assert run.stderr == "" or run.stderr.startswith("numerical parameter error:")
+
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -263,7 +292,7 @@ class TestSolveCommand:
         assert rc == 2
         assert "(1/2) r^-n" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences the overflow
     def test_non_finite_free_term_exit_code_2(self, tmp_path, capsys):
         assert main(["solve", "--f", "exp(1000*x)", "--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
@@ -310,8 +339,8 @@ class TestSolveCommand:
         table.write_text("x,0,0.5,1\n0,1,0.5,0\n0.5,0.5,1,0.5\n1,0,0.5,1\n")
         spec = tmp_path / "case.prob"
         spec.write_text(f"kernel=tabulated\ncsv={table}\nf_expr=1+x\n")
-        extra = ["--methods", "lavrentiev", "--epsilons", "0,0.001"] if command == "bench" else []
-        argv = [command, "--method", "lavrentiev"] + extra
+        argv = [command] + (["--methods", "lavrentiev", "--epsilons", "0,0.001"]
+                            if command == "bench" else ["--method", "lavrentiev"])
         assert main(argv + ["--problem", "tabulated", "--csv", str(table), "--f", "1+x",
                             "--out", str(tmp_path / "flags")]) == 0
         assert main(argv + ["--problem", str(spec), "--out", str(tmp_path / "file")]) == 0
@@ -428,7 +457,7 @@ class TestBenchCommand:
         header, rows = read_csv(tmp_path / "bench.csv")
         assert rows[0][header.index("status")].startswith("excluded")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences the overflow
     @pytest.mark.parametrize("method", ["v1", "v2_single", "v2"])
     def test_non_finite_row_excluded(self, tmp_path, method):
         assert main(["bench", "--methods", method, "--epsilons", "0", "--f", "exp(1000*x)",
@@ -509,7 +538,7 @@ class TestReduceCommand:
             x = float(row[header.index("x")])
             assert float(row[iu]) == pytest.approx(1 - math.cosh(x) / math.cosh(1), abs=1e-6)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences the overflow
     def test_ode_non_finite_writes_nothing(self, tmp_path):
         assert main(["reduce", "ode", "--solve", "--f-expr", "exp(1000*x)",
                      "--out", str(tmp_path / "out")]) == 2
@@ -522,7 +551,7 @@ class TestReduceCommand:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(...) overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences the overflow
     @pytest.mark.parametrize("extra", [
         ["--u0-expr", "sin(3.141592653589793*x)*exp(4000*x*(1-x))"],
         ["--u0-expr", "sin(3.141592653589793*x)*exp(4000*x*(1-x))", "--solve"],

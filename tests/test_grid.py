@@ -590,14 +590,13 @@ class TestForwardCache:
 
     @pytest.mark.parametrize("route, change", [
         ("forward", {"kernel": _bumped_kernel}), ("forward", {"grid": _nudged_grid()}),
-        ("forward", {"lo": -0.25}), ("forward", {"hi": 1.25}),
         ("forward", {"diag_split": False}), ("forward", {"quad_order": 40}),
         ("moments", {"kernel": _bumped_kernel}), ("moments", {"grid": _nudged_grid()}),
         ("moments", {"grid": _widened_grid(-0.25, 1.0)}),
         ("moments", {"grid": _widened_grid(0.0, 1.25)}),
         ("moments", {"volterra": True}), ("moments", {"diag_split": False, "volterra": True}),
         ("moments", {"min_order": 32})],
-        ids=["kernel_value", "node_ulp", "lo", "hi", "diag_split", "order",
+        ids=["kernel_value", "node_ulp", "diag_split", "order",
              "moments_kernel_value", "moments_node_ulp", "moments_a", "moments_b",
              "moments_volterra", "moments_diag_split", "moments_order"])
     def test_no_stale_hit(self, forward_cache, monkeypatch, route, change):
@@ -654,8 +653,8 @@ class TestForwardCache:
             small = grid_module._ForwardCache(budget)
             monkeypatch.setattr(grid_module, "_forward_cache", small)
             for lo in (0.0, -0.25, -0.5):
-                self._apply(lo=lo)
+                self._apply(grid=gauss_legendre(20, lo, 1.0))
             assert len(small._entries) == kept and small._bytes <= budget
         # the least recently used entry went first
-        assert [key[2] for key in small._entries] == [
-            np.array([lo, 1.0]).tobytes() for lo in (-0.25, -0.5)]
+        assert [key[4] for key in small._entries] == [
+            gauss_legendre(20, lo, 1.0).nodes.tobytes() for lo in (-0.25, -0.5)]

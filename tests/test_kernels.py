@@ -4,7 +4,7 @@ import pytest
 from fredsolve import kernels
 from fredsolve.errors import ConfigError, ParameterExclusionError
 from fredsolve.grid import Grid1D, gauss_legendre
-from fredsolve.kernels import PoissonParams, kernel_matrix, poisson_h, validate_lambda
+from fredsolve.kernels import PoissonParams, kernel_matrix, poisson_h
 
 from oracles import composite_gauss, series_coeffs, series_kernel
 
@@ -14,11 +14,19 @@ P = PoissonParams.create(r=0.5, lam=0.2)
 FULL = Grid1D(*composite_gauss(-1.0, 1.0, 2, 128), -1.0, 1.0)
 
 
+@pytest.fixture()
+def lambda_zero(monkeypatch):
+    """Admit lambda = 0, which the exclusion check refuses."""
+    monkeypatch.setattr(kernels, "MIN_REL_DIST", 0.0)
+
+
 def h_series(p, x, xi):
     """kernel_matrix's factored h series: at lambda = 0 the H coefficients are
     r^n / (1 - 0) = r^n and its constant 1, exactly those of h."""
-    p0 = PoissonParams.create(r=p.r, lam=0.0, n_trunc=p.n_trunc, series_tol=p.series_tol)
-    return kernel_matrix("H", p0, x, xi, min_rel_dist=0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "MIN_REL_DIST", 0.0)
+        p0 = PoissonParams.create(r=p.r, lam=0.0, n_trunc=p.n_trunc, series_tol=p.series_tol)
+    return kernel_matrix("H", p0, x, xi)
 
 
 class TestPoissonParams:
@@ -100,10 +108,10 @@ class TestEigenAction:
 
 
 class TestResolventH:
-    def test_lambda_zero_matches_poisson_series(self):
+    def test_lambda_zero_matches_poisson_series(self, lambda_zero):
         p = PoissonParams.create(r=0.5, lam=0.0)
         xs = np.linspace(0, 1, 21)
-        dev = kernel_matrix("H", p, xs, [0.4], min_rel_dist=0.0) \
+        dev = kernel_matrix("H", p, xs, [0.4]) \
             - series_kernel("h", p, xs[:, None], 0.4)
         assert np.max(np.abs(dev)) <= _series_rounding_bound("h", p, xs, [0.4])
 
@@ -128,11 +136,11 @@ class TestResolventH:
 
 
 class TestKernelL:
-    def test_lambda_zero_is_poisson_at_r_squared(self):
+    def test_lambda_zero_is_poisson_at_r_squared(self, lambda_zero):
         p = PoissonParams.create(r=0.5, lam=0.0)
         p_rsq = PoissonParams.create(r=0.25, lam=0.0)
         xs = np.linspace(0, 1, 21)
-        dev = kernel_matrix("l", p, xs, [0.3], min_rel_dist=0.0) \
+        dev = kernel_matrix("l", p, xs, [0.3]) \
             - series_kernel("h", p_rsq, xs[:, None], 0.3)
         assert np.max(np.abs(dev)) < 1e-12
 
@@ -152,11 +160,11 @@ class TestKernelL:
 
 
 class TestResolventL:
-    def test_lambda_zero_matches_kernel_l(self):
+    def test_lambda_zero_matches_kernel_l(self, lambda_zero):
         p = PoissonParams.create(r=0.5, lam=0.0)
         xs = np.linspace(0, 1, 21)
-        dev = kernel_matrix("L", p, xs, [0.6], min_rel_dist=0.0) \
-            - kernel_matrix("l", p, xs, [0.6], min_rel_dist=0.0)
+        dev = kernel_matrix("L", p, xs, [0.6]) \
+            - kernel_matrix("l", p, xs, [0.6])
         assert np.max(np.abs(dev)) < 1e-12
 
     def test_constant_part(self):
@@ -195,19 +203,21 @@ def test_resolvent_identities_on_lattice(r, lam):
     assert np.max(np.abs(residual_L)) < 1e-8
 
 
-class TestValidateLambda:
+class TestLambdaExclusion:
     def test_one_half_rejected(self):
         for r in (0.3, 0.5, 0.9):
-            report = validate_lambda(PoissonParams.create(r=r, lam=0.5))
-            assert report is not None and report.family == "(1/2) r^-n" and report.n == 0
+            with pytest.raises(ParameterExclusionError) as report:
+                PoissonParams.create(r=r, lam=0.5)
+            assert report.value.family == "(1/2) r^-n" and report.value.n == 0
 
     def test_sqrt2_family_rejected(self):
-        report = validate_lambda(PoissonParams.create(r=0.5, lam=-1.0 + np.sqrt(2.0)))
-        assert report is not None and report.family == "(-1+sqrt2) r^-n"
+        with pytest.raises(ParameterExclusionError) as report:
+            PoissonParams.create(r=0.5, lam=-1.0 + np.sqrt(2.0))
+        assert report.value.family == "(-1+sqrt2) r^-n"
 
-    def test_clearance_for_default_lambda(self):
+    def test_clearance_for_default_lambda(self, monkeypatch):
+        monkeypatch.setattr(kernels, "MIN_REL_DIST", 0.05)
         p = PoissonParams.create(r=0.5, lam=0.2)
-        assert validate_lambda(p, min_rel_dist=0.05) is None
         # oracle: enumerate every excluded value and check the clearance.
         values = [0.0]
         for base in (1.0, 0.5, -1.0 + np.sqrt(2.0), -1.0 - np.sqrt(2.0)):
@@ -216,8 +226,9 @@ class TestValidateLambda:
         assert clearance >= 0.05 and abs(0.2) >= 0.05
 
     def test_zero_rejected(self):
-        report = validate_lambda(PoissonParams.create(r=0.5, lam=0.0))
-        assert report is not None and report.family == "zero"
+        with pytest.raises(ParameterExclusionError) as report:
+            PoissonParams.create(r=0.5, lam=0.0)
+        assert report.value.family == "zero"
 
 
 def test_difference_kernel_symmetry_is_exact():

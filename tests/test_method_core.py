@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredsolve import baselines, grid, method_core
+from fredsolve import baselines, fredholm2, grid, kernels, method_core
 from fredsolve.errors import (ConfigError, NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
 from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
@@ -29,6 +29,12 @@ def m1_problem():
     return make_manufactured("green_triangular", lambda x: np.sin(np.pi * np.asarray(x)))
 
 
+def lambda_zero_params(monkeypatch):
+    # lambda = 0 is admitted only once the exclusion distance is 0
+    monkeypatch.setattr(kernels, "MIN_REL_DIST", 0.0)
+    return MethodParams.create(r=R, lam=0.0, mu=MU)
+
+
 def zero_kernel_problem(f):
     return FirstKindProblem(name="zero", kernel=lambda x, xi: 0.0 * x * xi,
                             free_term=f, provenance="test")
@@ -43,22 +49,25 @@ class TestMethodParams:
 
 
 class TestSelectMu:
-    def test_zero_kernel_accepts_anything(self):
+    def test_zero_kernel_accepts_anything(self, monkeypatch):
         prob = zero_kernel_problem(np.sin)
-        assert select_mu(prob, PARAMS, [123.0]) == 123.0
+        monkeypatch.setattr(fredholm2, "DEFAULT_MU_CANDIDATES", (123.0,))
+        assert select_mu(prob, PARAMS) == 123.0
 
-    def test_triangular_accepts_small(self):
-        assert select_mu(m1_problem(), PARAMS, [0.1]) == 0.1
+    def test_triangular_accepts_small(self, monkeypatch):
+        monkeypatch.setattr(fredholm2, "DEFAULT_MU_CANDIDATES", (0.1,))
+        assert select_mu(m1_problem(), PARAMS) == 0.1
 
-    def test_characteristic_number_rejected(self):
+    def test_characteristic_number_rejected(self, monkeypatch):
         # construct the hit from the discrete spectrum of the composed matrix
         from fredsolve.method_core import _Workspace
         ws = _Workspace(PARAMS, m1_problem())
         evals = np.linalg.eigvals(ws.A_K)
         evals = evals[np.abs(evals) > 1e-8]
         mu_hit = float(1.0 / evals[np.argmax(np.abs(evals))].real)
+        monkeypatch.setattr(fredholm2, "DEFAULT_MU_CANDIDATES", (mu_hit,))
         with pytest.raises(NoValidMuError):
-            select_mu(m1_problem(), PARAMS, [mu_hit])
+            select_mu(m1_problem(), PARAMS)
 
 
 class TestWorkspace:
@@ -101,8 +110,8 @@ class TestWorkspace:
 
 
 class TestBuildK:
-    def test_lambda_zero_reduces_to_kernel(self):
-        params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
+    def test_lambda_zero_reduces_to_kernel(self, monkeypatch):
+        params0 = lambda_zero_params(monkeypatch)
         K = build_K(tri_green, params0)
         pts = np.linspace(0.05, 0.95, 7)
         for x in pts:
@@ -128,8 +137,8 @@ class TestBuildK:
 
 
 class TestStageF1:
-    def test_lambda_zero(self):
-        params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
+    def test_lambda_zero(self, monkeypatch):
+        params0 = lambda_zero_params(monkeypatch)
         F1 = _Workspace(params0).F1(MU, np.sin(GRID.nodes))
         assert np.max(np.abs(F1 + MU * np.sin(GRID.nodes))) < 1e-14
 
@@ -155,13 +164,13 @@ class TestStagePsi1:
         psi1 = psi1_of(zero_kernel_problem(lambda x: 0.0 * x), PARAMS)
         assert np.max(np.abs(psi1)) == 0.0
 
-    def test_zero_kernel_gives_F1(self):
+    def test_zero_kernel_gives_F1(self, monkeypatch):
         prob = zero_kernel_problem(np.sin)
         psi1 = psi1_of(prob, PARAMS)
         F1 = _Workspace(PARAMS).F1(MU, np.sin(GRID.nodes))
         assert np.max(np.abs(psi1 - F1)) < 1e-14
         # lambda = 0 composes to psi1 = -mu f
-        params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
+        params0 = lambda_zero_params(monkeypatch)
         psi0 = psi1_of(prob, params0)
         assert np.max(np.abs(psi0 + MU * np.sin(GRID.nodes))) < 1e-14
 
@@ -246,8 +255,8 @@ class TestMethodV2:
         assert np.max(np.abs(state.psi.values)) == 0.0
         assert state.residual_l2 == 0.0
 
-    def test_zero_kernel_stage_composition(self):
-        params0 = MethodParams.create(r=R, lam=0.0, mu=MU, min_rel_dist=0.0)
+    def test_zero_kernel_stage_composition(self, monkeypatch):
+        params0 = lambda_zero_params(monkeypatch)
         state = method_v2(zero_kernel_problem(np.sin), params0)
         assert np.max(np.abs(state.psi1.values + MU * np.sin(GRID.nodes))) < 1e-14
         for part in (state.rho, state.kappa, state.F0, state.psi0):
@@ -528,7 +537,7 @@ class TestResidualNearOne:
         psi1 = ws.solve(mu, ws.F1(mu, np.eye(n)))
         T = ws.solve(mu, ws.F0(ws.kappa(ws.rho(psi1)))) + psi1
         g64, g96 = ws.grid01, gauss_legendre(96, 0.0, 1.0)
-        B = grid._forward_matrix(tri_green, g96.nodes, 0.0, 1.0, True, g64.nodes, 96)
+        B = grid._forward_matrix(tri_green, g96.nodes, True, g64.nodes, 96)
         gain = np.linalg.norm(np.sqrt(g96.weights)[:, None] * (B @ T)
                               / np.sqrt(g64.weights)[None, :], 2)
         print(f"\n[mu={mu}] ||W^1/2 B T_mu W^-1/2||_2 = {gain:.4f}")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredsolve import reduction2d
+from fredsolve import fredholm2, kernels, reduction2d
 from fredsolve.errors import (ConfigError, NonFiniteValueError, OnSpectrumError,
                              UndefinedDeltaError)
 from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
@@ -220,11 +220,12 @@ class TestMethod2D:
         assert np.max(np.abs(result.psi.values)) < 1e-12
         assert result.report.residual_l2 < 1e-12
 
-    def test_lambda_zero_kernel_composition(self):
+    def test_lambda_zero_kernel_composition(self, monkeypatch):
         # at lam = 0 the second-kind kernels collapse to N = tau1, M = tau2,
         # T = 0, so psi1 solves the plain system psi = mu (tau1+tau2) psi - mu f
         red = reduce_membrane()
-        params0 = MethodParams.create(r=0.5, lam=0.0, mu=0.05, min_rel_dist=0.0)
+        monkeypatch.setattr(kernels, "MIN_REL_DIST", 0.0)
+        params0 = MethodParams.create(r=0.5, lam=0.0, mu=0.05)
         result = method2d_solve(red, params0, nx=10, ny=10)
         gx = result.psi.x_grid
         gy = result.psi.y_grid
@@ -374,9 +375,9 @@ class TestTensorForm:
         # dense A for the SVD gate
         seen = []
 
-        def spy(A, mu, candidates, **kwargs):
+        def spy(A, mu, **kwargs):
             seen.append(A.copy())
-            return gate_mu(A, mu, candidates, **kwargs)
+            return gate_mu(A, mu, **kwargs)
 
         gate_mu = reduction2d.gate_mu
         monkeypatch.setattr(reduction2d, "gate_mu", spy)
@@ -503,9 +504,9 @@ class TestCertifiedGate:
     def _gate_calls(monkeypatch):
         calls, gate_mu = [], reduction2d.gate_mu
 
-        def spy(A, mu, candidates, **kwargs):
+        def spy(A, mu, **kwargs):
             calls.append((A.copy(), kwargs["norm_bound"]))
-            return gate_mu(A, mu, candidates, **kwargs)
+            return gate_mu(A, mu, **kwargs)
 
         monkeypatch.setattr(reduction2d, "gate_mu", spy)
         return calls
@@ -523,8 +524,8 @@ class TestCertifiedGate:
     @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (24, 24)])
     def test_bound_covers_the_spectral_norm(self, monkeypatch, name, r, lam, nx, ny):
         bounds, certified_mu = [], reduction2d.certified_mu
-        monkeypatch.setattr(reduction2d, "certified_mu", lambda mu, cands, bound: (
-            bounds.append(bound) or certified_mu(mu, cands, bound)))
+        monkeypatch.setattr(reduction2d, "certified_mu", lambda mu, bound: (
+            bounds.append(bound) or certified_mu(mu, bound)))
         red, params = REDUCTIONS[name](), MethodParams.create(r=r, lam=lam, mu=0.05)
         method2d_solve(red, params, nx=nx, ny=ny)
         (bound,) = bounds
@@ -551,21 +552,20 @@ class TestCertifiedGate:
     @pytest.mark.parametrize("stop", range(1, len(DEFAULT_MU_CANDIDATES) + 1))
     def test_certified_and_dense_gates_pick_the_same_mu(self, monkeypatch, name, stop):
         red, params = REDUCTIONS[name](), MethodParams.create(r=0.5, lam=0.2)
-        candidates = DEFAULT_MU_CANDIDATES[:stop]
-        certified = method2d_solve(red, params, nx=9, ny=6, mu_candidates=candidates)
-        mu_svd, _ = reduction2d.gate_mu(method2d_matrix_blocks(red, params, 9, 6), None,
-                                        candidates)
+        monkeypatch.setattr(fredholm2, "DEFAULT_MU_CANDIDATES", DEFAULT_MU_CANDIDATES[:stop])
+        certified = method2d_solve(red, params, nx=9, ny=6)
+        mu_svd, _ = reduction2d.gate_mu(method2d_matrix_blocks(red, params, 9, 6), None)
         # the same request with the certificate switched off: the dense A
         # goes through the SVD gate, then the same fast solve
         seen, gate_mu = [], reduction2d.gate_mu
 
-        def svd_gate(A, mu, cands, norm_bound):
+        def svd_gate(A, mu, norm_bound):
             seen.append(A.shape)
-            return gate_mu(A, mu, cands)
+            return gate_mu(A, mu)
 
-        monkeypatch.setattr(reduction2d, "certified_mu", lambda mu, cands, bound: None)
+        monkeypatch.setattr(reduction2d, "certified_mu", lambda mu, bound: None)
         monkeypatch.setattr(reduction2d, "gate_mu", svd_gate)
-        dense = method2d_solve(red, params, nx=9, ny=6, mu_candidates=candidates)
+        dense = method2d_solve(red, params, nx=9, ny=6)
         assert seen == [(54, 54)]
         assert certified.mu == dense.mu == mu_svd
         assert np.array_equal(certified.psi.values, dense.psi.values)
