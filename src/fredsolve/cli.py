@@ -446,40 +446,39 @@ _SHARED_FLAGS = {
 def build_parser():
     """The argument parser, built once per process; parse_args keeps no state between calls.
 
-    Each subcommand accepts only the flags it reads.
+    Each subcommand accepts only the flags it reads.  Its parser comes back
+    as the parsed namespace's ``parser``, so ``main`` reports any other flag
+    under the subcommand's own usage line.
     """
     parser = _Parser(prog="fredsolve",
                      description="first-kind integral equations: "
                                  "reformulation, baselines, reductions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, *flags):
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
         for flag, spec in _SHARED_FLAGS.items():
             if flag in flags:
                 p.add_argument(flag, **spec)
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("problems", help="list registered kernels")
-    shared(p, "--csv")
+    p = command("problems", cmd_problems, "list registered kernels", "--csv")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_problems)
 
-    p = sub.add_parser("forward", help="evaluate the direct problem f = A psi")
-    shared(p, "--problem", "--r", "--grid", "--out", "--psi", "--f", "--csv")
-    p.set_defaults(func=cmd_forward)
+    command("forward", cmd_forward, "evaluate the direct problem f = A psi",
+            "--problem", "--r", "--grid", "--out", "--psi", "--f", "--csv")
 
-    p = sub.add_parser("solve", help="run one method and verify the output")
-    shared(p, *_SHARED_FLAGS)
-    p.set_defaults(func=cmd_solve)
+    command("solve", cmd_solve, "run one method and verify the output", *_SHARED_FLAGS)
 
-    p = sub.add_parser("bench", help="noise sweep across methods")
-    shared(p, *(flag for flag in _SHARED_FLAGS if flag != "--method"))
+    p = command("bench", cmd_bench, "noise sweep across methods",
+                *(flag for flag in _SHARED_FLAGS if flag != "--method"))
     p.add_argument("--methods", default="lavrentiev,v2")
     p.add_argument("--epsilons", default="0,0.0001,0.001,0.01")
     p.add_argument("--omegas", default=f"{math.pi:.17g}")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("reduce", help="reduce a boundary problem; optionally solve")
-    shared(p, "--r", "--lambda", "--mu", "--grid", "--out", "--threshold")
+    p = command("reduce", cmd_reduce, "reduce a boundary problem; optionally solve",
+                "--r", "--lambda", "--mu", "--grid", "--out", "--threshold")
     p.add_argument("bvp", choices=("ode", "membrane", "heat"))
     p.add_argument("--solve", action="store_true")
     p.add_argument("--verify", action="store_true")
@@ -487,14 +486,15 @@ def build_parser():
     p.add_argument("--f-expr", dest="f_expr", default="-1")
     p.add_argument("--u0-expr", dest="u0_expr", default="sin(3.141592653589793*x)")
     p.add_argument("--grid2d", type=int, default=24)
-    p.set_defaults(func=cmd_reduce)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         # overflow and invalid values reach the finite checks, which report them
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -32,6 +32,7 @@ ON_SPECTRUM_RTOL = 1e-10
 # second check
 _MU_PROBE_RTOL = 1e-6
 
+# the first has the least |mu| (``certified_mu`` rests on it)
 DEFAULT_MU_CANDIDATES = (0.05, 0.1, 0.2, -0.1, 0.5)
 
 # rounded operations behind one term of the symmetrized matrix (see
@@ -47,64 +48,55 @@ class SpectrumEstimate:
     eigenfunctions: list = field(default_factory=list)
 
 
-def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL,
-                 norm_bound: float | None = None) -> np.ndarray:
-    """The matrix I - mu A, checked by one values-only SVD or a norm bound.
+def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL) -> np.ndarray:
+    """The matrix I - mu A, checked by one values-only SVD.
 
     Raises OnSpectrumError when its smallest singular value is at most rtol
     times its largest.
-
-    ``norm_bound`` is an optional upper bound b >= ||A||_2.  When
-    q = |mu| b <= 1/2 the matrix is accepted without the SVD: by Weyl's
-    inequality for singular values, sigma_min(I - mu A) >= 1 - q >= 1/2 and
-    sigma_max(I - mu A) <= 1 + q <= 3/2, so their ratio is at least 1/3.
-    That is far above both thresholds used here (_MU_PROBE_RTOL = 1e-6,
-    ON_SPECTRUM_RTOL = 1e-10), and the gap absorbs the rounding of the
-    assembled entries and of b.  Such a matrix is provably nonsingular
-    (q < 1), so the shortcut never accepts what the SVD would reject.
     """
     M = np.eye(A.shape[0]) - mu * A
-    if _certified(mu, norm_bound):
-        return M
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[-1] <= rtol * svals[0]:
         raise OnSpectrumError(mu, float(svals[-1]))
     return M
 
 
-def gate_mu(A: np.ndarray, mu: float | None = None,
-            norm_bound: float | None = None) -> tuple[float, np.ndarray]:
+def gate_mu(A: np.ndarray, mu: float | None = None) -> tuple[float, np.ndarray]:
     """mu and its I - mu A, checked once by ``gated_system``.
 
     A given mu is gated at ON_SPECTRUM_RTOL.  Without one, the first of
     DEFAULT_MU_CANDIDATES whose matrix clears the wider _MU_PROBE_RTOL
-    margin is taken; NoValidMuError when none does.  ``norm_bound`` (an
-    upper bound on ||A||_2) is passed to every check.
+    margin is taken; NoValidMuError when none does.
     """
     if mu is not None:
-        return mu, gated_system(A, mu, norm_bound=norm_bound)
+        return mu, gated_system(A, mu)
     for mu in DEFAULT_MU_CANDIDATES:
         try:
-            return float(mu), gated_system(A, mu, _MU_PROBE_RTOL, norm_bound)
+            return float(mu), gated_system(A, mu, _MU_PROBE_RTOL)
         except OnSpectrumError:
             pass
     raise NoValidMuError(DEFAULT_MU_CANDIDATES)
 
 
-def certified_mu(mu: float | None = None, norm_bound: float | None = None) -> float | None:
-    """The mu that ``gate_mu`` accepts on the certificate alone, or None.
+def certified_mu(mu: float | None, norm_bound: float | None) -> float | None:
+    """The given mu, or else the first candidate, when a norm bound certifies it.
 
-    That is the given mu, or else the first candidate, when
-    |mu| * norm_bound <= 1/2 (see ``gated_system``).  ``gate_mu`` then returns
-    it without reading A, so a caller that can solve without the dense
-    I - mu A need not build A at all.  Otherwise the caller runs ``gate_mu``.
+    ``norm_bound`` is an upper bound b >= ||A||_2, or None for no bound.  When
+    q = |mu| b <= 1/2, I - mu A needs no SVD: by Weyl's inequality for
+    singular values, sigma_min(I - mu A) >= 1 - q >= 1/2 and
+    sigma_max(I - mu A) <= 1 + q <= 3/2, so their ratio is at least 1/3.
+    That is far above both thresholds of ``gated_system`` (_MU_PROBE_RTOL =
+    1e-6, ON_SPECTRUM_RTOL = 1e-10), and the gap absorbs the rounding of the
+    assembled entries and of b.  Such a matrix is provably nonsingular
+    (q < 1), so the certificate never accepts what the SVD would reject.  A
+    caller that can solve without the dense I - mu A then need not build A.
+
+    Otherwise this returns None and the caller runs ``gate_mu``.  The first
+    of DEFAULT_MU_CANDIDATES has the least |mu| among them, so when it is
+    refused no later candidate could be certified either.
     """
     first = mu if mu is not None else float(DEFAULT_MU_CANDIDATES[0])
-    return first if _certified(first, norm_bound) else None
-
-
-def _certified(mu: float, norm_bound: float | None) -> bool:
-    return norm_bound is not None and abs(mu) * norm_bound <= 0.5
+    return first if norm_bound is not None and abs(first) * norm_bound <= 0.5 else None
 
 
 def solve_direct(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -99,10 +99,6 @@ class GridFunction:
         if values.shape != self.grid.nodes.shape:
             raise ConfigError("value count does not match node count")
 
-    @classmethod
-    def sample(cls, fn, grid: Grid1D) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
     def l2_norm(self) -> float:
         return self.grid.l2_norm(self.values)
 

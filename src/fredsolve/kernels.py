@@ -59,7 +59,7 @@ def _default_n_trunc(r: float, series_tol: float) -> int:
 
 @dataclass(frozen=True)
 class PoissonParams:
-    """Parameters r, lambda of the reformulation; Lambda is pinned to lambda^2.
+    """Parameters r, lambda of the reformulation; Lambda is lambda^2.
 
     ``n_trunc`` truncates every cosine series so the geometric tail
     2 r^(n_trunc+1)/(1-r) stays below ``series_tol``.  lambda keeps
@@ -69,15 +69,12 @@ class PoissonParams:
 
     r: float
     lam: float
-    Lambda: float
     n_trunc: int
     series_tol: float
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"r must lie in (0, 1), got {self.r}")
-        if self.Lambda != self.lam * self.lam:
-            raise ConfigError("Lambda must equal lambda^2 exactly")
         if self.n_trunc < 1:
             raise ConfigError("n_trunc must be >= 1")
         tail = 2.0 * self.r ** (self.n_trunc + 1) / (1.0 - self.r)
@@ -95,8 +92,12 @@ class PoissonParams:
             raise ConfigError(f"r must lie in (0, 1), got {r}")
         if n_trunc is None:
             n_trunc = _default_n_trunc(r, series_tol)
-        return cls(r=float(r), lam=float(lam), Lambda=float(lam) * float(lam),
-                   n_trunc=int(n_trunc), series_tol=float(series_tol))
+        return cls(r=float(r), lam=float(lam), n_trunc=int(n_trunc),
+                   series_tol=float(series_tol))
+
+    @property
+    def Lambda(self) -> float:
+        return self.lam * self.lam
 
 
 # family name -> base value at n = 0; members are base * r^(-n)

@@ -45,11 +45,14 @@ __all__ = [
     "verify_solution",
 ]
 
+# Gauss nodes of every 1D verification, independent of the solver's grid
+VERIFY_ORDER = 96
+
 
 @dataclass(frozen=True)
 class MethodParams:
     """Reformulation parameters: Poisson pair (r, lambda), mu, and the grid size
-    n_out, which is also method_v1's quadrature order and method_v2's verifier floor."""
+    n_out, which is also method_v1's quadrature order."""
 
     poisson: PoissonParams
     mu: float | None = None
@@ -77,7 +80,6 @@ class PipelineState:
     residual_l2: float
     relative_residual: float
     mu: float
-    reconstruction_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,18 +97,21 @@ class _Workspace:
 
     Each block is built when a stage first needs it (H_w and A_K are kept,
     the others serve one stage), so a request pays only for the stages it
-    runs.  I - mu A_K is gated once per mu and kept for every solve with that
-    mu.  The stages act along axis 0 (the grid), so values with trailing
-    axes, such as the 2D route's (nx, ny) arrays, pass through unchanged.
+    runs.  ``gate`` checks I - mu A_K once and keeps it for every solve.
+    The grids have ``n`` Gauss nodes on [0, 1] and on [-1, 0] (params.n_out
+    by default).  The stages act along axis 0 (the grid), so values with
+    trailing axes, such as the 2D route's (nx, ny) arrays, pass through
+    unchanged.
     """
 
     def __init__(self, params: MethodParams, problem: FirstKindProblem | None = None,
-                 grid01: Grid1D | None = None, gridm: Grid1D | None = None):
+                 n: int | None = None):
         self.params = params
         self.problem = problem
-        self.grid01 = grid01 if grid01 is not None else gauss_legendre(params.n_out, 0.0, 1.0)
-        self.gridm = gridm if gridm is not None else gauss_legendre(params.n_out, -1.0, 0.0)
-        self.mu = self.M = None
+        n = params.n_out if n is None else n
+        self.grid01 = gauss_legendre(n, 0.0, 1.0)
+        self.gridm = gauss_legendre(n, -1.0, 0.0)
+        self.M = None
 
     def _block(self, kind: str, out_grid: Grid1D, in_grid: Grid1D) -> np.ndarray:
         return (kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes)
@@ -128,16 +133,14 @@ class _Workspace:
 
     def gate(self, mu: float | None = None) -> float:
         """Gate I - mu A_K for a given mu, or probe the candidates when mu is None."""
-        self.mu, self.M = gate_mu(self.A_K, mu)
-        return self.mu
+        mu, self.M = gate_mu(self.A_K, mu)
+        return mu
 
     def f_values(self) -> np.ndarray:
         return np.asarray(self.problem.free_term(self.grid01.nodes), dtype=float)
 
-    def solve(self, mu: float, rhs: np.ndarray) -> np.ndarray:
-        """psi with (I - mu A_K) psi = rhs, for rhs of shape (n,) or (n, k)."""
-        if mu != self.mu:
-            self.gate(mu)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """psi with (I - mu A_K) psi = rhs for the gated mu; rhs is (n,) or (n, k)."""
         return solve_direct(self.M, rhs)
 
     def F1(self, mu: float, f: np.ndarray) -> np.ndarray:
@@ -168,42 +171,34 @@ def method_v2(problem: FirstKindProblem, params: MethodParams) -> PipelineState:
     ws = _Workspace(params, problem)
     mu = ws.gate(params.mu)
     F1 = ws.F1(mu, ws.f_values())
-    psi1 = ws.solve(mu, F1)
+    psi1 = ws.solve(F1)
     rho = ws.rho(psi1)
     kappa = ws.kappa(rho)
     F0 = ws.F0(kappa)
-    psi0 = ws.solve(mu, F0)
+    psi0 = ws.solve(F0)
     g, gm = ws.grid01, ws.gridm
     psi = GridFunction(g, psi0 + psi1)
-    report = verify_solution(problem, psi, quad_order=max(96, params.n_out))
-    recon = None
-    if problem.psi_star is not None:
-        recon = g.l2_norm(psi.values - np.asarray(problem.psi_star(g.nodes), dtype=float))
+    report = verify_solution(problem, psi)
     return PipelineState(psi1=GridFunction(g, psi1), rho=GridFunction(gm, rho),
                          kappa=GridFunction(gm, kappa), F0=GridFunction(g, F0),
                          F1=GridFunction(g, F1), psi0=GridFunction(g, psi0), psi=psi,
                          residual_l2=report.residual_l2,
-                         relative_residual=report.relative,
-                         mu=mu, reconstruction_error=recon)
+                         relative_residual=report.relative, mu=mu)
 
 
-def method_v2_single(problem: FirstKindProblem, params: MethodParams,
-                     psi1: GridFunction | None = None) -> tuple[GridFunction, float | None]:
+def method_v2_single(problem: FirstKindProblem,
+                     params: MethodParams) -> tuple[GridFunction, float]:
     """Single-solve route: after psi1, only integrations remain.
 
     psi = f' + Lambda int_0^1 L f' with f'(x) = -Lambda int_0^1 l(x, xi)
-    psi1(xi) d xi; algebraically this reproduces the grid route's F0.
-    Without psi1 it solves for psi1, probing mu on the same workspace when
-    params.mu is None.  Returns psi and the mu used (params.mu when psi1 is
-    given).
+    psi1(xi) d xi; algebraically this reproduces the grid route's F0.  psi1
+    is solved for as in ``method_v2``, probing mu on the same workspace when
+    params.mu is None.  Returns psi and the mu used.
     """
-    if psi1 is not None:
-        ws, mu = _Workspace(params, grid01=psi1.grid), params.mu
-    else:
-        ws = _Workspace(params, problem)
-        mu = ws.gate(params.mu)
-        psi1 = GridFunction(ws.grid01, ws.solve(mu, ws.F1(mu, ws.f_values())))
-    return GridFunction(ws.grid01, ws.single(psi1.values)), mu
+    ws = _Workspace(params, problem)
+    mu = ws.gate(params.mu)
+    psi1 = ws.solve(ws.F1(mu, ws.f_values()))
+    return GridFunction(ws.grid01, ws.single(psi1)), mu
 
 
 def _fourier_route(problem: FirstKindProblem, params: MethodParams,
@@ -253,18 +248,17 @@ def method_v1(problem: FirstKindProblem, params: MethodParams,
     return GridFunction(g, 0.5 * t[0] + T[:, 1:N + 1] @ t[1:N + 1] + T[:, N + 1:] @ t[N + 1:])
 
 
-def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05,
-                    quad_order: int = 96) -> ResidualReport:
+def verify_solution(problem: FirstKindProblem, psi, threshold: float = 0.05) -> ResidualReport:
     """Substitute psi into the first-kind equation and threshold the residual.
 
-    The residual is taken at ``quad_order`` Gauss nodes.  A grid psi is
-    mapped by apply_operator's forward matrix, whose rule has at least as
-    many points per half as psi has nodes; verifications with the same
-    kernel and grids reuse that matrix.
+    The residual is taken at VERIFY_ORDER Gauss nodes, whatever grid psi
+    lives on.  A grid psi is mapped by apply_operator's forward matrix, whose
+    rule has at least as many points per half as psi has nodes;
+    verifications with the same kernel and grids reuse that matrix.
     """
-    grid = gauss_legendre(quad_order, 0.0, 1.0)
+    grid = gauss_legendre(VERIFY_ORDER, 0.0, 1.0)
     forward = apply_operator(problem.kernel, grid.nodes, psi,
-                             diag_split=problem.diag_split, quad_order=quad_order)
+                             diag_split=problem.diag_split, quad_order=VERIFY_ORDER)
     fv = np.asarray(problem.free_term(grid.nodes), dtype=float)
     return _verdict(grid.l2_norm(forward - fv), grid.l2_norm(fv), threshold)
 

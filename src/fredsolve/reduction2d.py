@@ -340,8 +340,8 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     V has kappa_2(V) <= sqrt(w_max / w_min).  The gate is unchanged: a bound on
     ||A||_2 from the Kronecker factors (``_kronecker_norm_bound``) certifies
     I - mu A when |mu| times it is at most 1/2, and the given mu or the first
-    candidate certified that way needs no dense A at all.  Otherwise the
-    dense A is built once and ``gate_mu`` checks it as before; the solves
+    candidate certified that way (``certified_mu``) needs no dense A at all.
+    Otherwise the dense A is built once and ``gate_mu`` checks it; the solves
     still take the fast path.  A varying tau stack, or a C whose weighted
     asymmetry exceeds rounding, takes the dense route: two LU solves of
     I - mu A.
@@ -355,7 +355,7 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
         raise ConfigError(f"{nx}x{ny} needs more than {MAX_2D_UNKNOWNS ** 2} floats per array")
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
-    ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+    ws = _Workspace(params, n=nx)
     T1 = _tau_stack(reduction, "x", gx, gy.nodes)
     T2 = _tau_stack(reduction, "y", gy, gx.nodes)
     constant = T1.strides[0] == 0 and T2.strides[0] == 0
@@ -379,7 +379,7 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     bound = _kronecker_norm_bound(N, lamH, T2[0]) if constant else None
     mu, gated = certified_mu(params.mu, bound), None
     if mu is None:
-        mu, gated = gate_mu(dense_A(), params.mu, norm_bound=bound)
+        mu, gated = gate_mu(dense_A(), params.mu)
     solve = _fast_solver(np.eye(nx) + lamH, T1[0], T2[0], mu, gx.weights) if constant else None
     if solve is None:
         gated = np.eye(nx * ny) - mu * dense_A() if gated is None else gated

@@ -231,7 +231,7 @@ def method2d_matrix_blocks(reduction, params, nx, ny):
     """The 2D Nystrom matrix, added block by block into the flat (nx ny)^2 array."""
     gx = gauss_legendre(nx, 0.0, 1.0)
     gy = gauss_legendre(ny, 0.0, 1.0)
-    ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+    ws = _Workspace(params, n=nx)
     tau2_rows = tau_blocks(reduction, "y", gy, gx.nodes)
     A = np.zeros((nx * ny, nx * ny))
     for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes)):

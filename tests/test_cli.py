@@ -211,7 +211,10 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert main(argv + ([] if argv[0] == "problems" else ["--out", str(out)])) == 1
         captured = capsys.readouterr()
-        assert f"error: fredsolve: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
+        # the usage and error lines are the subcommand's own
+        command = f"fredsolve {argv[0]}"
+        assert captured.err.startswith(f"usage: {command} ")
+        assert f"error: {command}: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv, code, lines", [

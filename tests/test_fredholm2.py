@@ -75,6 +75,10 @@ class TestGateMu:
     def test_default_candidates(self):
         assert gate_mu(np.zeros((2, 2)))[0] == DEFAULT_MU_CANDIDATES[0]
 
+    def test_first_candidate_has_the_least_modulus(self):
+        # certified_mu tries only the first candidate: no later one could pass
+        assert abs(DEFAULT_MU_CANDIDATES[0]) < min(abs(mu) for mu in DEFAULT_MU_CANDIDATES[1:])
+
     def test_gated_matrix_is_solved_without_a_second_check(self, monkeypatch):
         _, M = gate_mu(operator_matrix(tri_green, GRID, diag_split=True), 0.5)
         monkeypatch.setattr(np.linalg, "svd", None)

@@ -35,8 +35,7 @@ class TestPoissonParams:
         assert 2.0 * 0.7 ** (p.n_trunc + 1) / 0.3 <= 1e-12
 
     def test_lambda_square_pinned(self):
-        with pytest.raises(ConfigError):
-            PoissonParams(r=0.5, lam=0.2, Lambda=0.05, n_trunc=50, series_tol=1e-12)
+        assert PoissonParams.create(lam=0.2).Lambda == 0.2 * 0.2
 
     def test_r_range(self):
         with pytest.raises(ConfigError):

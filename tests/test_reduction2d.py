@@ -408,7 +408,7 @@ def _kronecker_factors(red, params, nx, ny):
     gx, gy = gauss_legendre(nx, 0.0, 1.0), gauss_legendre(ny, 0.0, 1.0)
     T1 = operator_matrix(lambda x, xi: red.tau1(x, 0.37, xi), gx, diag_split=True)
     M = operator_matrix(lambda y, eta: red.tau2(0.37, y, eta), gy, diag_split=True)
-    ws = _Workspace(params, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+    ws = _Workspace(params, n=nx)
     return T1, M, np.eye(nx) + params.poisson.lam * ws.H_w
 
 
@@ -462,7 +462,7 @@ class TestFastDiagonalization:
         result = method2d_solve(red, PARAMS, nx=nx, ny=ny)
         mu, gx, gy = result.mu, result.psi.x_grid, result.psi.y_grid
         T1, M, P = _kronecker_factors(red, PARAMS, nx, ny)
-        ws = _Workspace(PARAMS, grid01=gx, gridm=gauss_legendre(nx, -1.0, 0.0))
+        ws = _Workspace(PARAMS, n=nx)
         F = np.asarray(red.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
         B1 = ws.F1(mu, F)
         B0 = ws.F0(ws.kappa(ws.rho(result.psi1.values)))
@@ -485,7 +485,7 @@ class TestFastDiagonalization:
         assert reduction2d._fast_solver(P, T1, M, PARAMS.mu, w) is None
         result = method2d_solve(red, PARAMS, nx=9, ny=6)
         gx, gy = result.psi.x_grid, result.psi.y_grid
-        ws = _Workspace(PARAMS, grid01=gx, gridm=gauss_legendre(9, -1.0, 0.0))
+        ws = _Workspace(PARAMS, n=9)
         F = np.asarray(red.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
         system = np.eye(54) - PARAMS.mu * method2d_matrix_blocks(red, PARAMS, 9, 6)
         psi1 = np.linalg.solve(system, ws.F1(PARAMS.mu, F).reshape(-1)).reshape(9, 6)
@@ -499,17 +499,6 @@ class TestFastDiagonalization:
 
 class TestCertifiedGate:
     """Constant tau stacks certify I - mu A from a Kronecker bound on ||A||_2."""
-
-    @staticmethod
-    def _gate_calls(monkeypatch):
-        calls, gate_mu = [], reduction2d.gate_mu
-
-        def spy(A, mu, **kwargs):
-            calls.append((A.copy(), kwargs["norm_bound"]))
-            return gate_mu(A, mu, **kwargs)
-
-        monkeypatch.setattr(reduction2d, "gate_mu", spy)
-        return calls
 
     @staticmethod
     def _dense_svds(monkeypatch):
@@ -559,7 +548,7 @@ class TestCertifiedGate:
         # goes through the SVD gate, then the same fast solve
         seen, gate_mu = [], reduction2d.gate_mu
 
-        def svd_gate(A, mu, norm_bound):
+        def svd_gate(A, mu):
             seen.append(A.shape)
             return gate_mu(A, mu)
 
