@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, require_finite
-from .grid import GridFunction, apply_operator, gauss_legendre
+from .grid import GridFunction, _PureKernel, apply_operator, gauss_legendre
 
 __all__ = [
     "FirstKindProblem",
@@ -83,11 +83,11 @@ def _registry():
     return {
         "green_triangular": {
             "provenance": "string-influence kernel; eigenpairs sqrt(2) sin(n pi x), (n pi)^2",
-            "make": lambda r=None: (green_triangular, True),
+            "make": lambda r=None: (_PureKernel(green_triangular), True),
         },
         "constant": {
             "provenance": "k = 1; rank-one smoothing",
-            "make": lambda r=None: (_constant_kernel, False),
+            "make": lambda r=None: (_PureKernel(_constant_kernel), False),
         },
         "poisson_r": {
             "provenance": "periodic Poisson kernel restricted to [0,1]^2 (needs r)",
@@ -96,16 +96,16 @@ def _registry():
     }
 
 
+def _poisson(x, xi, r):
+    u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
+    return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(2.0 * np.pi * u) + r * r)
+
+
 def _poisson_restricted(r):
     require_finite(r=r)
     if not 0.0 < r < 1.0:
         raise ConfigError(f"poisson_r needs 0 < r < 1, got {r}")
-
-    def kern(x, xi):
-        u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
-        return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(2.0 * np.pi * u) + r * r)
-
-    return kern
+    return _PureKernel(_poisson, (float(r),))
 
 
 def registered_kernels(extra_tabulated: dict | None = None) -> dict:
@@ -118,7 +118,13 @@ def registered_kernels(extra_tabulated: dict | None = None) -> dict:
 
 
 def get_kernel(name: str, r: float | None = None, csv_path: str | None = None):
-    """Look up a registered kernel; returns (callable, diag_split flag)."""
+    """Look up a registered kernel; returns (callable, diag_split flag).
+
+    green_triangular, constant and poisson_r come as values (grid's
+    ``_PureKernel``: equal for equal name and r), so the matrix cache keys
+    them on the kernel itself and a warm request does not evaluate them.  A
+    tabulated kernel is a new closure per load, keyed by its values.
+    """
     if name == "tabulated":
         if not csv_path:
             raise ConfigError("tabulated kernel needs a csv path")

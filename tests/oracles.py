@@ -7,6 +7,7 @@ eigen-expansions, and separation-of-variables series.
 
 import numpy as np
 
+from fredsolve.expr import _BINARY, _FUNCS, _Parser
 from fredsolve.grid import MIN_PRODUCT_ORDER, gauss_legendre, interp_matrix, operator_matrix
 from fredsolve.kernels import kernel_matrix
 from fredsolve.method_core import _Workspace
@@ -326,3 +327,23 @@ def textbook_trajectory(method, problem, grid, param, psi0, k):
     for _ in range(k):
         out.append(update(out[-1]))
     return out
+
+
+def reference_expr(text):
+    """compile_expr's evaluator before literal folding, on the same parse tree:
+    every literal an array of x's shape, every operation on arrays."""
+
+    def evaluate(node, x):
+        kind = node[0]
+        if kind == "num":
+            return node[1] + 0.0 * np.asarray(x, dtype=float)
+        if kind == "x":
+            return np.asarray(x, dtype=float)
+        if kind == "neg":
+            return -evaluate(node[1], x)
+        if kind == "call":
+            return _FUNCS[node[1]](evaluate(node[2], x))
+        return _BINARY[kind](evaluate(node[1], x), evaluate(node[2], x))
+
+    tree = _Parser(text).parse()
+    return lambda x: evaluate(tree, x)

@@ -115,19 +115,43 @@ class TestWarmMatrixCache:
         ["solve", "--method", "v2", "--grid", "128"],
         ["bench", "--methods", "lavrentiev,quasisolution,v2", "--grid", "64"],
         ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"],
-        ["solve", "--method", "v1", "--grid", "64"]],
-        ids=["solve", "bench", "reduce", "solve-v1"])
+        ["solve", "--method", "v1", "--grid", "64"],
+        *(["solve", "--method", m, "--grid", "64"] for m in (
+            "tikhonov", "fridman", "krasnoselskii", "implicit", "steepest", "v2_single")),
+        ["solve", "--problem", "poisson_r", "--method", "v1"],
+        ["forward", "--grid", "64"]],
+        ids=["solve", "bench", "reduce", "solve-v1", "tikhonov", "fridman", "krasnoselskii",
+             "implicit", "steepest", "v2_single", "poisson_r-v1", "forward"])
     def test_warm_run_writes_the_cold_bytes(self, tmp_path, argv, sweeps):
+        # every entry kind is met warm: matrices, moment sweeps, forward
+        # matrices and free-term rules.  forward assembles nothing, and
+        # poisson_r's assembly is the plain Nystrom rule, so neither sweeps
         assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
-        assert sweeps and grid._forward_cache._entries
+        assert grid._forward_cache._entries
+        assert bool(sweeps) == (argv[0] != "forward" and "poisson_r" not in argv)
         cold_sweeps = len(sweeps)
         assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
         assert len(sweeps) == cold_sweeps
         assert_same_files(tmp_path / "cold", tmp_path / "warm")
 
+    @pytest.mark.parametrize("method", ["v2", "lavrentiev", "quasisolution"])
+    def test_a_warm_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps, method):
+        # a registered kernel keys its matrices and free-term rules on itself:
+        # an identical warm request evaluates no product rule and sweeps nothing
+        rules = []
+        row_rule = grid._row_rule
+        monkeypatch.setattr(grid, "_row_rule", lambda *args: rules.append(args) or row_rule(*args))
+        argv = ["solve", "--method", method, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert rules and sweeps
+        rules.clear()
+        sweeps.clear()
+        assert main(argv) == 0
+        assert rules == [] and sweeps == []
+
     def test_cold_v1_request_sweeps_once(self, tmp_path, sweeps):
         # select_mu's workspace assembles the kernel on kernel_fourier_coeffs's
-        # grid, so the moments reuse its sweep
+        # grid, so the second assembly reuses the first's stored matrix
         assert main(["solve", "--method", "v1", "--grid", "64",
                      "--out", str(tmp_path / "out")]) == 0
         assert sweeps == [64]

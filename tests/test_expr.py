@@ -3,6 +3,32 @@ import pytest
 
 from fredsolve.errors import ExprParseError
 from fredsolve.expr import compile_expr
+from oracles import reference_expr
+
+# a benchmark-style psi*: three literals in each term
+SINE_SUM = ("0.012345678901*sin(1*3.141592653589793*x)"
+            "-0.234567890123*sin(3*3.141592653589793*x)+0.5*sin(4*3.141592653589793*x)")
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("text", [
+    SINE_SUM, "-1", "x*(1-x)", "exp(1000*x)", "2*3-4/5*x", "sin(2)*x", "-(x-2)*-3", "1/0*x"])
+def test_folded_literals_give_the_reference_bits(text):
+    x = np.linspace(-1.0, 1.0, 257)
+    with np.errstate(all="ignore"):
+        assert same_bits(compile_expr(text)(x), reference_expr(text)(x))
+
+
+@pytest.mark.parametrize("text", ["-1", "2*3", "sin(2)"])
+@pytest.mark.parametrize("x", [0.5, np.float64(0.25), np.zeros((3, 2))], ids=["float", "np", "2d"])
+def test_a_constant_keeps_the_shape_of_x(text, x):
+    got = compile_expr(text)(x)
+    assert np.shape(got) == np.shape(x)
+    assert same_bits(got, reference_expr(text)(x))
 
 
 def test_constant():

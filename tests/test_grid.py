@@ -628,6 +628,45 @@ class TestForwardCache:
                 assert np.array_equal(self._assemble(kernel), want)
         assert len(sweeps) == 2
 
+    def test_a_closure_whose_values_change_gets_a_new_matrix(self, forward_cache, monkeypatch):
+        # an anonymous kernel is keyed by its values, evaluated on every call
+        scale = [1.0]
+
+        def kernel(x, xi):
+            return scale[0] * tri_green(x, xi)
+
+        before = (self._assemble(kernel), self._apply(kernel))
+        scale[0] = 2.0
+        after = (self._assemble(kernel), self._apply(kernel))
+        monkeypatch.setattr(grid_module, "_forward_cache",
+                            grid_module._ForwardCache(grid_module._FORWARD_CACHE_BYTES))
+        fresh = (self._assemble(kernel), self._apply(kernel))
+        for old, new, want in zip(before, after, fresh):
+            assert np.array_equal(new, want) and not np.array_equal(new, old)
+
+    def test_two_poisson_radii_never_share_an_entry(self, forward_cache, monkeypatch):
+        # a registered kernel is a value: a new lookup of one radius hits that
+        # radius's A, B and free-term rule without evaluating the kernel
+        cache, _, _ = forward_cache
+        rules = []
+        row_rule = grid_module._row_rule
+        monkeypatch.setattr(grid_module, "_row_rule",
+                            lambda *args: rules.append(args[0]) or row_rule(*args))
+
+        def calls(kernel):
+            return (self._assemble(kernel), self._apply(kernel),
+                    apply_operator(kernel, self.X, TestApplyOperator.psi, quad_order=16))
+
+        cold = {r: calls(get_kernel("poisson_r", r=r)[0]) for r in (0.5, 0.9)}
+        assert len(cache._entries) == len(rules) == 6
+        assert {key[-1] for key in cache._entries} == {get_kernel("poisson_r", r=r)[0]
+                                                      for r in (0.5, 0.9)}
+        for r in (0.9, 0.5):
+            for warm, want in zip(calls(get_kernel("poisson_r", r=r)[0]), cold[r]):
+                assert np.array_equal(warm, want)
+        assert len(rules) == 6
+        assert not any(np.array_equal(a, b) for a, b in zip(cold[0.5], cold[0.9]))
+
     def test_writing_into_the_matrix_leaves_the_next_call(self, forward_cache):
         cold = self._assemble()
         want = cold.copy()
