@@ -384,9 +384,9 @@ def cmd_reduce(args):
                         "relative_residual": result.report.relative})
         if args.verify:
             summary["solvable"] = result.report.solvable
-        # the solver's tau stacks serve the reconstructions; verification assembled its own
-        u1 = reduction2d.reconstruct_u(red, result.psi, "x", stack=result.T1)
-        u2 = reduction2d.reconstruct_u(red, result.psi, "y", stack=result.T2)
+        # the solve's tau stacks, which its verification also used, serve the reconstructions
+        u1 = reduction2d.reconstruct_u(red, result.psi, "x", result.T1)
+        u2 = reduction2d.reconstruct_u(red, result.psi, "y", result.T2)
         try:
             summary["closure_delta"] = reduction2d.closure_delta(u1, u2)
         except FredsolveError:

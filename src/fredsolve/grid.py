@@ -15,7 +15,6 @@ Nystrom matrix A, so the Fourier route shares the one assembly.
 from __future__ import annotations
 
 import mmap
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,9 +38,9 @@ __all__ = [
 MIN_PRODUCT_ORDER = 24
 
 # bytes kept in the one matrix cache (``_ForwardCache``): apply_operator's
-# forward matrices and free-term rules, and operator_matrix's matrices or
-# Legendre moments; an entry keyed by kernel values also holds them.  The
-# entry sizes of the solve_1d benchmark mix are in the README
+# forward matrices and free-term rules, and operator_matrix's matrices, each
+# of a kernel that is a value (``_PureKernel``).  The entry sizes of the
+# solve_1d benchmark mix are in the README
 _FORWARD_CACHE_BYTES = 4 << 20
 
 
@@ -90,11 +89,12 @@ class _PureKernel:
     """k(x, xi) = formula(x, xi, *params), a kernel that is a value.
 
     ``formula`` is a module-level function whose values depend on its
-    arguments alone and ``params`` a tuple of numbers, so equal instances
-    give equal kernel values at equal points.  The matrix store
+    arguments alone and ``params`` a tuple of numbers or bytes, so equal
+    instances give equal kernel values at equal points.  The matrix store
     (``_ForwardCache``) keys a _PureKernel's entries on the kernel itself
-    and does not evaluate it on a hit.  problems' registered kernels are
-    built so; every other callable is keyed by its kernel values.
+    and does not evaluate it on a hit.  problems' registered and tabulated
+    kernels are built so; every other callable is assembled on each call
+    and leaves nothing in the store.
     """
 
     formula: object
@@ -102,12 +102,6 @@ class _PureKernel:
 
     def __call__(self, x, xi):
         return self.formula(x, xi, *self.params)
-
-
-def _keyed_on_itself(kernel) -> bool:
-    # the one predicate that picks a matrix-store key: the kernel itself for
-    # a _PureKernel, the kernel values times weights kw for any other callable
-    return isinstance(kernel, _PureKernel)
 
 
 @dataclass(frozen=True)
@@ -266,14 +260,12 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     raises NonFiniteValueError.  Kernel values (B, n, P) on the (n, P) points
     give a (B, n, n) stack, one matrix per leading index, from one moment sweep.
 
-    ``_ForwardCache`` keeps a product-integrated assembly read-only under
-    the nodes' bytes, a and b, both flags and the rule order, plus the
-    kernel's part of the key (``_keyed_on_itself``).  A registered kernel
-    (a ``_PureKernel``) keys A itself, so a repeated assembly evaluates
-    nothing and copies A.  Any other callable is evaluated on every call
-    and keys the moment sweep G by its exact kernel values times weights, so
-    a repeated assembly skips only the sweep and forms L, Pi L and G (Pi L).
-    Either way A is a fresh writable array with the bits of a cold call.
+    A product-integrated assembly of a kernel that is a value (a
+    ``_PureKernel``) is kept read-only in ``_ForwardCache`` under the nodes'
+    bytes, a and b, both flags, the rule order and the kernel itself, so a
+    repeated assembly evaluates nothing and copies A.  Any other callable is
+    assembled afresh on every call and keeps nothing.  Either way A is a
+    fresh writable array with the bits of a cold call.
     """
     xs, ws = grid.nodes, grid.weights
     if not diag_split and not volterra:
@@ -281,28 +273,18 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
     else:
         n, mid, half = grid.n, 0.5 * (grid.a + grid.b), 0.5 * (grid.b - grid.a)
         order = max(MIN_PRODUCT_ORDER, n)
+
+        def build():
+            zq, kw, _ = _row_rule(kernel, xs, grid.a, xs if volterra else grid.b,
+                                  diag_split, order)
+            PiL = _projection(n) @ interp_matrix(xs, half * _gauss_rule(n)[0] + mid)
+            return _legendre_moments((zq - mid) / half, kw, n) @ PiL
+
         geometry = (xs.tobytes(), np.array([grid.a, grid.b], dtype=float).tobytes(),
                     bool(diag_split), bool(volterra), order)
-
-        def rule():
-            return _row_rule(kernel, xs, grid.a, xs if volterra else grid.b, diag_split, order)
-
-        def moments(zq, kw, _used):
-            return _legendre_moments((zq - mid) / half, kw, n)
-
-        def PiL():
-            return _projection(n) @ interp_matrix(xs, half * _gauss_rule(n)[0] + mid)
-
-        if _keyed_on_itself(kernel):
-            A = _forward_cache.kept(("matrix",) + geometry + (kernel,),
-                                    lambda: moments(*rule()) @ PiL()).copy()
-        else:
-            key, (zq, kw, used) = ("moments",) + geometry, rule()
-            G = _forward_cache.get(key, kw)
-            if G is None:
-                G = moments(zq, kw, used)
-                _forward_cache.put(key, kw, G)
-            A = G @ PiL()
+        A = _kept(kernel, ("matrix",) + geometry, build)
+        if not A.flags.writeable:
+            A = A.copy()
     if not np.all(np.isfinite(A)):
         raise NonFiniteValueError(f"the Nystrom matrix on {grid.n} nodes must be finite")
     return A
@@ -312,24 +294,17 @@ class _ForwardCache:
     """Matrices fixed by a product rule's geometry and its kernel, kept for reuse.
 
     One budget holds every entry: apply_operator's forward matrices B (from
-    a GridFunction) and, for a registered kernel, its free-term rules (from
-    a callable source); operator_matrix's matrices A of a registered kernel
-    and moment sweeps G of any other callable.  The caller's key names the
-    kind and the geometry (node bytes, an assembly's interval, flags, rule
-    order).  The kernel completes it in one of two ways, picked by
-    ``_keyed_on_itself``.  A registered kernel (a ``_PureKernel``, a value)
-    is itself the key's last part, so a hit evaluates nothing; distinct
-    values, such as two poisson_r radii, never share an entry.  For any
-    other callable the cache adds the shape and a CRC-32 of the call's
-    kernel values times weights kw, and an entry is used only when kw also
-    equals the stored kw bit for bit.  So several anonymous kernels on one
-    geometry (the 2D reductions' tau1 and tau2) each keep their own entry,
-    and a closure whose values change gets a new one.  Stored arrays are
-    read-only copies, each in its own anonymous memory map: long-lived
-    arrays taken from the malloc heap in mid-request fragment it, which on
-    the solve_1d benchmark workload cost about 1 MB more peak RSS than the
-    maps.  The least recently used entries go first once the stored bytes
-    pass the budget; an entry larger than the budget is never kept.
+    a GridFunction) and free-term rules (from a callable source), and
+    operator_matrix's matrices A.  A key names the kind and the geometry
+    (node bytes, an assembly's interval, flags, rule order) and ends with
+    the kernel, a ``_PureKernel``: a hit evaluates nothing, and distinct
+    values, such as two poisson_r radii or two CSV tables, never share an
+    entry.  Stored arrays are read-only copies, each in its own anonymous
+    memory map: long-lived arrays taken from the malloc heap in mid-request
+    fragment it, which on the solve_1d benchmark workload cost about 1 MB
+    more peak RSS than the maps.  The least recently used entries go first
+    once the stored bytes pass the budget; an entry larger than the budget
+    is never kept.
     """
 
     def __init__(self, budget: int):
@@ -338,33 +313,10 @@ class _ForwardCache:
         self._bytes = 0
 
     @staticmethod
-    def _size(key, kw, value) -> int:
-        arrays = (kw,) + (value if isinstance(value, tuple) else (value,))
-        return (sum(a.nbytes for a in arrays if a is not None)
-                + sum(len(k) for k in key if isinstance(k, bytes)))
-
-    @staticmethod
-    def _full_key(key, kw) -> tuple:
-        return key if kw is None else key + (kw.shape, zlib.crc32(kw))
-
-    def get(self, key, kw=None):
-        """The value under key, or None; with kw the entry must hold that kw
-        bit for bit, without it key must end with a _PureKernel."""
-        key = self._full_key(key, kw)
-        entry = self._entries.get(key)
-        if entry is None or (kw is not None and not np.array_equal(
-                entry[0].view(np.uint64), kw.view(np.uint64))):
-            return None
-        self._entries.move_to_end(key)
-        return entry[1]
-
-    def kept(self, key, build):
-        """The value under a key that ends with a _PureKernel; a miss keeps build()."""
-        value = self.get(key)
-        if value is None:
-            value = build()
-            self.put(key, None, value)
-        return value
+    def _size(key, value) -> int:
+        arrays = value if isinstance(value, tuple) else (value,)
+        return (sum(a.nbytes for a in arrays)
+                + sum(len(k) for k in key[:-1] + key[-1].params if isinstance(k, bytes)))
 
     @staticmethod
     def _stored(a):
@@ -376,23 +328,32 @@ class _ForwardCache:
         out.setflags(write=False)
         return out
 
-    def put(self, key, kw, value) -> None:
-        """Keep value, an array or a tuple of arrays, under key and kw as in get."""
-        key = self._full_key(key, kw)
-        size = self._size(key, kw, value)
-        if size > self.budget:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= self._size(key, *old)
-        self._entries[key] = (None if kw is None else self._stored(kw), self._stored(value))
-        self._bytes += size
-        while self._bytes > self.budget:
-            k, v = self._entries.popitem(last=False)
-            self._bytes -= self._size(k, *v)
+    def kept(self, key, build):
+        """The value, an array or a tuple of arrays, under key; a miss keeps build()."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+            return value
+        value = build()
+        size = self._size(key, value)
+        if size <= self.budget:
+            self._entries[key] = self._stored(value)
+            self._bytes += size
+            while self._bytes > self.budget:
+                k, v = self._entries.popitem(last=False)
+                self._bytes -= self._size(k, v)
+        return value
 
 
 _forward_cache = _ForwardCache(_FORWARD_CACHE_BYTES)
+
+
+def _kept(kernel, key, build):
+    # the one matrix-store lookup: a kernel that is a value (a _PureKernel)
+    # completes key and is built once; any other callable is built afresh
+    if isinstance(kernel, _PureKernel):
+        return _forward_cache.kept(key + (kernel,), build)
+    return build()
 
 
 def _forward_matrix(kernel, x, diag_split: bool, nodes: np.ndarray,
@@ -402,23 +363,16 @@ def _forward_matrix(kernel, x, diag_split: bool, nodes: np.ndarray,
     # one barycentric matrix L_i per row on a miss.  The rule has
     # m = max(quad_order, n) points per half, never below the source grid.
     order = max(int(quad_order), nodes.size)
-    key = ("forward", x.tobytes(), bool(diag_split), order, nodes.tobytes())
 
-    def build(zq, kw, used):
+    def build():
+        zq, kw, used = _row_rule(kernel, x, 0.0, 1.0, diag_split, order)
         B = np.empty((x.size, nodes.size))
         for i, u in enumerate(used):
             B[i] = kw[i, :u] @ interp_matrix(nodes, zq[i, :u])
         return B
 
-    if _keyed_on_itself(kernel):
-        return _forward_cache.kept(key + (kernel,), lambda: build(
-            *_row_rule(kernel, x, 0.0, 1.0, diag_split, order)))
-    zq, kw, used = _row_rule(kernel, x, 0.0, 1.0, diag_split, order)
-    B = _forward_cache.get(key, kw)
-    if B is None:
-        B = build(zq, kw, used)
-        _forward_cache.put(key, kw, B)
-    return B
+    return _kept(kernel, ("forward", x.tobytes(), bool(diag_split), order, nodes.tobytes()),
+                 build)
 
 
 def apply_operator(kernel, out_nodes, source, *, diag_split: bool = False,
@@ -430,24 +384,19 @@ def apply_operator(kernel, out_nodes, source, *, diag_split: bool = False,
     rule of ``quad_order`` points per panel, raised to the source grid's n for
     a GridFunction.  The kernel and a callable source are evaluated once on
     the array of every row's points.  A GridFunction source is mapped by one
-    product with the forward matrix B (``_ForwardCache``), which is reused
-    while the out nodes, split, rule order, source nodes and kernel stay the
-    same: a registered kernel (``_PureKernel``) by identity of value, any
-    other callable by its kernel values, evaluated on every call.  For a
-    registered kernel the cache also keeps a callable source's rule (the
-    points, kernel values times weights and row lengths), so a repeated
-    out-node set evaluates the source alone, on read-only points.
+    product with the forward matrix B.  For a kernel that is a value
+    (``_PureKernel``) ``_ForwardCache`` keeps B while the out nodes, split,
+    rule order, source nodes and kernel stay the same, and a callable
+    source's rule (the points, kernel values times weights and row lengths),
+    so a repeated out-node set evaluates the source alone, on read-only
+    points.  Any other callable is evaluated on every call and keeps nothing.
     """
     x = np.asarray(out_nodes, dtype=float)
     if isinstance(source, GridFunction):
         return _forward_matrix(kernel, x, diag_split, source.grid.nodes,
                                quad_order) @ source.values
-    if _keyed_on_itself(kernel):
-        zq, kw, used = _forward_cache.kept(
-            ("rule", x.tobytes(), bool(diag_split), int(quad_order), kernel),
-            lambda: _row_rule(kernel, x, 0.0, 1.0, diag_split, quad_order))
-    else:
-        zq, kw, used = _row_rule(kernel, x, 0.0, 1.0, diag_split, quad_order)
+    zq, kw, used = _kept(kernel, ("rule", x.tobytes(), bool(diag_split), int(quad_order)),
+                         lambda: _row_rule(kernel, x, 0.0, 1.0, diag_split, quad_order))
     terms = kw * np.asarray(source(zq), dtype=float)
     out = np.zeros(x.shape)
     for u in np.unique(used[used > 0]):

@@ -120,10 +120,9 @@ def registered_kernels(extra_tabulated: dict | None = None) -> dict:
 def get_kernel(name: str, r: float | None = None, csv_path: str | None = None):
     """Look up a registered kernel; returns (callable, diag_split flag).
 
-    green_triangular, constant and poisson_r come as values (grid's
-    ``_PureKernel``: equal for equal name and r), so the matrix cache keys
-    them on the kernel itself and a warm request does not evaluate them.  A
-    tabulated kernel is a new closure per load, keyed by its values.
+    Every kernel comes as a value (grid's ``_PureKernel``: equal for equal
+    name and r, or for equal CSV tables), so the matrix cache keys it on the
+    kernel itself and a warm request does not evaluate it.
     """
     if name == "tabulated":
         if not csv_path:
@@ -137,8 +136,23 @@ def get_kernel(name: str, r: float | None = None, csv_path: str | None = None):
     return reg[name]["make"]()
 
 
+def _bilinear(x, xi, x_bytes, xi_bytes, table_bytes):
+    x_nodes, xi_nodes = np.frombuffer(x_bytes), np.frombuffer(xi_bytes)
+    table = np.frombuffer(table_bytes).reshape(x_nodes.size, -1)
+    x = np.clip(np.asarray(x, dtype=float), x_nodes[0], x_nodes[-1])
+    xi_ = np.clip(np.asarray(xi, dtype=float), xi_nodes[0], xi_nodes[-1])
+    x, xi_ = np.broadcast_arrays(x, xi_)
+    i = np.clip(np.searchsorted(x_nodes, x) - 1, 0, x_nodes.size - 2)
+    j = np.clip(np.searchsorted(xi_nodes, xi_) - 1, 0, xi_nodes.size - 2)
+    tx = (x - x_nodes[i]) / (x_nodes[i + 1] - x_nodes[i])
+    ty = (xi_ - xi_nodes[j]) / (xi_nodes[j + 1] - xi_nodes[j])
+    return ((1 - tx) * (1 - ty) * table[i, j] + tx * (1 - ty) * table[i + 1, j]
+            + (1 - tx) * ty * table[i, j + 1] + tx * ty * table[i + 1, j + 1])
+
+
 def load_tabulated_kernel(path: str):
-    """Bilinear interpolant of a CSV table.
+    """Bilinear interpolant of a CSV table, a value: two loads of one table
+    give equal kernels.
 
     Format: header row holds the xi-nodes (first cell blank or 'x'), each
     following row starts with its x-node.
@@ -157,19 +171,7 @@ def load_tabulated_kernel(path: str):
         raise NonFiniteValueError(f"tabulated kernel {path!r} holds non-finite entries")
     if np.any(np.diff(x_nodes) <= 0) or np.any(np.diff(xi_nodes) <= 0):
         raise ConfigError(f"tabulated kernel {path!r}: node rows/columns must increase")
-
-    def kern(x, xi):
-        x = np.clip(np.asarray(x, dtype=float), x_nodes[0], x_nodes[-1])
-        xi_ = np.clip(np.asarray(xi, dtype=float), xi_nodes[0], xi_nodes[-1])
-        x, xi_ = np.broadcast_arrays(x, xi_)
-        i = np.clip(np.searchsorted(x_nodes, x) - 1, 0, x_nodes.size - 2)
-        j = np.clip(np.searchsorted(xi_nodes, xi_) - 1, 0, xi_nodes.size - 2)
-        tx = (x - x_nodes[i]) / (x_nodes[i + 1] - x_nodes[i])
-        ty = (xi_ - xi_nodes[j]) / (xi_nodes[j + 1] - xi_nodes[j])
-        return ((1 - tx) * (1 - ty) * table[i, j] + tx * (1 - ty) * table[i + 1, j]
-                + (1 - tx) * ty * table[i, j + 1] + tx * ty * table[i + 1, j + 1])
-
-    return kern
+    return _PureKernel(_bilinear, (x_nodes.tobytes(), xi_nodes.tobytes(), table.tobytes()))
 
 
 def make_manufactured(kernel_name: str, psi, r: float | None = None,

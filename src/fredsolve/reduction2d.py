@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
                      UndefinedDeltaError)
 from .fredholm2 import certified_mu, gate_mu, gated_system, solve_direct
-from .grid import GridFunction, Grid1D, gauss_legendre, interp_matrix, operator_matrix
+from .grid import (GridFunction, Grid1D, _PureKernel, gauss_legendre, interp_matrix,
+                   operator_matrix)
 from .method_core import MethodParams, ResidualReport, _verdict, _Workspace
 
 __all__ = [
@@ -76,9 +77,9 @@ class GridFunction2D:
 class Method2DResult:
     """The solve's psi, its two parts, verdict and mu, and its tau stacks.
 
-    T1 (ny, nx, nx) and T2 (nx, ny, ny) are ``_tau_stack``'s matrices on
-    psi's grid; ``reconstruct_u`` takes the one of its route instead of
-    assembling it again.
+    T1 (ny, nx, nx) and T2 (nx, ny, ny) are ``_tau_stack``'s read-only
+    matrices on psi's grid, assembled once a request: the solve, ``verify2d``
+    and ``reconstruct_u`` all take them from here.
     """
 
     psi: GridFunction2D
@@ -90,9 +91,14 @@ class Method2DResult:
     T2: np.ndarray
 
 
+def _difference(x, xi):
+    return x - xi
+
+
 def _volterra_cumulative(grid: Grid1D) -> np.ndarray:
-    # rows of int_0^x (x - xi) g(xi) d xi by product integration
-    return operator_matrix(lambda x, xi: x - xi, grid, volterra=True)
+    # rows of int_0^x (x - xi) g(xi) d xi by product integration; the kernel
+    # is a value, so both ode routes of a request share one assembly
+    return operator_matrix(_PureKernel(_difference), grid, volterra=True)
 
 
 def reduce_ode_volterra(a, f, n: int = 64) -> tuple[GridFunction, GridFunction]:
@@ -180,13 +186,26 @@ def _tau_stack(reduction, axis: str, grid: Grid1D, points) -> np.ndarray:
     T1[j] is xi -> tau1(x, points[j], xi) on grid and T2[i] is eta ->
     tau2(points[i], y, eta), from one operator_matrix call with the points on
     a leading axis.  A tau whose values do not broadcast over that axis cannot
-    vary with the point; its one matrix comes back as a read-only broadcast.
+    vary with the point; its one matrix comes back as a broadcast.  Either
+    way the stack is read-only.  The kernel is a closure, so each call
+    assembles afresh and leaves nothing in grid's matrix store.
     """
     p = np.asarray(points, dtype=float)[:, None, None]
     kernel = ((lambda x, xi: reduction.tau1(x, p, xi)) if axis == "x"
               else (lambda y, eta: reduction.tau2(p, y, eta)))
     T = operator_matrix(kernel, grid, diag_split=True)
-    return T if T.ndim == 3 else np.broadcast_to(T, (p.shape[0],) + T.shape)
+    if T.ndim == 2:
+        return np.broadcast_to(T, (p.shape[0],) + T.shape)
+    T.setflags(write=False)
+    return T
+
+
+def _route_stack(psi: GridFunction2D, which: str, stack: np.ndarray) -> np.ndarray:
+    # the tau stack of route 'x' (T1, (ny, nx, nx)) or 'y' (T2, (nx, ny, ny)) on psi's grid
+    n, m = (psi.x_grid.n, psi.y_grid.n) if which == "x" else (psi.y_grid.n, psi.x_grid.n)
+    if stack.shape != (m, n, n):
+        raise ConfigError(f"route {which!r} needs a {(m, n, n)} tau stack, got {stack.shape}")
+    return stack
 
 
 # Each contraction is one batched matrix-vector product per column (along x)
@@ -205,17 +224,19 @@ def _free_term(reduction, xs, ys) -> np.ndarray:
     return np.asarray(reduction.free_term(xs[:, None], ys[None, :]), dtype=float)
 
 
-def forward2d(reduction: Bvp2DReduction, psi: GridFunction2D) -> GridFunction2D:
-    """Left-hand side of the reduced first-kind equation, sampled on psi's grid."""
-    gx, gy, v = psi.x_grid, psi.y_grid, psi.values
-    T1 = _tau_stack(reduction, "x", gx, gy.nodes)
-    T2 = _tau_stack(reduction, "y", gy, gx.nodes)
-    return GridFunction2D(gx, gy, _along_x(T1, v) + _along_y(T2, v))
+def forward2d(psi: GridFunction2D, T1: np.ndarray, T2: np.ndarray) -> GridFunction2D:
+    """Left-hand side of the reduced first-kind equation, sampled on psi's grid.
+
+    T1 (ny, nx, nx) and T2 (nx, ny, ny) are the tau stacks on psi's grid, as
+    ``method2d_solve`` returns them.
+    """
+    v = psi.values
+    return GridFunction2D(psi.x_grid, psi.y_grid, _along_x(_route_stack(psi, "x", T1), v)
+                          + _along_y(_route_stack(psi, "y", T2), v))
 
 
-def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "x",
-                  boundary_corrected: bool = False,
-                  stack: np.ndarray | None = None) -> GridFunction2D:
+def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str,
+                  stack: np.ndarray, boundary_corrected: bool = False) -> GridFunction2D:
     """Field u from psi via one representation.
 
     'x' integrates tau1 against psi (vanishes where tau1 does); 'y' uses
@@ -224,19 +245,14 @@ def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str = "
     representation.
 
     ``stack`` is the route's tau stack on psi's grid, T1 (ny, nx, nx) for
-    'x' or T2 (nx, ny, ny) for 'y', as ``method2d_solve`` returns it; without
-    it the same stack is assembled here.  The edge stacks of the boundary
-    correction sit at other points and are always assembled here.
+    'x' or T2 (nx, ny, ny) for 'y', as ``method2d_solve`` returns it.  The
+    edge stacks of the boundary correction sit at other points and are
+    assembled here.
     """
     if which not in ("x", "y"):
         raise ConfigError(f"route must be 'x' or 'y', got {which!r}")
     gx, gy, v = psi.x_grid, psi.y_grid, psi.values
-    grid, points = (gx, gy.nodes) if which == "x" else (gy, gx.nodes)
-    if stack is None:
-        stack = _tau_stack(reduction, which, grid, points)
-    elif stack.shape != (points.size, grid.n, grid.n):
-        raise ConfigError(f"route {which!r} needs a {(points.size, grid.n, grid.n)} "
-                          f"tau stack, got {stack.shape}")
+    stack = _route_stack(psi, which, stack)
     ends = np.array([0.0, 1.0])
     if which == "x":
         vals = _along_x(stack, v)
@@ -350,6 +366,9 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     SVD gate need nx*ny <= MAX_2D_UNKNOWNS.  Every request needs its largest
     fast-path array, the (nx, ny, ny) stack of theta_i I - mu M and the
     nx-square blocks, to fit in as many floats as that dense matrix holds.
+
+    The tau stacks T1 and T2 are assembled once, here; ``verify2d`` and the
+    result (for ``reconstruct_u``) take them as they are.
     """
     if max(nx * ny * ny, nx * nx) > MAX_2D_UNKNOWNS ** 2:
         raise ConfigError(f"{nx}x{ny} needs more than {MAX_2D_UNKNOWNS ** 2} floats per array")
@@ -388,17 +407,24 @@ def method2d_solve(reduction: Bvp2DReduction, params: MethodParams,
     psi1 = solve(ws.F1(mu, F))
     psi0 = solve(ws.F0(ws.kappa(ws.rho(psi1))))
     psi = GridFunction2D(gx, gy, psi0 + psi1)
-    report = verify2d(reduction, psi, threshold=verify_threshold)
+    report = verify2d(reduction, psi, T1, T2, threshold=verify_threshold)
     return Method2DResult(psi=psi,
                           psi0=GridFunction2D(gx, gy, psi0),
                           psi1=GridFunction2D(gx, gy, psi1),
                           report=report, mu=mu, T1=T1, T2=T2)
 
 
-def verify2d(reduction: Bvp2DReduction, psi: GridFunction2D,
-             threshold: float = 0.05) -> ResidualReport:
-    """Substitute psi into the 2D first-kind equation and threshold the residual."""
-    lhs = forward2d(reduction, psi)
+def verify2d(reduction: Bvp2DReduction, psi: GridFunction2D, T1: np.ndarray,
+             T2: np.ndarray, threshold: float = 0.05) -> ResidualReport:
+    """Substitute psi into the 2D first-kind equation and threshold the residual.
+
+    The left-hand side is ``forward2d`` on T1 and T2, the tau stacks on psi's
+    grid.  ``method2d_solve`` passes the stacks its solve used: the same
+    kernels assembled again on the same grid would give the same bits, so
+    this checks the solve's arithmetic against its operator, not a second
+    discretization of it.
+    """
+    lhs = forward2d(psi, T1, T2)
     F = _free_term(reduction, psi.x_grid.nodes, psi.y_grid.nodes)
     residual = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F).l2_norm()
     return _verdict(residual, GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm(), threshold)

@@ -253,7 +253,10 @@ def test_criterion_11_membrane():
         gy = fs.gauss_legendre(24, 0.0, 1.0)
         psi = fs.GridFunction2D(gx, gy, membrane_psi(gx.nodes[:, None],
                                                      gy.nodes[None, :], n_terms=20))
-        report = fs.verify2d(red, psi, threshold=0.05)
+        # the solve's tau stacks sit on psi's 24 x 24 Gauss grid
+        result = fs.method2d_solve(red, MethodParams.create(r=0.5, lam=0.2, mu=0.05),
+                                   nx=24, ny=24)
+        report = fs.verify2d(red, psi, result.T1, result.T2, threshold=0.05)
         assert report.relative < 1e-3
         # exact boundary vanishing of each route at its own pair of edges
         xi = np.linspace(0, 1, 41)
@@ -264,8 +267,8 @@ def test_criterion_11_membrane():
         for yb in (0.0, 1.0):
             assert np.max(np.abs(red.tau2(0.5, yb, xi))) == 0.0
             assert float(red.free_term(0.5, yb)) == 0.0
-        u1 = fs.reconstruct_u(red, psi, "x")
-        u2 = fs.reconstruct_u(red, psi, "y")
+        u1 = fs.reconstruct_u(red, psi, "x", result.T1)
+        u2 = fs.reconstruct_u(red, psi, "y", result.T2)
         delta = fs.closure_delta(u1, u2)
         print(f"    [logged] membrane closure delta = {delta:.6e}")
         for c in (0.3, 7.0):
@@ -273,8 +276,6 @@ def test_criterion_11_membrane():
                 fs.GridFunction2D(gx, gy, c * u1.values),
                 fs.GridFunction2D(gx, gy, c * u2.values))
             assert abs(scaled - delta) < 1e-12
-        result = fs.method2d_solve(red, MethodParams.create(r=0.5, lam=0.2, mu=0.05),
-                                   nx=24, ny=24)
         assert np.array_equal(result.psi.values,
                               result.psi0.values + result.psi1.values)
         print(f"    [logged] method2d membrane relative residual = "

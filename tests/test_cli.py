@@ -114,13 +114,12 @@ class TestWarmMatrixCache:
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "v2", "--grid", "128"],
         ["bench", "--methods", "lavrentiev,quasisolution,v2", "--grid", "64"],
-        ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"],
         ["solve", "--method", "v1", "--grid", "64"],
         *(["solve", "--method", m, "--grid", "64"] for m in (
             "tikhonov", "fridman", "krasnoselskii", "implicit", "steepest", "v2_single")),
         ["solve", "--problem", "poisson_r", "--method", "v1"],
         ["forward", "--grid", "64"]],
-        ids=["solve", "bench", "reduce", "solve-v1", "tikhonov", "fridman", "krasnoselskii",
+        ids=["solve", "bench", "solve-v1", "tikhonov", "fridman", "krasnoselskii",
              "implicit", "steepest", "v2_single", "poisson_r-v1", "forward"])
     def test_warm_run_writes_the_cold_bytes(self, tmp_path, argv, sweeps):
         # every entry kind is met warm: matrices, moment sweeps, forward
@@ -148,6 +147,45 @@ class TestWarmMatrixCache:
         sweeps.clear()
         assert main(argv) == 0
         assert rules == [] and sweeps == []
+
+    def test_a_warm_tabulated_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps):
+        # a CSV table is a value too: a new load of the same file hits its free-term
+        # rule and forward matrix (its assembly is the plain Nystrom rule, no sweep)
+        table = tmp_path / "k.csv"
+        table.write_text("x,0,0.5,1\n0,1,0.5,0\n0.5,0.5,1,0.5\n1,0,0.5,1\n")
+        rules = []
+        row_rule = grid._row_rule
+        monkeypatch.setattr(grid, "_row_rule", lambda *args: rules.append(args) or row_rule(*args))
+        argv = ["solve", "--method", "v2", "--problem", "tabulated", "--csv", str(table),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert rules and not sweeps
+        rules.clear()
+        assert main(argv) == 0
+        assert rules == []
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "membrane", "--solve", "--verify", "--grid2d", "24"],
+        ["reduce", "heat", "--solve", "--verify", "--grid2d", "24", "--u0-expr", "x*(1-x)"]],
+        ids=["membrane", "heat"])
+    def test_a_2d_request_keeps_nothing_and_sweeps_each_time(self, tmp_path, argv, sweeps):
+        # the tau stacks are closures: each request assembles T1 and T2 once and
+        # leaves no entry behind, so a warm request sweeps as a cold one did
+        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+        assert not grid._forward_cache._entries and len(sweeps) == 2
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        assert not grid._forward_cache._entries and len(sweeps) == 4
+        assert_same_files(tmp_path / "cold", tmp_path / "warm")
+
+    def test_an_ode_request_assembles_its_cumulative_rows_once(self, tmp_path, sweeps):
+        # both routes integrate psi with the x - xi kernel, a value kept under itself;
+        # the two routes' own kernels close over a(x) and keep nothing
+        argv = ["reduce", "ode", "--solve", "--grid", "32"]
+        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+        assert len(grid._forward_cache._entries) == 1 and len(sweeps) == 3
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        assert len(grid._forward_cache._entries) == 1 and len(sweeps) == 5
+        assert_same_files(tmp_path / "cold", tmp_path / "warm")
 
     def test_cold_v1_request_sweeps_once(self, tmp_path, sweeps):
         # select_mu's workspace assembles the kernel on kernel_fourier_coeffs's
@@ -609,8 +647,8 @@ class TestReduceCommand:
         assert "closure_delta" in summary
 
     @pytest.mark.parametrize("bvp", ["membrane", "heat"])
-    def test_solve_verify_assembles_each_tau_direction_twice(self, tmp_path, monkeypatch, bvp):
-        # the solve's stacks serve both reconstructions; verification assembles its own
+    def test_solve_verify_assembles_each_tau_direction_once(self, tmp_path, monkeypatch, bvp):
+        # the solve's stacks serve its verification and both reconstructions
         calls = []
         real = grid.operator_matrix
 
@@ -621,7 +659,7 @@ class TestReduceCommand:
             monkeypatch.setattr(module, "operator_matrix", counting)
         assert main(["reduce", bvp, "--solve", "--verify", "--grid2d", "12",
                      "--out", str(tmp_path)]) == 0
-        assert calls == [12] * 4
+        assert calls == [12] * 2
 
     @pytest.mark.parametrize("grid_order", ["32", "96"])
     def test_grid_does_not_reach_the_2d_artifacts(self, tmp_path, grid_order):

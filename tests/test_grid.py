@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fredsolve import grid as grid_module
 from fredsolve.errors import ConfigError, NonFiniteValueError
-from fredsolve.grid import (MIN_PRODUCT_ORDER, Grid1D, GridFunction, _trig_table,
+from fredsolve.grid import (MIN_PRODUCT_ORDER, Grid1D, GridFunction, _PureKernel, _trig_table,
                             apply_operator, fourier_coeffs, gauss_legendre, interp_matrix,
                             kernel_fourier_coeffs, operator_matrix)
 from fredsolve.problems import get_kernel, green_triangular
@@ -526,13 +526,6 @@ def forward_cache(monkeypatch):
     return cache, built, sweeps
 
 
-def _bumped_kernel(x, xi):
-    # green_triangular with one kernel value changed, same shapes
-    values = tri_green(x, xi)
-    values[3, 5] += 1.0
-    return values
-
-
 def _nudged_grid():
     # the 20-point Gauss grid with one node moved by one ulp
     g = gauss_legendre(20, 0.0, 1.0)
@@ -552,17 +545,25 @@ def _tau_stack(x, xi):
     return np.stack([tri_green(x, xi), 2.0 * tri_green(x, xi) + x * xi, x - xi])
 
 
+def _sheared_green(x, xi):
+    return 2.0 * tri_green(x, xi) + x * xi
+
+
+# the matrix store keeps entries of kernels that are values only
+GREEN = _PureKernel(green_triangular)
+
+
 class TestForwardCache:
     X = gauss_legendre(24, 0.0, 1.0).nodes
 
-    def _apply(self, kernel=tri_green, grid=None, **options):
+    def _apply(self, kernel=GREEN, grid=None, **options):
         grid = grid or gauss_legendre(20, 0.0, 1.0)
         source = GridFunction(grid, TestApplyOperator.psi(grid.nodes))
         return apply_operator(kernel, self.X, source,
                               **{"diag_split": True, "quad_order": 32, **options})
 
     @staticmethod
-    def _assemble(kernel=tri_green, grid=None, min_order=MIN_PRODUCT_ORDER, **flags):
+    def _assemble(kernel=GREEN, grid=None, min_order=MIN_PRODUCT_ORDER, **flags):
         # operator_matrix by product integration; min_order moves the rule order
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grid_module, "MIN_PRODUCT_ORDER", min_order)
@@ -578,8 +579,8 @@ class TestForwardCache:
         assert np.array_equal(cold, warm)
 
     @pytest.mark.parametrize("kernel, flags, n", [
-        (tri_green, {}, 20), (tri_green, {}, 128), (tri_green, {"volterra": True}, 20),
-        (tri_green, {"diag_split": False, "volterra": True}, 64), (_tau_stack, {}, 20)],
+        (GREEN, {}, 20), (GREEN, {}, 128), (GREEN, {"volterra": True}, 20),
+        (GREEN, {"diag_split": False, "volterra": True}, 64), (_PureKernel(_tau_stack), {}, 20)],
         ids=["diag_split", "diag_split_128", "volterra", "volterra_only_64", "stack"])
     def test_warm_assembly_returns_the_cold_bits(self, forward_cache, kernel, flags, n):
         _, _, sweeps = forward_cache
@@ -591,15 +592,15 @@ class TestForwardCache:
         assert warm.flags.writeable and not np.shares_memory(cold, warm)
 
     @pytest.mark.parametrize("route, change", [
-        ("forward", {"kernel": _bumped_kernel}), ("forward", {"grid": _nudged_grid()}),
+        ("forward", {"grid": _nudged_grid()}),
         ("forward", {"diag_split": False}), ("forward", {"quad_order": 40}),
-        ("moments", {"kernel": _bumped_kernel}), ("moments", {"grid": _nudged_grid()}),
+        ("moments", {"grid": _nudged_grid()}),
         ("moments", {"grid": _widened_grid(-0.25, 1.0)}),
         ("moments", {"grid": _widened_grid(0.0, 1.25)}),
         ("moments", {"volterra": True}), ("moments", {"diag_split": False, "volterra": True}),
         ("moments", {"min_order": 32})],
-        ids=["kernel_value", "node_ulp", "diag_split", "order",
-             "moments_kernel_value", "moments_node_ulp", "moments_a", "moments_b",
+        ids=["node_ulp", "diag_split", "order",
+             "moments_node_ulp", "moments_a", "moments_b",
              "moments_volterra", "moments_diag_split", "moments_order"])
     def test_no_stale_hit(self, forward_cache, monkeypatch, route, change):
         # a miss builds one barycentric matrix per output row, or one moment sweep
@@ -618,9 +619,9 @@ class TestForwardCache:
         assert np.array_equal(call(), base)
 
     def test_two_kernels_on_one_grid_both_hit(self, forward_cache):
-        # like the 2D reductions' tau1 and tau2: one geometry, two sets of kernel values
+        # one geometry, two kernels that are values
         cache, _, sweeps = forward_cache
-        kernels = (tri_green, lambda x, xi: 2.0 * tri_green(x, xi) + x * xi)
+        kernels = (GREEN, _PureKernel(_sheared_green))
         cold = [self._assemble(kernel) for kernel in kernels]
         assert len(sweeps) == 2 and len(cache._entries) == 2
         for _ in range(3):
@@ -629,7 +630,7 @@ class TestForwardCache:
         assert len(sweeps) == 2
 
     def test_a_closure_whose_values_change_gets_a_new_matrix(self, forward_cache, monkeypatch):
-        # an anonymous kernel is keyed by its values, evaluated on every call
+        # a closure is assembled afresh on every call, so it never sees stale values
         scale = [1.0]
 
         def kernel(x, xi):
@@ -643,6 +644,28 @@ class TestForwardCache:
         fresh = (self._assemble(kernel), self._apply(kernel))
         for old, new, want in zip(before, after, fresh):
             assert np.array_equal(new, want) and not np.array_equal(new, old)
+
+    @pytest.mark.parametrize("route", ["moments", "forward", "rule"])
+    def test_a_closure_leaves_nothing_behind(self, forward_cache, route):
+        cache, _, _ = forward_cache
+        kernel = lambda x, xi: green_triangular(x, xi)
+        {"moments": lambda: self._assemble(kernel), "forward": lambda: self._apply(kernel),
+         "rule": lambda: apply_operator(kernel, self.X, TestApplyOperator.psi, quad_order=16),
+         }[route]()
+        assert not cache._entries and cache._bytes == 0
+
+    def test_a_closure_around_a_value_gives_its_bits(self, forward_cache):
+        # a traced benchmark run wraps each registered kernel in a closure, which
+        # is assembled afresh on every call; it must give the stored bits
+        def calls(kernel):
+            return (self._assemble(kernel), self._assemble(kernel, volterra=True),
+                    self._apply(kernel), apply_operator(kernel, self.X, TestApplyOperator.psi,
+                                                        diag_split=True, quad_order=16))
+
+        cold, warm = calls(GREEN), calls(GREEN)
+        wrapped = calls(lambda x, xi: GREEN(x, xi))
+        for c, w, x in zip(cold, warm, wrapped):
+            assert np.array_equal(c, w) and np.array_equal(c, x)
 
     def test_two_poisson_radii_never_share_an_entry(self, forward_cache, monkeypatch):
         # a registered kernel is a value: a new lookup of one radius hits that
@@ -680,11 +703,10 @@ class TestForwardCache:
     def test_stored_matrices_are_read_only(self, forward_cache, route):
         cache, _, _ = forward_cache
         {"forward": self._apply, "moments": self._assemble}[route]()
-        (kw, B), = cache._entries.values()
-        for stored in (kw, B):
-            assert not stored.flags.writeable
-            with pytest.raises(ValueError):
-                stored[0, 0] = 0.0
+        stored, = cache._entries.values()
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0.0
 
     def test_budget_bounds_the_stored_bytes(self, forward_cache, monkeypatch):
         cache, _, _ = forward_cache

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredsolve import grid
 from fredsolve.errors import ConfigError, NonFiniteValueError
-from fredsolve.grid import gauss_legendre
+from fredsolve.grid import apply_operator, gauss_legendre
 from fredsolve.problems import (NoiseSpec, forward_apply, get_kernel,
                                 green_triangular, load_tabulated_kernel,
                                 make_manufactured, perturb, registered_kernels)
@@ -138,6 +139,29 @@ class TestRegistry:
         assert float(kern(0.0, 0.5)) == pytest.approx(1.0, abs=1e-14)
         assert float(kern(0.25, 0.25)) == pytest.approx(1.0, abs=1e-14)   # bilinear midpoint
         assert float(kern(1.0, 1.0)) == pytest.approx(4.0, abs=1e-14)
+
+    def test_two_loads_of_one_table_are_one_value(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("x,0.0,0.5,1.0\n0.0,0,1,2\n0.5,1,2,3\n1.0,2,3,4\n")
+        first, second = (load_tabulated_kernel(str(path)) for _ in range(2))
+        assert first is not second and first == second and hash(first) == hash(second)
+
+    def test_a_table_that_differs_in_one_value_gets_its_own_entry(self, tmp_path, monkeypatch):
+        cache = grid._ForwardCache(grid._FORWARD_CACHE_BYTES)
+        monkeypatch.setattr(grid, "_forward_cache", cache)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, cell in zip(paths, ("2", "2.5")):
+            path.write_text(f"x,0.0,0.5,1.0\n0.0,0,1,2\n0.5,1,{cell},3\n1.0,2,3,4\n")
+        x = gauss_legendre(8, 0.0, 1.0).nodes
+
+        def apply(path):
+            return apply_operator(load_tabulated_kernel(str(path)), x, np.cos, quad_order=16)
+
+        cold = [apply(path) for path in paths]
+        assert len(cache._entries) == 2 and not np.array_equal(*cold)
+        for path, want in zip(paths, cold):
+            assert np.array_equal(apply(path), want)
+        assert len(cache._entries) == 2
 
     def test_tabulated_requires_path(self):
         with pytest.raises(ConfigError):

@@ -30,6 +30,13 @@ def _sample2d(fn, nx=24, ny=24):
     return GridFunction2D(gx, gy, np.asarray(fn(gx.nodes[:, None], gy.nodes[None, :]), dtype=float))
 
 
+def _stacks(red, psi):
+    """{'x': T1, 'y': T2}: the tau stacks on psi's grid, as method2d_solve assembles them."""
+    gx, gy = psi.x_grid, psi.y_grid
+    return {"x": reduction2d._tau_stack(red, "x", gx, gy.nodes),
+            "y": reduction2d._tau_stack(red, "y", gy, gx.nodes)}
+
+
 class TestOdeReduction:
     def test_pure_double_integration(self):
         # a = 0, f = -1: u = (1 - x^2)/2 with u'(0) = 0, u(1) = 0
@@ -80,7 +87,7 @@ class TestMembraneReduction:
         # conventions of the tau blocks are pinned by this residual
         red = reduce_membrane()
         psi = _sample2d(lambda x, y: membrane_psi(x, y, n_terms=20))
-        lhs = forward2d(red, psi)
+        lhs = forward2d(psi, *_stacks(red, psi).values())
         F = np.asarray(red.free_term(psi.x_grid.nodes[:, None], psi.y_grid.nodes[None, :]))
         resid = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F)
         rel = resid.l2_norm() / GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm()
@@ -104,7 +111,7 @@ class TestHeatReduction:
     def test_single_mode_oracle(self):
         red = reduce_heat(lambda x: np.sin(np.pi * np.asarray(x)))
         psi = _sample2d(lambda x, t: -np.pi ** 2 * heat_mode(x, t))
-        lhs = forward2d(red, psi)
+        lhs = forward2d(psi, *_stacks(red, psi).values())
         F = np.asarray(red.free_term(psi.x_grid.nodes[:, None], psi.y_grid.nodes[None, :]))
         resid = GridFunction2D(psi.x_grid, psi.y_grid, lhs.values - F)
         rel = resid.l2_norm() / GridFunction2D(psi.x_grid, psi.y_grid, F).l2_norm()
@@ -124,7 +131,7 @@ class TestReconstructU:
     def test_zero_psi_x_route(self):
         red = reduce_membrane()
         psi = _sample2d(lambda x, y: 0.0 * x * y)
-        u = reconstruct_u(red, psi, "x")
+        u = reconstruct_u(red, psi, "x", _stacks(red, psi)["x"])
         assert np.max(np.abs(u.values)) == 0.0
 
     def test_x_route_vanishes_on_x_boundary_exactly(self):
@@ -149,8 +156,9 @@ class TestReconstructU:
     def test_routes_agree_on_oracle(self):
         red = reduce_membrane()
         psi = _sample2d(lambda x, y: membrane_psi(x, y, n_terms=24))
-        u1 = reconstruct_u(red, psi, "x")
-        u2 = reconstruct_u(red, psi, "y")
+        stacks = _stacks(red, psi)
+        u1 = reconstruct_u(red, psi, "x", stacks["x"])
+        u2 = reconstruct_u(red, psi, "y", stacks["y"])
         assert np.max(np.abs(u1.values - u2.values)) < 1e-3
         exact = membrane_u(psi.x_grid.nodes[:, None], psi.y_grid.nodes[None, :], n_terms=40)
         assert np.max(np.abs(u1.values - exact)) < 1e-3
@@ -158,8 +166,9 @@ class TestReconstructU:
     def test_boundary_corrected_variants(self):
         red = reduce_membrane()
         psi = _sample2d(lambda x, y: membrane_psi(x, y, n_terms=16))
-        U1 = reconstruct_u(red, psi, "x", boundary_corrected=True)
-        U2 = reconstruct_u(red, psi, "y", boundary_corrected=True)
+        stacks = _stacks(red, psi)
+        U1 = reconstruct_u(red, psi, "x", stacks["x"], boundary_corrected=True)
+        U2 = reconstruct_u(red, psi, "y", stacks["y"], boundary_corrected=True)
         assert np.all(np.isfinite(U1.values)) and np.all(np.isfinite(U2.values))
         delta = closure_delta(U1, U2)
         print(f"\n[membrane oracle] closure delta = {delta:.6e}")
@@ -171,15 +180,27 @@ class TestReconstructU:
         red = REDUCTIONS[name]()
         result = method2d_solve(red, PARAMS, nx=11, ny=7)
         stack = result.T1 if which == "x" else result.T2
-        got = reconstruct_u(red, result.psi, which, boundary_corrected=corrected, stack=stack)
-        want = reconstruct_u(red, result.psi, which, boundary_corrected=corrected)
+        assert np.array_equal(stack, _stacks(red, result.psi)[which])
+        got = reconstruct_u(red, result.psi, which, stack, boundary_corrected=corrected)
+        want = reconstruct_u(red, result.psi, which, _stacks(red, result.psi)[which],
+                             boundary_corrected=corrected)
         assert np.array_equal(got.values, want.values)
 
     def test_a_stack_of_the_wrong_route_is_refused(self):
         red = reduce_membrane()
         result = method2d_solve(red, PARAMS, nx=11, ny=7)
         with pytest.raises(ConfigError):
-            reconstruct_u(red, result.psi, "x", stack=result.T2)
+            reconstruct_u(red, result.psi, "x", result.T2)
+        with pytest.raises(ConfigError):
+            forward2d(result.psi, result.T2, result.T1)
+
+    @pytest.mark.parametrize("name", ["membrane", "varying"])
+    def test_the_solver_stacks_are_read_only(self, name):
+        # the solve's stacks feed its verification and both reconstructions
+        result = method2d_solve(REDUCTIONS[name](), PARAMS, nx=11, ny=7)
+        for stack in (result.T1, result.T2):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
 
 
 class TestClosureDelta:
@@ -278,19 +299,19 @@ class TestVerify2D:
     def test_oracle_is_solvable(self):
         red = reduce_membrane()
         psi = _sample2d(lambda x, y: membrane_psi(x, y, n_terms=20))
-        report = verify2d(red, psi, threshold=0.05)
+        report = verify2d(red, psi, *_stacks(red, psi).values(), threshold=0.05)
         assert report.solvable == "yes"
 
     def test_zero_candidate_is_not(self):
         red = reduce_membrane()
         psi = _sample2d(lambda x, y: 0.0 * x * y)
-        report = verify2d(red, psi, threshold=0.05)
+        report = verify2d(red, psi, *_stacks(red, psi).values(), threshold=0.05)
         assert report.solvable == "no"
 
     def test_nan_candidate_has_no_verdict(self):
         psi = _sample2d(lambda x, y: np.nan * x * y)
         with pytest.raises(NonFiniteValueError):
-            verify2d(reduce_membrane(), psi)
+            verify2d(reduce_membrane(), psi, *_stacks(reduce_membrane(), psi).values())
 
     def test_structurally_obstructed_free_term(self):
         # f = 1 violates f(x, 0) = 0 forced by the tau2 block; the residual
@@ -301,7 +322,8 @@ class TestVerify2D:
                                  np.asarray(x), np.asarray(y)).shape))
         for cand in (lambda x, y: 0.0 * x * y,
                      lambda x, y: membrane_psi(x, y, n_terms=12)):
-            report = verify2d(red, _sample2d(cand), threshold=0.05)
+            psi = _sample2d(cand)
+            report = verify2d(red, psi, *_stacks(red, psi).values(), threshold=0.05)
             assert report.solvable == "no"
 
 
@@ -359,14 +381,16 @@ class TestTensorForm:
     @pytest.mark.parametrize("name", REDUCTIONS)
     def test_forward2d_matches_block_loops_bit_for_bit(self, name):
         red, psi = REDUCTIONS[name](), _psi_rect()
-        assert np.array_equal(forward2d(red, psi).values, forward2d_loops(red, psi))
+        got = forward2d(psi, *_stacks(red, psi).values()).values
+        assert np.array_equal(got, forward2d_loops(red, psi))
 
     @pytest.mark.parametrize("name", REDUCTIONS)
     @pytest.mark.parametrize("which", ["x", "y"])
     @pytest.mark.parametrize("corrected", [False, True])
     def test_reconstruct_u_matches_block_loops_bit_for_bit(self, name, which, corrected):
         red, psi = REDUCTIONS[name](), _psi_rect()
-        got = reconstruct_u(red, psi, which, boundary_corrected=corrected).values
+        got = reconstruct_u(red, psi, which, _stacks(red, psi)[which],
+                            boundary_corrected=corrected).values
         assert np.array_equal(got, reconstruct_u_loops(red, psi, which, corrected))
 
     @pytest.mark.parametrize("name", REDUCTIONS)
