@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidRadiusError, require_finite
 from .fredholm2 import _symmetric_eigh, estimate_spectrum
-from .grid import GridFunction, Grid1D, gauss_legendre, operator_matrix
+from .grid import GridFunction, Grid1D, _kept, gauss_legendre, operator_matrix
 from .problems import FirstKindProblem
 
 __all__ = [
@@ -116,7 +116,10 @@ def krasnoselskii_iterate(problem: FirstKindProblem, nu: float, psi0,
     grid, A, f = _setup(problem, n)
     sw = np.sqrt(grid.weights)
     S = sw[:, None] * A / sw[None, :]
-    sigma2, V = np.linalg.eigh(S.T @ S)
+    # the normal matrix's eigenbasis is fixed by the kernel and grid, kept for a value
+    sigma2, V = _kept(problem.kernel, ("normal_eigh", grid.nodes.tobytes(), (grid.a, grid.b),
+                                       bool(problem.diag_split)),
+                      lambda: tuple(np.linalg.eigh(S.T @ S)))
     norm = float(sigma2[-1])
     if not 0.0 < nu * norm < 2.0:
         raise ConfigError(f"step {nu:g} outside (0, 2/||A*A||) with ||A*A|| = {norm:.6g}")

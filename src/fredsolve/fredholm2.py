@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NoValidMuError, OnSpectrumError
-from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, operator_matrix
+from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, _kept, operator_matrix
 
 __all__ = [
     "SpectrumEstimate",
@@ -174,19 +174,27 @@ def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,
     Every pair, in ``eigh``'s order: a rank-deficient kernel keeps its null
     modes.  ``matrix`` passes an A the caller has already assembled with the
     same ``diag_split``.  ConfigError when the kernel's grid values are
-    asymmetric by more than 1e-8.
+    asymmetric by more than 1e-8.  For a kernel that is a value the triple
+    passes that check once and is then kept in grid's matrix store under the
+    nodes, interval and ``diag_split`` (``grid._kept``), so a repeated call
+    evaluates no kernel and runs no ``eigh``; evals and Q come back read-only.
     """
-    xs = grid.nodes
-    K = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float)
-    asym = float(np.max(np.abs(K - K.T)))
-    if asym > 1e-8:
-        raise ConfigError(f"kernel asymmetry {asym:.3g} exceeds 1e-8")
-    sw = np.sqrt(grid.weights)
-    A = operator_matrix(kernel, grid, diag_split=diag_split) if matrix is None else matrix
-    S = sw[:, None] * A / sw[None, :]
-    S = 0.5 * (S + S.T)  # assembly asymmetry is at rounding level
-    evals, evecs = np.linalg.eigh(S)
-    return evals, evecs, float(np.max(np.abs(K)))
+    def build():
+        xs = grid.nodes
+        K = np.asarray(kernel(xs[:, None], xs[None, :]), dtype=float)
+        asym = float(np.max(np.abs(K - K.T)))
+        if asym > 1e-8:
+            raise ConfigError(f"kernel asymmetry {asym:.3g} exceeds 1e-8")
+        sw = np.sqrt(grid.weights)
+        A = operator_matrix(kernel, grid, diag_split=diag_split) if matrix is None else matrix
+        S = sw[:, None] * A / sw[None, :]
+        S = 0.5 * (S + S.T)  # assembly asymmetry is at rounding level
+        evals, evecs = np.linalg.eigh(S)
+        return evals, evecs, np.array([np.max(np.abs(K))])
+
+    evals, evecs, kappa = _kept(kernel, ("eigh", grid.nodes.tobytes(), (grid.a, grid.b),
+                                         bool(diag_split)), build)
+    return evals, evecs, float(kappa[0])
 
 
 def _rounding_bound(kappa: float, lam_max: float, grid: Grid1D, diag_split: bool) -> float:

@@ -38,9 +38,10 @@ __all__ = [
 MIN_PRODUCT_ORDER = 24
 
 # bytes kept in the one matrix cache (``_ForwardCache``): apply_operator's
-# forward matrices and free-term rules, and operator_matrix's matrices, each
-# of a kernel that is a value (``_PureKernel``).  The entry sizes of the
-# solve_1d benchmark mix are in the README
+# forward matrices and free-term rules, operator_matrix's matrices, the grid
+# route's Poisson blocks and gate verdicts, and the baselines'
+# eigendecompositions, each of a kernel that is a value (``_PureKernel``).
+# The entry sizes of the solve_1d benchmark mix are in the README
 _FORWARD_CACHE_BYTES = 4 << 20
 
 
@@ -291,13 +292,16 @@ def operator_matrix(kernel, grid: Grid1D, *, diag_split: bool = False,
 
 
 class _ForwardCache:
-    """Matrices fixed by a product rule's geometry and its kernel, kept for reuse.
+    """Arrays fixed by a grid's geometry and a kernel, kept for reuse.
 
     One budget holds every entry: apply_operator's forward matrices B (from
-    a GridFunction) and free-term rules (from a callable source), and
-    operator_matrix's matrices A.  A key names the kind and the geometry
-    (node bytes, an assembly's interval, flags, rule order) and ends with
-    the kernel, a ``_PureKernel``: a hit evaluates nothing, and distinct
+    a GridFunction) and free-term rules (from a callable source),
+    operator_matrix's matrices A, the grid route's weighted Poisson blocks
+    and gate verdicts (``method_core._Workspace``), and the eigenbases of
+    fridman, implicit, quasisolution and krasnoselskii.  A key names the
+    kind and the geometry (node bytes, intervals, flags, rule order, and
+    for the grid route the Poisson pair and the asked mu) and ends with the
+    kernel, a ``_PureKernel``: a hit evaluates nothing, and distinct
     values, such as two poisson_r radii or two CSV tables, never share an
     entry.  Stored arrays are read-only copies, each in its own anonymous
     memory map: long-lived arrays taken from the malloc heap in mid-request
@@ -350,7 +354,9 @@ _forward_cache = _ForwardCache(_FORWARD_CACHE_BYTES)
 
 def _kept(kernel, key, build):
     # the one matrix-store lookup: a kernel that is a value (a _PureKernel)
-    # completes key and is built once; any other callable is built afresh
+    # completes key and is built once; any other callable (or None, as for
+    # the 2D route's workspace) is built afresh and leaves nothing behind.
+    # A build that raises, such as a refused gate, keeps nothing
     if isinstance(kernel, _PureKernel):
         return _forward_cache.kept(key + (kernel,), build)
     return build()

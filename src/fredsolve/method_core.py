@@ -27,9 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fredholm2
 from .errors import ConfigError, NoValidMuError, require_finite, require_order
 from .fredholm2 import gate_mu, solve_direct
-from .grid import (GridFunction, Grid1D, _trig_table, apply_operator, fourier_coeffs,
+from .grid import (GridFunction, Grid1D, _kept, _trig_table, apply_operator, fourier_coeffs,
                    gauss_legendre, kernel_fourier_coeffs, operator_matrix)
 from .kernels import PoissonParams, kernel_matrix
 from .problems import FirstKindProblem
@@ -95,27 +96,39 @@ class ResidualReport:
 class _Workspace:
     """Grids and dense operator blocks of one grid-route request.
 
-    Each block is built when a stage first needs it (H_w and A_K are kept,
-    the others serve one stage), so a request pays only for the stages it
-    runs.  ``gate`` checks I - mu A_K once and keeps it for every solve.
+    Each block is built when a stage first needs it (H_w, A_K and M stay on
+    the workspace, the others serve one stage), so a request pays only for
+    the stages it runs.  ``gate`` checks I - mu A_K once; every solve reuses
+    that M.
     The grids have ``n`` Gauss nodes on [0, 1] and on [-1, 0] (params.n_out
     by default).  The stages act along axis 0 (the grid), so values with
     trailing axes, such as the 2D route's (nx, ny) arrays, pass through
     unchanged.
+
+    When the problem's kernel is a value (``grid._PureKernel``), the parts
+    fixed by the operator live in grid's one matrix store (``grid._kept``)
+    under that kernel: the weighted Poisson blocks and the gate's verdict.
+    A repeated request with the same kernel, grid and (r, lambda) then sums
+    no series and runs no SVD.  Any other kernel, and a workspace without a
+    problem (the 2D route's), builds every part afresh and keeps nothing.
     """
 
     def __init__(self, params: MethodParams, problem: FirstKindProblem | None = None,
                  n: int | None = None):
         self.params = params
         self.problem = problem
+        self.kernel = None if problem is None else problem.kernel
         n = params.n_out if n is None else n
         self.grid01 = gauss_legendre(n, 0.0, 1.0)
         self.gridm = gauss_legendre(n, -1.0, 0.0)
-        self.M = None
 
     def _block(self, kind: str, out_grid: Grid1D, in_grid: Grid1D) -> np.ndarray:
-        return (kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes)
-                * in_grid.weights[None, :])
+        # kind(out, in) times the in-grid's weights, read-only when kept
+        key = ("poisson", kind, out_grid.nodes.tobytes(), (out_grid.a, out_grid.b),
+               in_grid.nodes.tobytes(), (in_grid.a, in_grid.b), self.params.poisson)
+        return _kept(self.kernel, key, lambda: (
+            kernel_matrix(kind, self.params.poisson, out_grid.nodes, in_grid.nodes)
+            * in_grid.weights[None, :]))
 
     @cached_property
     def H_w(self) -> np.ndarray:
@@ -124,17 +137,43 @@ class _Workspace:
     @cached_property
     def A_K(self) -> np.ndarray:
         # discrete composition of K = k + lam * H k; exact in the grid algebra
-        return self.smooth(operator_matrix(self.problem.kernel, self.grid01,
+        return self.smooth(operator_matrix(self.kernel, self.grid01,
                                            diag_split=self.problem.diag_split))
 
     def smooth(self, values: np.ndarray) -> np.ndarray:
         """values + lam int_0^1 H(x, xi) values(xi) d xi."""
         return values + self.params.poisson.lam * (self.H_w @ values)
 
+    @property
+    def M(self) -> np.ndarray:
+        # I - mu A_K for the gated mu; after a kept verdict it is formed here
+        # as ``gated_system`` forms it
+        if self._M is None:
+            self._M = np.eye(self.grid01.n) - self.mu * self.A_K
+        return self._M
+
     def gate(self, mu: float | None = None) -> float:
-        """Gate I - mu A_K for a given mu, or probe the candidates when mu is None."""
-        mu, self.M = gate_mu(self.A_K, mu)
-        return mu
+        """Gate I - mu A_K for a given mu, or probe the candidates when mu is None.
+
+        The verdict, the mu taken, is kept in the matrix store under the
+        kernel, diag_split, the grid's nodes, the Poisson pair, and the given
+        mu or else the candidate tuple as it reads at this call.  A warm gate
+        runs no SVD and touches no matrix; M is then built from the kept A
+        and H_w, with the cold gate's bits, when a solve first needs it.  A
+        refused mu raises and is never kept.
+        """
+        self._M = None
+
+        def build():
+            taken, self._M = gate_mu(self.A_K, mu)
+            return np.array([taken])
+
+        asked = tuple(fredholm2.DEFAULT_MU_CANDIDATES) if mu is None else mu
+        key = ("gate", bool(self.problem.diag_split), self.grid01.nodes.tobytes(),
+               self.params.poisson, asked)
+        taken = _kept(self.kernel, key, build)
+        self.mu = float(taken[0]) if mu is None else mu
+        return self.mu
 
     def f_values(self) -> np.ndarray:
         return np.asarray(self.problem.free_term(self.grid01.nodes), dtype=float)
@@ -219,7 +258,8 @@ def _fourier_route(problem: FirstKindProblem, params: MethodParams,
     if mu is None:
         mu = select_mu(problem, params)
     c = fourier_coeffs(problem.free_term, N, params.n_out)
-    # a probed mu leaves select_mu's moment sweep of this grid cached for the moments
+    # the moments take the kernel's matrix on this grid from the store, where a
+    # cold select_mu (or an earlier request) left it
     P = kernel_fourier_coeffs(problem.kernel, N, params.n_out, diag_split=problem.diag_split)
     g = mu * (1.0 - lam)
     d = 2.0 * (1.0 - 2.0 * lam)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredsolve
-from fredsolve import baselines, cli, fredholm2, grid, method_core, reduction2d
+from fredsolve import baselines, cli, fredholm2, grid, kernels, method_core, reduction2d
 from fredsolve.cli import main
 from fredsolve.expr import compile_expr
 from fredsolve.grid import gauss_legendre
@@ -113,40 +113,52 @@ class TestWarmMatrixCache:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "v2", "--grid", "128"],
+        *(["solve", "--method", m, "--r", "0.9", "--grid", "128"] for m in ("v2", "v2_single", "v1")),
         ["bench", "--methods", "lavrentiev,quasisolution,v2", "--grid", "64"],
         ["solve", "--method", "v1", "--grid", "64"],
         *(["solve", "--method", m, "--grid", "64"] for m in (
             "tikhonov", "fridman", "krasnoselskii", "implicit", "steepest", "v2_single")),
         ["solve", "--problem", "poisson_r", "--method", "v1"],
         ["forward", "--grid", "64"]],
-        ids=["solve", "bench", "solve-v1", "tikhonov", "fridman", "krasnoselskii",
+        ids=["solve", "v2-r0.9-128", "v2_single-r0.9-128", "v1-r0.9-128", "bench", "solve-v1", "tikhonov", "fridman", "krasnoselskii",
              "implicit", "steepest", "v2_single", "poisson_r-v1", "forward"])
-    def test_warm_run_writes_the_cold_bytes(self, tmp_path, argv, sweeps):
+    def test_warm_run_writes_the_cold_bytes(self, tmp_path, argv, sweeps, kernel_work):
         # every entry kind is met warm: matrices, moment sweeps, forward
-        # matrices and free-term rules.  forward assembles nothing, and
-        # poisson_r's assembly is the plain Nystrom rule, so neither sweeps
+        # matrices, free-term rules, the grid route's Poisson blocks and gate
+        # verdicts, and the baselines' eigendecompositions.  forward assembles
+        # nothing, and poisson_r's assembly is the plain Nystrom rule, so
+        # neither sweeps
         assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
         assert grid._forward_cache._entries
         assert bool(sweeps) == (argv[0] != "forward" and "poisson_r" not in argv)
         cold_sweeps = len(sweeps)
+        kernel_work.clear()
         assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
         assert len(sweeps) == cold_sweeps
+        assert kernel_work == []
         assert_same_files(tmp_path / "cold", tmp_path / "warm")
 
-    @pytest.mark.parametrize("method", ["v2", "lavrentiev", "quasisolution"])
-    def test_a_warm_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps, method):
-        # a registered kernel keys its matrices and free-term rules on itself:
-        # an identical warm request evaluates no product rule and sweeps nothing
+    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1", "lavrentiev", "fridman",
+                                        "implicit", "quasisolution"])
+    def test_a_warm_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps,
+                                                  kernel_work, method):
+        # a registered kernel keys its matrices, free-term rules, Poisson blocks,
+        # gate verdicts and eigendecompositions on itself: an identical warm
+        # request evaluates no product rule, sweeps nothing, sums no series and
+        # runs no SVD or eigh
         rules = []
         row_rule = grid._row_rule
         monkeypatch.setattr(grid, "_row_rule", lambda *args: rules.append(args) or row_rule(*args))
         argv = ["solve", "--method", method, "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         assert rules and sweeps
+        # the paper's methods sum series and gate; three baselines diagonalize
+        assert bool(kernel_work) == (method != "lavrentiev")
         rules.clear()
         sweeps.clear()
+        kernel_work.clear()
         assert main(argv) == 0
-        assert rules == [] and sweeps == []
+        assert rules == [] and sweeps == [] and kernel_work == []
 
     def test_a_warm_tabulated_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps):
         # a CSV table is a value too: a new load of the same file hits its free-term
@@ -193,6 +205,21 @@ class TestWarmMatrixCache:
         assert main(["solve", "--method", "v1", "--grid", "64",
                      "--out", str(tmp_path / "out")]) == 0
         assert sweeps == [64]
+
+    @pytest.fixture
+    def kernel_work(self, monkeypatch):
+        # the name of every Poisson series, SVD and eigh call
+        calls = []
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+        series = counted("kernel_matrix", kernels.kernel_matrix)
+        for module in (kernels, method_core):
+            monkeypatch.setattr(module, "kernel_matrix", series)
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        return calls
 
     @pytest.fixture
     def sweeps(self, monkeypatch):

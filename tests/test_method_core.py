@@ -337,13 +337,26 @@ class TestNoSolverReadsPsiStar:
 
 
 class TestOneGatePerMatrix:
-    """Each I - mu A is checked by one values-only SVD; its solves reuse it."""
+    """Each I - mu A is checked by one values-only SVD; its solves reuse it.
+
+    A kernel that is a value keeps the gate's verdict in grid's matrix store,
+    so in 1D an operator is gated once for the store's lifetime."""
 
     @pytest.fixture
-    def svd_calls(self, monkeypatch):
+    def store(self, monkeypatch):
+        cache = grid._ForwardCache(grid._FORWARD_CACHE_BYTES)
+        monkeypatch.setattr(grid, "_forward_cache", cache)
+        return cache
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch, store):
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
         return calls
+
+    @staticmethod
+    def workspace_keys(store):
+        return {k for k in store._entries if k[0] in ("poisson", "gate")}
 
     RUNS = {
         "v2_probed": lambda: method_v2(m1_problem(), replace(PARAMS, mu=None)),
@@ -356,18 +369,70 @@ class TestOneGatePerMatrix:
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_one_svd_per_request(self, svd_calls, run):
+        # one SVD on an empty store; the identical warm call reuses the 1D
+        # verdict, while the 2D route's closures are gated on every call
         self.RUNS[run]()
         assert len(svd_calls) == 1
+        self.RUNS[run]()
+        assert len(svd_calls) == (2 if run == "method2d_probed" else 1)
         if run == "method2d_probed":
             # certified from its Kronecker factors: no SVD of the 64-square matrix
             assert all(np.shape(a[0])[-1] <= 8 for a in svd_calls)
 
-    def test_given_mu_on_the_spectrum_is_still_rejected(self):
+    def test_a_warm_probe_reads_the_candidates_of_its_call(self, monkeypatch, store):
+        probed = replace(PARAMS, mu=None)
+        first = method_v2(m1_problem(), probed).mu
+        assert first == DEFAULT_MU_CANDIDATES[0]
+        monkeypatch.setattr(fredholm2, "DEFAULT_MU_CANDIDATES", (0.2,))
+        assert method_v2(m1_problem(), probed).mu == 0.2
+        assert select_mu(m1_problem(), PARAMS) == 0.2
+
+    def test_given_mu_on_the_spectrum_is_still_rejected(self, store):
         ws = _Workspace(PARAMS, m1_problem())
         evals = np.linalg.eigvals(ws.A_K)
         mu_hit = float(1.0 / evals[np.argmax(np.abs(evals))].real)
-        with pytest.raises(OnSpectrumError):
-            method_v2(m1_problem(), replace(PARAMS, mu=mu_hit))
+        # a warm store holds the blocks and the verdicts of other mu; a refused
+        # mu leaves no verdict behind, so a second request is refused too
+        method_v2(m1_problem(), PARAMS)
+        method_v2(m1_problem(), replace(PARAMS, mu=None))
+        verdicts = {k for k in store._entries if k[0] == "gate"}
+        for _ in range(2):
+            with pytest.raises(OnSpectrumError):
+                method_v2(m1_problem(), replace(PARAMS, mu=mu_hit))
+            assert {k for k in store._entries if k[0] == "gate"} == verdicts
+
+    @pytest.mark.parametrize("mu", [MU, None], ids=["given", "probed"])
+    def test_a_warm_M_has_the_cold_bits(self, svd_calls, mu):
+        cold = _Workspace(PARAMS, m1_problem())
+        assert cold.gate(mu) == (MU if mu is not None else DEFAULT_MU_CANDIDATES[0])
+        warm = _Workspace(PARAMS, m1_problem())
+        assert warm.gate(mu) == cold.mu
+        assert len(svd_calls) == 1
+        assert np.array_equal(warm.M.view(np.uint64), cold.M.view(np.uint64))
+
+    @pytest.mark.parametrize("change", [{"r": 0.9}, {"lam": 0.3}, {"n_out": 32}],
+                             ids=["r", "lambda", "n"])
+    def test_distinct_operators_never_share_an_entry(self, monkeypatch, store, change):
+        base = MethodParams.create(r=R, lam=LAM, mu=MU)
+        other = MethodParams.create(**{"r": R, "lam": LAM, "mu": MU, **change})
+        kept = method_v2(m1_problem(), base).psi.values
+        before = self.workspace_keys(store)
+        shared = method_v2(m1_problem(), other).psi.values
+        added = self.workspace_keys(store) - before
+        # one verdict and the four blocks of the two-solve route, all new
+        assert len(added) == 5 and len(self.workspace_keys(store)) == 10
+        monkeypatch.setattr(grid, "_forward_cache", grid._ForwardCache(grid._FORWARD_CACHE_BYTES))
+        assert np.array_equal(shared, method_v2(m1_problem(), other).psi.values)
+        assert np.array_equal(kept, method_v2(m1_problem(), base).psi.values)
+
+    def test_a_closure_kernel_or_a_reduce_request_keeps_no_workspace(self, store):
+        closure = FirstKindProblem(name="closure", kernel=lambda x, xi: tri_green(x, xi),
+                                   free_term=np.sin, diag_split=True)
+        method_v2(closure, PARAMS)
+        method_v2_single(closure, replace(PARAMS, mu=None))
+        select_mu(closure, PARAMS)
+        method2d_solve(reduce_membrane(), replace(PARAMS, mu=None), nx=8, ny=8)
+        assert not store._entries
 
 
 N_LIN = 32
