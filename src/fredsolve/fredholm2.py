@@ -172,8 +172,9 @@ def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,
     """(evals, Q, kappa): S = W^1/2 A W^-1/2 = Q diag(evals) Q^T, kappa = max |k|.
 
     Every pair, in ``eigh``'s order: a rank-deficient kernel keeps its null
-    modes.  ``matrix`` passes an A the caller has already assembled with the
-    same ``diag_split``.  ConfigError when the kernel's grid values are
+    modes.  ``matrix`` passes an A the caller has already assembled; it must
+    be ``operator_matrix(kernel, grid, diag_split=diag_split)``, since the
+    result is kept under that key.  ConfigError when the kernel's grid values are
     asymmetric by more than 1e-8.  For a kernel that is a value the triple
     passes that check once and is then kept in grid's matrix store under the
     nodes, interval and ``diag_split`` (``grid._kept``), so a repeated call

@@ -123,7 +123,9 @@ class _Workspace:
         self.gridm = gauss_legendre(n, -1.0, 0.0)
 
     def _block(self, kind: str, out_grid: Grid1D, in_grid: Grid1D) -> np.ndarray:
-        # kind(out, in) times the in-grid's weights, read-only when kept
+        # kind(out, in) times the in-grid's weights, read-only when kept.  The
+        # block depends only on the key, yet is kept per kernel (``_kept``
+        # keeps nothing without one), so two kernels hold equal copies
         key = ("poisson", kind, out_grid.nodes.tobytes(), (out_grid.a, out_grid.b),
                in_grid.nodes.tobytes(), (in_grid.a, in_grid.b), self.params.poisson)
         return _kept(self.kernel, key, lambda: (
@@ -144,13 +146,10 @@ class _Workspace:
         """values + lam int_0^1 H(x, xi) values(xi) d xi."""
         return values + self.params.poisson.lam * (self.H_w @ values)
 
-    @property
+    @cached_property
     def M(self) -> np.ndarray:
-        # I - mu A_K for the gated mu; after a kept verdict it is formed here
-        # as ``gated_system`` forms it
-        if self._M is None:
-            self._M = np.eye(self.grid01.n) - self.mu * self.A_K
-        return self._M
+        # I - mu A_K for the gated mu
+        return np.eye(self.grid01.n) - self.mu * self.A_K
 
     def gate(self, mu: float | None = None) -> float:
         """Gate I - mu A_K for a given mu, or probe the candidates when mu is None.
@@ -158,20 +157,14 @@ class _Workspace:
         The verdict, the mu taken, is kept in the matrix store under the
         kernel, diag_split, the grid's nodes, the Poisson pair, and the given
         mu or else the candidate tuple as it reads at this call.  A warm gate
-        runs no SVD and touches no matrix; M is then built from the kept A
-        and H_w, with the cold gate's bits, when a solve first needs it.  A
-        refused mu raises and is never kept.
+        runs no SVD and touches no matrix.  Cold or warm, M is formed from
+        A_K when a solve first needs it.  A refused mu raises and is never
+        kept.
         """
-        self._M = None
-
-        def build():
-            taken, self._M = gate_mu(self.A_K, mu)
-            return np.array([taken])
-
         asked = tuple(fredholm2.DEFAULT_MU_CANDIDATES) if mu is None else mu
         key = ("gate", bool(self.problem.diag_split), self.grid01.nodes.tobytes(),
                self.params.poisson, asked)
-        taken = _kept(self.kernel, key, build)
+        taken = _kept(self.kernel, key, lambda: np.array([gate_mu(self.A_K, mu)[0]]))
         self.mu = float(taken[0]) if mu is None else mu
         return self.mu
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fredsolve import baselines, fredholm2, grid, kernels, method_core
 from fredsolve.errors import (ConfigError, NonFiniteValueError, NoValidMuError, OnSpectrumError,
                               ParameterExclusionError)
-from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES
+from fredsolve.fredholm2 import DEFAULT_MU_CANDIDATES, gate_mu
 from fredsolve.grid import GridFunction, gauss_legendre, interp_matrix
 from fredsolve.method_core import (MethodParams, _fourier_route, _verdict, _Workspace,
                                    method_v1, method_v2, method_v2_single, select_mu,
@@ -402,13 +402,16 @@ class TestOneGatePerMatrix:
             assert {k for k in store._entries if k[0] == "gate"} == verdicts
 
     @pytest.mark.parametrize("mu", [MU, None], ids=["given", "probed"])
-    def test_a_warm_M_has_the_cold_bits(self, svd_calls, mu):
+    def test_a_warm_M_is_the_gated_matrix(self, svd_calls, mu):
+        # the system a warm request solves has the bits of the one the cold
+        # gate's SVD checked
         cold = _Workspace(PARAMS, m1_problem())
         assert cold.gate(mu) == (MU if mu is not None else DEFAULT_MU_CANDIDATES[0])
         warm = _Workspace(PARAMS, m1_problem())
         assert warm.gate(mu) == cold.mu
         assert len(svd_calls) == 1
-        assert np.array_equal(warm.M.view(np.uint64), cold.M.view(np.uint64))
+        gated = gate_mu(cold.A_K, mu)[1]
+        assert np.array_equal(warm.M.view(np.uint64), gated.view(np.uint64))
 
     @pytest.mark.parametrize("change", [{"r": 0.9}, {"lam": 0.3}, {"n_out": 32}],
                              ids=["r", "lambda", "n"])
