@@ -10,10 +10,11 @@ The discrete adjoint is taken with respect to the grid inner product
 carries that inner product to the Euclidean one, A to S = D A D^-1 and A* to
 S^T.  So residual correction and implicit stepping are diagonal in the
 eigenbasis S = Q diag(lambda) Q^T of a symmetric kernel, and normal-equation
-relaxation in the eigenbasis S^T S = V diag(sigma^2) V^T of any kernel: each
-runs its one-step update on the coordinates y = Q^T D psi at O(n) a step
-(Hansen, Discrete Inverse Problems, 2010, ch. 4-6).  Steepest descent keeps
-its line search on A.
+relaxation, Tikhonov and steepest descent in the eigenbasis
+S^T S = V diag(sigma^2) V^T of any kernel, kept once per kernel and grid.
+Each is a filter on the coordinates y = Q^T D psi (or V^T D psi), applied
+once (Tikhonov) or as a one-step update at O(n) a step (Hansen, Discrete
+Inverse Problems, 2010, ch. 4-6).
 """
 
 from __future__ import annotations
@@ -43,10 +44,23 @@ def _setup(problem: FirstKindProblem, n: int):
     return grid, A, f
 
 
-def _adjoint_matrix(A: np.ndarray, grid: Grid1D) -> np.ndarray:
-    # adjoint under <u, v> = sum w u v: A* = W^-1 A^T W
-    w = grid.weights
-    return (A.T * w[None, :]) / w[:, None]
+def _symmetric_basis(problem: FirstKindProblem, n: int):
+    # (grid, Q, lambda, c): S = Q diag(lambda) Q^T, c = Q^T W^1/2 f
+    grid, A, f = _setup(problem, n)
+    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split, A)
+    return grid, Q, lam, Q.T @ (np.sqrt(grid.weights) * f)
+
+
+def _normal_basis(problem: FirstKindProblem, n: int):
+    # (grid, V, sigma^2, c): S^T S = V diag(sigma^2) V^T, c = V^T S^T W^1/2 f
+    grid, A, f = _setup(problem, n)
+    sw = np.sqrt(grid.weights)
+    S = sw[:, None] * A / sw[None, :]
+    # the normal matrix's eigenbasis is fixed by the kernel and grid, kept for a value
+    sigma2, V = _kept(problem.kernel, ("normal_eigh", grid.nodes.tobytes(), (grid.a, grid.b),
+                                       bool(problem.diag_split)),
+                      lambda: tuple(np.linalg.eigh(S.T @ S)))
+    return grid, V, sigma2, V.T @ (S.T @ (sw * f))
 
 
 def _start(psi0, grid: Grid1D) -> np.ndarray:
@@ -74,13 +88,12 @@ def tikhonov_weighted(problem: FirstKindProblem, alpha: float, n: int = 64) -> G
     """Zero-order Tikhonov: solve (alpha I + A* A) psi = A* f, A* the weighted adjoint.
 
     Any kernel is accepted.  alpha acts on the scale of A*A, the square of
-    Lavrentiev's.
+    Lavrentiev's.  On the normal eigenbasis psi = W^-1/2 V (c / (sigma^2 + alpha)).
     """
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    grid, A, f = _setup(problem, n)
-    Astar = _adjoint_matrix(A, grid)
-    return GridFunction(grid, np.linalg.solve(alpha * np.eye(grid.n) + Astar @ A, Astar @ f))
+    grid, V, sigma2, c = _normal_basis(problem, n)
+    return GridFunction(grid, (V @ (c / (sigma2 + alpha))) / np.sqrt(grid.weights))
 
 
 def fridman_iterate(problem: FirstKindProblem, lambda_step: float | None, psi0,
@@ -93,9 +106,7 @@ def fridman_iterate(problem: FirstKindProblem, lambda_step: float | None, psi0,
     ``lambda_step=None`` takes lambda_step = lambda_1.
     """
     require_finite(step=lambda_step)
-    grid, A, f = _setup(problem, n)
-    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split, A)
-    c = Q.T @ (np.sqrt(grid.weights) * f)
+    grid, Q, lam, c = _symmetric_basis(problem, n)
     lam_max = float(lam[np.argmax(np.abs(lam))])
     if lam_max <= 0.0:
         raise ConfigError(f"residual correction needs lambda_max > 0, got {lam_max:.6g}")
@@ -113,17 +124,10 @@ def krasnoselskii_iterate(problem: FirstKindProblem, nu: float, psi0,
     Any kernel is accepted; 0 < nu < 2 / ||A*A|| with ||A*A|| = sigma_max^2.
     """
     require_finite(step=nu)
-    grid, A, f = _setup(problem, n)
-    sw = np.sqrt(grid.weights)
-    S = sw[:, None] * A / sw[None, :]
-    # the normal matrix's eigenbasis is fixed by the kernel and grid, kept for a value
-    sigma2, V = _kept(problem.kernel, ("normal_eigh", grid.nodes.tobytes(), (grid.a, grid.b),
-                                       bool(problem.diag_split)),
-                      lambda: tuple(np.linalg.eigh(S.T @ S)))
+    grid, V, sigma2, c = _normal_basis(problem, n)
     norm = float(sigma2[-1])
     if not 0.0 < nu * norm < 2.0:
         raise ConfigError(f"step {nu:g} outside (0, 2/||A*A||) with ||A*A|| = {norm:.6g}")
-    c = V.T @ (S.T @ (sw * f))
     return _iterate_diagonal(grid, V, psi0, lambda y: y - nu * (sigma2 * y - c), max_iter)
 
 
@@ -136,9 +140,7 @@ def implicit_iterate(problem: FirstKindProblem, alpha: float, psi0,
     """
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    grid, A, f = _setup(problem, n)
-    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split, A)
-    c = Q.T @ (np.sqrt(grid.weights) * f)
+    grid, Q, lam, c = _symmetric_basis(problem, n)
     return _iterate_diagonal(grid, Q, psi0, lambda y: (alpha * y + c) / (alpha + lam),
                              max_iter)
 
@@ -147,21 +149,25 @@ def steepest_descent(problem: FirstKindProblem, psi0, max_iter: int = 200,
                      n: int = 64) -> GridFunction:
     """psi_max_iter of gradient descent on the closure error, exact line search.
 
-    beta_k = ||A*(A psi - f)||^2 / ||A A*(A psi - f)||^2; a vanishing
-    gradient ends the descent at the current iterate.
+    beta_k = ||A*(A psi - f)||^2 / ||A A*(A psi - f)||^2, which on the normal
+    eigenbasis, with gradient g = sigma^2 y - c, is g.g / g.(sigma^2 g).  A
+    vanishing gradient ends the descent; a start where it vanishes comes back
+    unchanged.
     """
-    grid, A, f = _setup(problem, n)
-    Astar = _adjoint_matrix(A, grid)
-    w = grid.weights
+    grid, V, sigma2, c = _normal_basis(problem, n)
+    # sigma^2 within eigh's rounding of 0 marks a null mode, where the exact
+    # gradient vanishes; left in, its rounding noise derails the line search
+    live = sigma2 > grid.n * np.finfo(float).eps * sigma2[-1]
+    sw = np.sqrt(grid.weights)
     psi = _start(psi0, grid)
+    y = start = V.T @ (sw * psi)
     for _ in range(max_iter):
-        g = Astar @ (A @ psi - f)
-        gnorm2 = np.sum(w * g * g)
+        g = np.where(live, sigma2 * y - c, 0.0)
+        gnorm2 = g @ g
         if gnorm2 <= 1e-30:
             break
-        Ag = A @ g
-        psi = psi - gnorm2 / np.sum(w * Ag * Ag) * g
-    return GridFunction(grid, psi)
+        y = y - gnorm2 / (g @ (sigma2 * g)) * g
+    return GridFunction(grid, psi if y is start else (V @ y) / sw)
 
 
 def quasisolution(problem: FirstKindProblem, R: float, n: int = 64) -> GridFunction:
@@ -175,9 +181,7 @@ def quasisolution(problem: FirstKindProblem, R: float, n: int = 64) -> GridFunct
         raise InvalidRadiusError(f"radius must be positive, got {R}")
     grid = gauss_legendre(n, 0.0, 1.0)
     f = np.asarray(problem.free_term(grid.nodes), dtype=float)
-    est = estimate_spectrum(problem.kernel, grid, diag_split=problem.diag_split)
-    lam = est.char_numbers
-    Phi = np.stack([e.values for e in est.eigenfunctions], axis=1)  # (n, k)
+    lam, Phi = estimate_spectrum(problem.kernel, grid, diag_split=problem.diag_split)
     c = Phi.T @ (grid.weights * f)
     picard = c * lam
     if float(np.sum(picard * picard)) <= R * R:
@@ -196,10 +200,10 @@ def quasisolution(problem: FirstKindProblem, R: float, n: int = 64) -> GridFunct
         raise InvalidRadiusError(f"cannot bracket the multiplier for R = {R}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if norm2(mid) > R * R:
-            lo = mid
-        else:
-            hi = mid
+        above = norm2(mid) > R * R
+        if mid == (lo if above else hi):
+            break  # a fixed point: every later step would repeat this state
+        lo, hi = (mid, hi) if above else (lo, mid)
     nu = 0.5 * (lo + hi)
     return GridFunction(grid, Phi @ (picard / (1.0 + nu * lam * lam)))
 

@@ -7,15 +7,12 @@ a diagonal kink get the product-integration assembly from ``grid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, NoValidMuError, OnSpectrumError
-from .grid import MIN_PRODUCT_ORDER, Grid1D, GridFunction, _kept, operator_matrix
+from .grid import MIN_PRODUCT_ORDER, Grid1D, _kept, operator_matrix
 
 __all__ = [
-    "SpectrumEstimate",
     "DEFAULT_MU_CANDIDATES",
     "gated_system",
     "gate_mu",
@@ -38,14 +35,6 @@ DEFAULT_MU_CANDIDATES = (0.05, 0.1, 0.2, -0.1, 0.5)
 # rounded operations behind one term of the symmetrized matrix (see
 # estimate_spectrum's rounding bound)
 _ROUNDINGS_PER_TERM = 8
-
-
-@dataclass(frozen=True)
-class SpectrumEstimate:
-    """Leading characteristic numbers and L2-normalized grid eigenfunctions."""
-
-    char_numbers: np.ndarray
-    eigenfunctions: list = field(default_factory=list)
 
 
 def gated_system(A: np.ndarray, mu: float, rtol: float = ON_SPECTRUM_RTOL) -> np.ndarray:
@@ -109,14 +98,17 @@ def solve_direct(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M, rhs)
 
 
-def estimate_spectrum(kernel, grid: Grid1D, diag_split: bool = True) -> SpectrumEstimate:
-    """Characteristic numbers/eigenfunctions of a symmetric kernel on a grid.
+def estimate_spectrum(kernel, grid: Grid1D,
+                      diag_split: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(char_numbers, modes): characteristic numbers and eigenfunctions of a
+    symmetric kernel on a grid.
 
-    Works on the weight-symmetrized Nystrom matrix S = W^1/2 A W^-1/2;
-    eigenfunctions come back L2-normalized on the grid, ordered by ascending
-    |characteristic number|.  Eigenvalues with |lambda| <= tau, the rounding
-    bound below, are reported as zero and dropped, so fewer than grid.n
-    pairs may come back.
+    Works on the weight-symmetrized Nystrom matrix S = W^1/2 A W^-1/2.  The
+    k pairs come ordered by ascending |characteristic number|: char_numbers
+    has shape (k,), and column j of modes, shape (grid.n, k), holds the grid
+    values of eigenfunction j, L2-normalized on the grid.  Eigenvalues with
+    |lambda| <= tau, the rounding bound below, are reported as zero and
+    dropped, so k may be less than grid.n.
 
     Rounding bound.  Let S^ be the matrix handed to ``eigh`` and S its exact
     value on the same grid.  By Weyl's inequality every eigenvalue of S^ lies
@@ -156,15 +148,15 @@ def estimate_spectrum(kernel, grid: Grid1D, diag_split: bool = True) -> Spectrum
     evals, evecs = evals[order], evecs[:, order]
     tau = _rounding_bound(kappa, abs(evals[0]), grid, diag_split)
     keep = [i for i in range(grid.n) if abs(evals[i]) > tau]
-    char_numbers = np.array([1.0 / evals[i] for i in keep])
-    funcs = []
-    for i in keep:
+    modes = np.empty((grid.n, len(keep)))
+    for j, i in enumerate(keep):
+        # column by column: a vectorized norm rounds differently
         v = evecs[:, i] / sw
         v /= grid.l2_norm(v)
         if v[np.argmax(np.abs(v))] < 0:  # deterministic sign
             v = -v
-        funcs.append(GridFunction(grid, v))
-    return SpectrumEstimate(char_numbers=char_numbers, eigenfunctions=funcs)
+        modes[:, j] = v
+    return 1.0 / evals[keep], modes
 
 
 def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,

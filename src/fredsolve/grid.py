@@ -405,7 +405,8 @@ def apply_operator(kernel, out_nodes, source, *, diag_split: bool = False,
                          lambda: _row_rule(kernel, x, 0.0, 1.0, diag_split, quad_order))
     terms = kw * np.asarray(source(zq), dtype=float)
     out = np.zeros(x.shape)
-    for u in np.unique(used[used > 0]):
+    # a set, not np.unique, which imports numpy.ma on its first call
+    for u in set(used[used > 0].tolist()):
         rows = used == u
         out[rows] = np.sum(terms[rows, :u], axis=1)
     return out

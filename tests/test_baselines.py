@@ -31,6 +31,13 @@ def asymmetric_problem():
                             free_term=np.cos, provenance="test")
 
 
+def constant_x_problem(scale=1.0):
+    # rank one: f = x has a null component x - 1/2 that the iterations must keep
+    return FirstKindProblem(name="constant-x", kernel=lambda x, xi: 1.0 + 0.0 * (x + xi),
+                            free_term=lambda x: scale * np.asarray(x, dtype=float),
+                            provenance="test")
+
+
 def exact_m1(x):
     return np.sin(np.pi * np.asarray(x, dtype=float))
 
@@ -65,21 +72,25 @@ class TestLavrentiev:
 
 
 class TestTikhonov:
-    @pytest.mark.parametrize("alpha", [1e-3, 1e-6])
-    def test_solves_the_regularized_least_squares_problem(self, alpha):
+    @pytest.mark.parametrize("alpha, make", [
+        pytest.param(alpha, make, id=f"{alpha}{kind}") for alpha in (1e-3, 1e-6)
+        for kind, make in (("", m1_problem), ("-asymmetric", asymmetric_problem),
+                           ("-constant", constant_x_problem))])
+    def test_solves_the_regularized_least_squares_problem(self, alpha, make):
         # (alpha I + A*A) psi = A* f is the normal equation of
         # min ||A psi - f||^2 + alpha ||psi||^2 in the grid norm; in z = W^1/2 psi
         # that is the stacked least-squares problem [S; sqrt(alpha) I] z = [W^1/2 f; 0]
-        prob = m1_problem()
+        prob = make()
         psi = tikhonov_weighted(prob, alpha)
-        A = operator_matrix(prob.kernel, GRID, diag_split=True)
+        A = operator_matrix(prob.kernel, GRID, diag_split=prob.diag_split)
         sw = np.sqrt(GRID.weights)
         S = sw[:, None] * A / sw[None, :]
         f = np.asarray(prob.free_term(GRID.nodes))
         z = np.linalg.lstsq(np.vstack([S, np.sqrt(alpha) * np.eye(GRID.n)]),
                             np.concatenate([sw * f, np.zeros(GRID.n)]), rcond=None)[0]
-        # both solves are backward stable; cond(alpha I + S^T S) <= (1 + alpha) / alpha
-        bound = 64 * GRID.n * np.finfo(float).eps * (1.0 + alpha) / alpha
+        # both solves are backward stable; cond(alpha I + S^T S) <= (||S||^2 + alpha) / alpha
+        norm2 = np.linalg.norm(S, 2) ** 2
+        bound = 64 * GRID.n * np.finfo(float).eps * (norm2 + alpha) / alpha
         assert GRID.l2_norm(psi.values - z / sw) <= bound * GRID.l2_norm(psi.values)
 
     def test_filter_factor_on_the_first_mode(self):
@@ -130,7 +141,7 @@ class TestFridman:
 
     def test_default_step_is_the_first_characteristic_number(self):
         prob = m1_problem()
-        lam1 = estimate_spectrum(prob.kernel, GRID).char_numbers[0]
+        lam1 = estimate_spectrum(prob.kernel, GRID)[0][0]
         assert lam1 == pytest.approx(np.pi ** 2, rel=1e-12)
         assert np.array_equal(fridman_iterate(prob, None, lambda x: x, max_iter=6).values,
                               fridman_iterate(prob, lam1, lambda x: x, max_iter=6).values)
@@ -247,16 +258,17 @@ class TestSteepestDescent:
         beta = np.sum(GRID.weights * g * g) / np.sum(GRID.weights * (A @ g) ** 2)
         assert np.max(np.abs(psi.values - (-beta) * g)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e3, 1e9])
+    def test_a_rank_one_kernel_at_any_data_scale(self, scale):
+        # the null modes' rounding noise grows with f: the line search must not follow it
+        want = steepest_descent(constant_x_problem(), np.zeros(GRID.n)).values
+        psi = steepest_descent(constant_x_problem(scale), np.zeros(GRID.n)).values / scale
+        assert np.max(np.abs(psi - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_residual_start_is_returned(self):
         prob = make_manufactured("green_triangular", lambda x: 0.0 * np.asarray(x))
         assert np.array_equal(steepest_descent(prob, np.zeros(GRID.n), max_iter=5).values,
                               np.zeros(GRID.n))
-
-
-def constant_x_problem():
-    # rank one: f = x has a null component x - 1/2 that the iterations must keep
-    return FirstKindProblem(name="constant-x", kernel=lambda x, xi: 1.0 + 0.0 * (x + xi),
-                            free_term=lambda x: np.asarray(x, dtype=float), provenance="test")
 
 
 class TestTextbookOracle:
@@ -282,6 +294,7 @@ class TestTextbookOracle:
         "implicit-1e-4": ("implicit", implicit_iterate, 1e-4, m1_problem),
         "implicit-constant": ("implicit", implicit_iterate, 1e-4, constant_x_problem),
         "steepest": ("steepest", None, None, m1_problem),
+        "steepest-constant": ("steepest", None, None, constant_x_problem),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -315,6 +328,34 @@ class TestQuasisolution:
     def test_constrained_branch_norm(self):
         psi = quasisolution(m1_problem(), R=0.1)
         assert psi.grid.l2_norm(psi.values) == pytest.approx(0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("R", [1e-3, 0.1], ids=["bracket-grown", "first-bracket"])
+    def test_bisection_ends_where_two_hundred_steps_do(self, R):
+        # the bisection stops at its fixed point, so its nu has the bits of the
+        # full 200-step reference run here on the same Picard coefficients
+        prob = m1_problem()
+        lam, Phi = estimate_spectrum(prob.kernel, GRID)
+        picard = (Phi.T @ (GRID.weights * np.asarray(prob.free_term(GRID.nodes)))) * lam
+
+        def norm2(nu):
+            a = picard / (1.0 + nu * lam * lam)
+            return float(np.sum(a * a))
+
+        assert norm2(0.0) > R * R
+        # only the smaller radius enters the loop that widens the bracket [0, 1]
+        assert (norm2(1.0) > R * R) == (R < 0.01)
+        lo, hi = 0.0, 1.0
+        while norm2(hi) > R * R:
+            hi *= 8.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if norm2(mid) > R * R:
+                lo = mid
+            else:
+                hi = mid
+        nu = 0.5 * (lo + hi)
+        assert np.array_equal(quasisolution(prob, R).values,
+                              Phi @ (picard / (1.0 + nu * lam * lam)))
 
     def test_zero_free_term(self):
         prob = make_manufactured("green_triangular", lambda x: 0.0 * np.asarray(x))

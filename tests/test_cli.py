@@ -107,6 +107,20 @@ class TestParserReuse:
         assert_same_files(tmp_path / "warm", tmp_path / "fresh")
 
 
+@pytest.mark.parametrize("method", ["v2", "lavrentiev"])
+def test_a_solve_leaves_numpy_ma_unimported(tmp_path, method):
+    # np.unique imports numpy.ma on its first call, about 10 ms of a fresh process
+    src = os.path.dirname(os.path.dirname(fredsolve.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from fredsolve.cli import main; "
+            f"assert main(['solve', '--method', '{method}', '--out', sys.argv[1]]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert run.stdout.split()[-1] == "False"
+
+
 class TestWarmMatrixCache:
     """A run whose assemblies and verifications take their matrices from grid's
     cache writes the same bytes as a run that builds them."""
@@ -138,27 +152,33 @@ class TestWarmMatrixCache:
         assert kernel_work == []
         assert_same_files(tmp_path / "cold", tmp_path / "warm")
 
-    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1", "lavrentiev", "fridman",
-                                        "implicit", "quasisolution"])
+    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1", "lavrentiev", "tikhonov",
+                                        "fridman", "krasnoselskii", "implicit", "steepest",
+                                        "quasisolution"])
     def test_a_warm_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps,
                                                   kernel_work, method):
         # a registered kernel keys its matrices, free-term rules, Poisson blocks,
         # gate verdicts and eigendecompositions on itself: an identical warm
         # request evaluates no product rule, sweeps nothing, sums no series and
         # runs no SVD or eigh
-        rules = []
+        rules, solves = [], []
         row_rule = grid._row_rule
         monkeypatch.setattr(grid, "_row_rule", lambda *args: rules.append(args) or row_rule(*args))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
         argv = ["solve", "--method", method, "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         assert rules and sweeps
-        # the paper's methods sum series and gate; three baselines diagonalize
+        # the paper's methods sum series and gate; the other baselines diagonalize
         assert bool(kernel_work) == (method != "lavrentiev")
         rules.clear()
         sweeps.clear()
         kernel_work.clear()
+        solves.clear()
         assert main(argv) == 0
         assert rules == [] and sweeps == [] and kernel_work == []
+        # a baseline on a kept eigenbasis solves nothing either
+        assert bool(solves) == (method in ("v2", "v2_single", "v1", "lavrentiev"))
 
     def test_a_warm_tabulated_request_skips_the_kernel_work(self, tmp_path, monkeypatch, sweeps):
         # a CSV table is a value too: a new load of the same file hits its free-term
