@@ -46,8 +46,9 @@ def _setup(problem: FirstKindProblem, n: int):
 
 def _symmetric_basis(problem: FirstKindProblem, n: int):
     # (grid, Q, lambda, c): S = Q diag(lambda) Q^T, c = Q^T W^1/2 f
-    grid, A, f = _setup(problem, n)
-    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split, A)
+    grid = gauss_legendre(n, 0.0, 1.0)
+    f = np.asarray(problem.free_term(grid.nodes), dtype=float)
+    lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split)
     return grid, Q, lam, Q.T @ (np.sqrt(grid.weights) * f)
 
 

@@ -161,13 +161,13 @@ def _method_params(args):
     return MethodParams.create(r=args.r, lam=args.lam, mu=args.mu, n_out=args.grid)
 
 
-def _run_v2(prob, args, params):
-    state = method_core.method_v2(prob, params)
+def _run_v2(prob, args):
+    state = method_core.method_v2(prob, _method_params(args))
     return state.psi, {"mu": state.mu}
 
 
-def _run_v2_single(prob, args, params):
-    psi, mu = method_core.method_v2_single(prob, params)
+def _run_v2_single(prob, args):
+    psi, mu = method_core.method_v2_single(prob, _method_params(args))
     return psi, {"mu": mu}
 
 
@@ -176,26 +176,25 @@ def _steps(args):
     return {"psi0": np.zeros(args.grid), "max_iter": args.iters, "n": args.grid}
 
 
-# --method -> run(problem, args, params) -> (psi, summary extras).  Each entry
-# looks its solver up on the module when it runs, so a replaced module
-# attribute (a wrapper, a test double) is the one called.
+# --method -> run(problem, args) -> (psi, summary extras).  Each entry looks
+# its solver up on the module when it runs, so a replaced module attribute (a
+# wrapper, a test double) is the one called.
 _RUNNERS = {
     "v2": _run_v2,
     "v2_single": _run_v2_single,
-    "v1": lambda prob, args, params: (
-        method_core.method_v1(prob, params, n_fourier=args.fourier_n), {}),
-    "lavrentiev": lambda prob, args, _: (baselines.lavrentiev(prob, args.alpha, n=args.grid), {}),
-    "tikhonov": lambda prob, args, _: (
-        baselines.tikhonov_weighted(prob, args.alpha, n=args.grid), {}),
+    "v1": lambda prob, args: (
+        method_core.method_v1(prob, _method_params(args), n_fourier=args.fourier_n), {}),
+    "lavrentiev": lambda prob, args: (baselines.lavrentiev(prob, args.alpha, n=args.grid), {}),
+    "tikhonov": lambda prob, args: (baselines.tikhonov_weighted(prob, args.alpha, n=args.grid), {}),
     # without --step, fridman steps by the first characteristic number on the grid
-    "fridman": lambda prob, args, _: (
+    "fridman": lambda prob, args: (
         baselines.fridman_iterate(prob, args.step, **_steps(args)), {}),
-    "krasnoselskii": lambda prob, args, _: (baselines.krasnoselskii_iterate(
+    "krasnoselskii": lambda prob, args: (baselines.krasnoselskii_iterate(
         prob, 1.0 if args.step is None else args.step, **_steps(args)), {}),
-    "implicit": lambda prob, args, _: (
+    "implicit": lambda prob, args: (
         baselines.implicit_iterate(prob, args.alpha, **_steps(args)), {}),
-    "steepest": lambda prob, args, _: (baselines.steepest_descent(prob, **_steps(args)), {}),
-    "quasisolution": lambda prob, args, _: (
+    "steepest": lambda prob, args: (baselines.steepest_descent(prob, **_steps(args)), {}),
+    "quasisolution": lambda prob, args: (
         baselines.quasisolution(prob, args.radius, n=args.grid), {}),
 }
 _METHODS = tuple(_RUNNERS)
@@ -208,9 +207,10 @@ def _require_method(method, option="--method"):
 
 def _run_method(method, prob, args):
     """Run one solver; returns (GridFunction, summary dict)."""
-    params = _method_params(args)
+    # only v2, v2_single and v1 build MethodParams; no summary records a NaN
+    require_finite(r=args.r, lam=args.lam, mu=args.mu)
     _require_method(method)
-    psi, extras = _RUNNERS[method](prob, args, params)
+    psi, extras = _RUNNERS[method](prob, args)
 
     report = method_core.verify_solution(prob, psi, threshold=args.threshold)
     recon = None
@@ -260,7 +260,7 @@ def cmd_forward(args):
 
 
 def cmd_solve(args):
-    require_order(iters=args.iters, fourier_n=args.fourier_n)
+    require_order(grid=args.grid, iters=args.iters, fourier_n=args.fourier_n)
     prob = _problem_from_args(args)
     started = time.perf_counter()
     psi, summary = _run_method(args.method, prob, args)

@@ -23,6 +23,12 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_]+)|([()+\-*/]))")
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
+# levels an expression may nest: parentheses, calls and signs open at once,
+# and operators, calls and signs on one path through the tree (a chain
+# x+x+...+x of k terms has k - 1).  Parsing recurses 4 frames a level, _fold
+# and the compiled callable 1: far inside Python's default limit of 1000
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -55,62 +61,72 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
+        node = self.expr(0)
         if self.peek() is not None:
             raise ExprParseError(f"unexpected token {self.peek()!r}", self.column())
         return node
 
-    def expr(self):
-        node = self.term()
+    @staticmethod
+    def capped(level: int, col: int) -> int:
+        if level > MAX_DEPTH:
+            raise ExprParseError(f"expression nested deeper than {MAX_DEPTH} levels", col)
+        return level
+
+    def node(self, col: int, *parts):
+        # a tree node with its height (a leaf's is 0) last; _fold never reads it
+        return parts + (self.capped(1 + max(p[-1] for p in parts if isinstance(p, tuple)), col),)
+
+    def expr(self, depth: int):
+        node = self.term(depth)
         while self.peek() in ("+", "-"):
-            op, _ = self.take()
-            node = (op, node, self.term())
+            op, col = self.take()
+            node = self.node(col, op, node, self.term(depth))
         return node
 
-    def term(self):
-        node = self.factor()
+    def term(self, depth: int):
+        node = self.factor(depth)
         while self.peek() in ("*", "/"):
-            op, _ = self.take()
-            node = (op, node, self.factor())
+            op, col = self.take()
+            node = self.node(col, op, node, self.factor(depth))
         return node
 
-    def factor(self):
+    def factor(self, depth: int):
         tok = self.peek()
         if tok == "-":
-            self.take()
-            return ("neg", self.factor())
+            _, col = self.take()
+            return self.node(col, "neg", self.factor(self.capped(depth + 1, col)))
         if tok == "+":
-            self.take()
-            return self.factor()
-        return self.primary()
+            _, col = self.take()
+            return self.factor(self.capped(depth + 1, col))
+        return self.primary(depth)
 
-    def primary(self):
+    def primary(self, depth: int):
         tok = self.peek()
         if tok is None:
             raise ExprParseError("unexpected end of expression", self.column())
         if tok == "(":
             _, col = self.take()
-            node = self.expr()
+            node = self.expr(self.capped(depth + 1, col))
             if self.peek() != ")":
                 raise ExprParseError("unclosed parenthesis opened", col)
             self.take()
             return node
         if re.fullmatch(r"\d+\.\d*|\.\d+|\d+", tok):
             self.take()
-            return ("num", float(tok))
+            return ("num", float(tok), 0)
         if tok in _FUNCS:
             name, col = self.take()
             if self.peek() != "(":
                 raise ExprParseError(f"{name} needs a parenthesized argument", self.column())
             _, pcol = self.take()
-            node = self.expr()
+            node = self.expr(self.capped(depth + 1, col))
             if self.peek() != ")":
                 raise ExprParseError("unclosed parenthesis opened", pcol)
             self.take()
-            return ("call", name, node)
+            return self.node(col, "call", name, node)
         if tok == "x":
             self.take()
-            return ("x",)
+            return ("x", 0)
         _, col = self.take()
         raise ExprParseError(f"unknown name {tok!r}", col)
 

@@ -159,14 +159,13 @@ def estimate_spectrum(kernel, grid: Grid1D,
     return 1.0 / evals[keep], modes
 
 
-def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,
-                   matrix: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+def _symmetric_eigh(kernel, grid: Grid1D,
+                    diag_split: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
     """(evals, Q, kappa): S = W^1/2 A W^-1/2 = Q diag(evals) Q^T, kappa = max |k|.
 
     Every pair, in ``eigh``'s order: a rank-deficient kernel keeps its null
-    modes.  ``matrix`` passes an A the caller has already assembled; it must
-    be ``operator_matrix(kernel, grid, diag_split=diag_split)``, since the
-    result is kept under that key.  ConfigError when the kernel's grid values are
+    modes.  A is ``operator_matrix(kernel, grid, diag_split=diag_split)``,
+    assembled only on a miss.  ConfigError when the kernel's grid values are
     asymmetric by more than 1e-8.  For a kernel that is a value the triple
     passes that check once and is then kept in grid's matrix store under the
     nodes, interval and ``diag_split`` (``grid._kept``), so a repeated call
@@ -179,7 +178,7 @@ def _symmetric_eigh(kernel, grid: Grid1D, diag_split: bool = True,
         if asym > 1e-8:
             raise ConfigError(f"kernel asymmetry {asym:.3g} exceeds 1e-8")
         sw = np.sqrt(grid.weights)
-        A = operator_matrix(kernel, grid, diag_split=diag_split) if matrix is None else matrix
+        A = operator_matrix(kernel, grid, diag_split=diag_split)
         S = sw[:, None] * A / sw[None, :]
         S = 0.5 * (S + S.T)  # assembly asymmetry is at rounding level
         evals, evecs = np.linalg.eigh(S)

@@ -14,7 +14,6 @@ Nystrom matrix A, so the Fourier route shares the one assembly.
 
 from __future__ import annotations
 
-import mmap
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,9 +116,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise ConfigError("value count does not match node count")
-
-    def l2_norm(self) -> float:
-        return self.grid.l2_norm(self.values)
 
 
 @lru_cache(maxsize=64)
@@ -297,18 +293,14 @@ class _ForwardCache:
     One budget holds every entry: apply_operator's forward matrices B (from
     a GridFunction) and free-term rules (from a callable source),
     operator_matrix's matrices A, the grid route's weighted Poisson blocks
-    and gate verdicts (``method_core._Workspace``), and the eigenbases of
-    fridman, implicit, quasisolution and krasnoselskii.  A key names the
-    kind and the geometry (node bytes, intervals, flags, rule order, and
-    for the grid route the Poisson pair and the asked mu) and ends with the
-    kernel, a ``_PureKernel``: a hit evaluates nothing, and distinct
-    values, such as two poisson_r radii or two CSV tables, never share an
-    entry.  Stored arrays are read-only copies, each in its own anonymous
-    memory map: long-lived arrays taken from the malloc heap in mid-request
-    fragment it, which on the solve_1d benchmark workload cost about 1 MB
-    more peak RSS than the maps.  The least recently used entries go first
-    once the stored bytes pass the budget; an entry larger than the budget
-    is never kept.
+    and gate verdicts (``method_core._Workspace``), and the baselines'
+    eigenbases.  A key names the kind and the geometry (node bytes,
+    intervals, flags, rule order, and for the grid route the Poisson pair
+    and the asked mu) and ends with the kernel, a ``_PureKernel``: a hit
+    evaluates nothing, and distinct values, such as two poisson_r radii or
+    two CSV tables, never share an entry.  Stored arrays are read-only
+    copies.  The least recently used entries go first once the stored bytes
+    pass the budget; an entry larger than the budget is never kept.
     """
 
     def __init__(self, budget: int):
@@ -326,9 +318,7 @@ class _ForwardCache:
     def _stored(a):
         if isinstance(a, tuple):
             return tuple(_ForwardCache._stored(b) for b in a)
-        out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype,
-                            count=a.size).reshape(a.shape)
-        out[...] = a
+        out = a.copy()
         out.setflags(write=False)
         return out
 

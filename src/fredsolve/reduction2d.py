@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateProblemError, NonFiniteValueError,
                      UndefinedDeltaError)
 from .fredholm2 import certified_mu, gate_mu, gated_system, solve_direct
+# interp_matrix is unused: perfbench/tests/test_spans.py reads the binding (ROADMAP item 2)
 from .grid import (GridFunction, Grid1D, _PureKernel, gauss_legendre, interp_matrix,
                    operator_matrix)
 from .method_core import MethodParams, ResidualReport, _verdict, _Workspace
@@ -151,7 +152,7 @@ def reduce_membrane() -> Bvp2DReduction:
 
     return Bvp2DReduction(
         name="membrane",
-        tau1=lambda x, y, xi: _tau_membrane_x(x, y, xi),
+        tau1=_tau_membrane_x,
         tau2=tau2,
         free_term=lambda x, y: 0.5 * np.asarray(y, dtype=float) * (1.0 - np.asarray(y, dtype=float))
                                + 0.0 * np.asarray(x, dtype=float),
@@ -174,7 +175,7 @@ def reduce_heat(u0) -> Bvp2DReduction:
 
     return Bvp2DReduction(
         name="heat",
-        tau1=lambda x, t, xi: _tau_membrane_x(x, t, xi),
+        tau1=_tau_membrane_x,
         tau2=tau2,
         free_term=lambda x, t: np.asarray(u0(x), dtype=float) + 0.0 * np.asarray(t, dtype=float),
     )
@@ -236,41 +237,21 @@ def forward2d(psi: GridFunction2D, T1: np.ndarray, T2: np.ndarray) -> GridFuncti
 
 
 def reconstruct_u(reduction: Bvp2DReduction, psi: GridFunction2D, which: str,
-                  stack: np.ndarray, boundary_corrected: bool = False) -> GridFunction2D:
+                  stack: np.ndarray) -> GridFunction2D:
     """Field u from psi via one representation.
 
     'x' integrates tau1 against psi (vanishes where tau1 does); 'y' uses
-    f - the tau2 integral.  Boundary correction subtracts the linear blend of
-    the values on the other pair of edges, evaluated from the same
-    representation.
-
-    ``stack`` is the route's tau stack on psi's grid, T1 (ny, nx, nx) for
-    'x' or T2 (nx, ny, ny) for 'y', as ``method2d_solve`` returns it.  The
-    edge stacks of the boundary correction sit at other points and are
-    assembled here.
+    f - the tau2 integral.  ``stack`` is the route's tau stack on psi's grid,
+    T1 (ny, nx, nx) for 'x' or T2 (nx, ny, ny) for 'y', as ``method2d_solve``
+    returns it.
     """
     if which not in ("x", "y"):
         raise ConfigError(f"route must be 'x' or 'y', got {which!r}")
     gx, gy, v = psi.x_grid, psi.y_grid, psi.values
     stack = _route_stack(psi, which, stack)
-    ends = np.array([0.0, 1.0])
     if which == "x":
-        vals = _along_x(stack, v)
-        if boundary_corrected:
-            # psi on y = 0 and y = 1, one matrix-vector product per edge (see _along_x)
-            on_edges = np.matmul(v, interp_matrix(gy.nodes, ends)[:, :, None])[:, :, 0].T
-            edge = _along_x(_tau_stack(reduction, "x", gx, ends), on_edges)
-            y = gy.nodes[None, :]
-            vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
-    else:
-        vals = _free_term(reduction, gx.nodes, gy.nodes) - _along_y(stack, v)
-        if boundary_corrected:
-            on_edges = np.matmul(interp_matrix(gx.nodes, ends)[:, None, :], v)[:, 0, :]
-            edge = (_free_term(reduction, ends, gy.nodes)
-                    - _along_y(_tau_stack(reduction, "y", gy, ends), on_edges))
-            x = gx.nodes[:, None]
-            vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
-    return GridFunction2D(gx, gy, vals)
+        return GridFunction2D(gx, gy, _along_x(stack, v))
+    return GridFunction2D(gx, gy, _free_term(reduction, gx.nodes, gy.nodes) - _along_y(stack, v))
 
 
 def closure_delta(U1: GridFunction2D, U2: GridFunction2D) -> float:

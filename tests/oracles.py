@@ -198,33 +198,17 @@ def forward2d_loops(reduction, psi):
     return out
 
 
-def reconstruct_u_loops(reduction, psi, which, boundary_corrected):
-    """Values of either u route, with the edge blend built edge by edge."""
+def reconstruct_u_loops(reduction, psi, which):
+    """Values of either u route, built block by block."""
     gx, gy = psi.x_grid, psi.y_grid
-    ends = np.array([0.0, 1.0])
     vals = np.zeros((gx.n, gy.n))
     if which == "x":
         for j, rows in enumerate(tau_blocks(reduction, "x", gx, gy.nodes)):
             vals[:, j] = rows @ psi.values[:, j]
-        if boundary_corrected:
-            Ly = interp_matrix(gy.nodes, ends)
-            edge = np.zeros((gx.n, 2))
-            for col, rows in enumerate(tau_blocks(reduction, "x", gx, (0.0, 1.0))):
-                edge[:, col] = rows @ (psi.values @ Ly[col])
-            y = gy.nodes[None, :]
-            vals = vals - (edge[:, [0]] * (1.0 - y) + edge[:, [1]] * y)
         return vals
     F = np.asarray(reduction.free_term(gx.nodes[:, None], gy.nodes[None, :]), dtype=float)
     for i, rows in enumerate(tau_blocks(reduction, "y", gy, gx.nodes)):
         vals[i, :] = F[i, :] - rows @ psi.values[i, :]
-    if boundary_corrected:
-        Lx = interp_matrix(gx.nodes, ends)
-        Fe = np.asarray(reduction.free_term(ends[:, None], gy.nodes[None, :]), dtype=float)
-        edge = np.zeros((2, gy.n))
-        for row, rows in enumerate(tau_blocks(reduction, "y", gy, (0.0, 1.0))):
-            edge[row, :] = Fe[row, :] - rows @ (Lx[row] @ psi.values)
-        x = gx.nodes[:, None]
-        vals = vals - ((1.0 - x) * edge[[0], :] + x * edge[[1], :])
     return vals
 
 

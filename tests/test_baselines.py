@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredsolve import baselines, fredholm2
+from fredsolve import baselines, fredholm2, grid
 from fredsolve.baselines import (fridman_iterate, implicit_iterate, krasnoselskii_iterate,
                                  lavrentiev, quasisolution, steepest_descent,
                                  tikhonov_weighted)
@@ -146,18 +146,6 @@ class TestFridman:
         assert np.array_equal(fridman_iterate(prob, None, lambda x: x, max_iter=6).values,
                               fridman_iterate(prob, lam1, lambda x: x, max_iter=6).values)
 
-    def test_operator_assembled_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1].n)
-            return operator_matrix(*args, **kwargs)
-
-        monkeypatch.setattr(baselines, "operator_matrix", counted)
-        monkeypatch.setattr(fredholm2, "operator_matrix", counted)
-        fridman_iterate(m1_problem(), 2.0, np.zeros(GRID.n), max_iter=2)
-        assert calls == [GRID.n]
-
     def test_step_bound_enforced(self):
         with pytest.raises(ConfigError) as exc:
             fridman_iterate(m1_problem(), 2.1 * np.pi ** 2, np.zeros(GRID.n))
@@ -235,6 +223,28 @@ class TestImplicit:
     def test_asymmetric_kernel_refused(self):
         with pytest.raises(ConfigError, match="asymmetry"):
             implicit_iterate(asymmetric_problem(), 1.0, np.zeros(GRID.n))
+
+
+@pytest.mark.parametrize("run", [
+    lambda prob: fridman_iterate(prob, 2.0, np.zeros(GRID.n), max_iter=2),
+    lambda prob: implicit_iterate(prob, 1e-3, np.zeros(GRID.n), max_iter=2)],
+    ids=["fridman", "implicit"])
+def test_a_symmetric_basis_assembles_A_cold_only(monkeypatch, run):
+    # A serves only the eigendecomposition: a cold request assembles it once,
+    # and a warm one takes the kept basis and assembles nothing
+    monkeypatch.setattr(grid, "_forward_cache", grid._ForwardCache(grid._FORWARD_CACHE_BYTES))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].n)
+        return operator_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "operator_matrix", counted)
+    monkeypatch.setattr(fredholm2, "operator_matrix", counted)
+    run(m1_problem())
+    assert calls == [GRID.n]
+    run(m1_problem())
+    assert calls == [GRID.n]
 
 
 class TestSteepestDescent:

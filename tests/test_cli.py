@@ -341,6 +341,16 @@ class TestUsageErrors:
         assert len(run.stderr.splitlines()) == lines, run.stderr
         assert run.stderr == "" or run.stderr.startswith("numerical parameter error:")
 
+    @pytest.mark.parametrize("psi", ["(" * 260 + "x" + ")" * 260, "+".join(["x"] * 1000)],
+                             ids=["nested-parentheses", "flat-sum"])
+    def test_a_too_deep_expression_exits_1_with_one_line(self, tmp_path, capsys, psi):
+        # refused while parsing, before any recursion could run out of stack
+        out = tmp_path / "out"
+        assert main(["solve", f"--psi={psi}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested deeper than") and err.count("\n") == 1
+        assert "column" in err and not out.exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -404,13 +414,22 @@ class TestSolveCommand:
         assert rc == 2
         assert "(1/2) r^-n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["lavrentiev", "tikhonov"])
+    def test_a_baseline_never_reads_lambda(self, tmp_path, method):
+        # lambda = 0.5 is excluded for the paper's methods; a baseline runs as at 0.2
+        for lam in ("0.2", "0.5"):
+            assert main(["solve", "--method", method, "--lambda", lam,
+                         "--out", str(tmp_path / lam)]) == 0
+        assert ((tmp_path / "0.2" / "solution.csv").read_bytes()
+                == (tmp_path / "0.5" / "solution.csv").read_bytes())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences the overflow
     def test_non_finite_free_term_exit_code_2(self, tmp_path, capsys):
         assert main(["solve", "--f", "exp(1000*x)", "--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1"])
+    @pytest.mark.parametrize("method", ["v2", "v2_single", "v1", "lavrentiev", "tikhonov"])
     @pytest.mark.parametrize("flag", [["--mu", "nan"], ["--mu", "inf"], ["--lambda", "nan"]])
     def test_non_finite_parameter_exit_code_2(self, tmp_path, capsys, method, flag):
         assert main(["solve", "--method", method, "--out", str(tmp_path / "o")] + flag) == 2
@@ -568,6 +587,13 @@ class TestBenchCommand:
                      "--omegas", "3.14", "--lambda", "0.5", "--out", out]) == 0
         header, rows = read_csv(tmp_path / "bench.csv")
         assert rows[0][header.index("status")].startswith("excluded")
+
+    def test_an_excluded_lambda_leaves_the_baseline_rows_ok(self, tmp_path):
+        assert main(["bench", "--methods", "lavrentiev,v2", "--lambda", "0.5", "--grid", "32",
+                     "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "bench.csv")
+        status = {(row[0], row[header.index("status")]) for row in rows}
+        assert status == {("lavrentiev", "ok"), ("v2", "excluded: ParameterExclusionError")}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # main silences the overflow
     @pytest.mark.parametrize("method", ["v1", "v2_single", "v2"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fredsolve.errors import ExprParseError
-from fredsolve.expr import compile_expr
+from fredsolve.expr import MAX_DEPTH, compile_expr
 from oracles import reference_expr
 
 # a benchmark-style psi*: three literals in each term
@@ -78,3 +78,40 @@ def test_trailing_junk():
 def test_empty():
     with pytest.raises(ExprParseError):
         compile_expr("   ")
+
+
+def at_depth(frames, fn):
+    """fn() called under `frames` extra stack frames."""
+    return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+
+# (text, column): one level past MAX_DEPTH of each kind, and where it is refused
+TOO_DEEP = [
+    ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 1),
+    ("+".join(["x"] * (MAX_DEPTH + 2)), 2 * MAX_DEPTH + 2),
+    ("-" * (MAX_DEPTH + 1) + "x", MAX_DEPTH + 1),
+    ("sin(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), 4 * MAX_DEPTH + 1)]
+AT_THE_CAP = [
+    "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "+".join(["x"] * (MAX_DEPTH + 1)),
+    "-" * MAX_DEPTH + "x",
+    "sin(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH]
+SHAPES = ["parentheses", "flat-sum", "signs", "calls"]
+
+
+# the parser, _fold and the compiled callable all recurse: the cap keeps each
+# verdict the same however deep the caller's own stack already is
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("text,column", TOO_DEEP, ids=SHAPES)
+def test_an_expression_past_the_depth_cap_is_refused(text, column, frames):
+    with pytest.raises(ExprParseError, match=f"deeper than {MAX_DEPTH}") as exc:
+        at_depth(frames, lambda: compile_expr(text))
+    assert exc.value.column == column
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("text", AT_THE_CAP, ids=SHAPES)
+def test_an_expression_at_the_depth_cap_compiles(text, frames):
+    x = np.linspace(-1.0, 1.0, 5)
+    got = at_depth(frames, lambda: compile_expr(text)(x))
+    assert same_bits(got, reference_expr(text)(x))

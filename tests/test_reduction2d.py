@@ -163,27 +163,15 @@ class TestReconstructU:
         exact = membrane_u(psi.x_grid.nodes[:, None], psi.y_grid.nodes[None, :], n_terms=40)
         assert np.max(np.abs(u1.values - exact)) < 1e-3
 
-    def test_boundary_corrected_variants(self):
-        red = reduce_membrane()
-        psi = _sample2d(lambda x, y: membrane_psi(x, y, n_terms=16))
-        stacks = _stacks(red, psi)
-        U1 = reconstruct_u(red, psi, "x", stacks["x"], boundary_corrected=True)
-        U2 = reconstruct_u(red, psi, "y", stacks["y"], boundary_corrected=True)
-        assert np.all(np.isfinite(U1.values)) and np.all(np.isfinite(U2.values))
-        delta = closure_delta(U1, U2)
-        print(f"\n[membrane oracle] closure delta = {delta:.6e}")
-
     @pytest.mark.parametrize("name", ["membrane", "heat", "varying"])
     @pytest.mark.parametrize("which", ["x", "y"])
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_the_solver_stack_gives_its_own_assembly_bit_for_bit(self, name, which, corrected):
+    def test_the_solver_stack_gives_its_own_assembly_bit_for_bit(self, name, which):
         red = REDUCTIONS[name]()
         result = method2d_solve(red, PARAMS, nx=11, ny=7)
         stack = result.T1 if which == "x" else result.T2
         assert np.array_equal(stack, _stacks(red, result.psi)[which])
-        got = reconstruct_u(red, result.psi, which, stack, boundary_corrected=corrected)
-        want = reconstruct_u(red, result.psi, which, _stacks(red, result.psi)[which],
-                             boundary_corrected=corrected)
+        got = reconstruct_u(red, result.psi, which, stack)
+        want = reconstruct_u(red, result.psi, which, _stacks(red, result.psi)[which])
         assert np.array_equal(got.values, want.values)
 
     def test_a_stack_of_the_wrong_route_is_refused(self):
@@ -386,12 +374,10 @@ class TestTensorForm:
 
     @pytest.mark.parametrize("name", REDUCTIONS)
     @pytest.mark.parametrize("which", ["x", "y"])
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_reconstruct_u_matches_block_loops_bit_for_bit(self, name, which, corrected):
+    def test_reconstruct_u_matches_block_loops_bit_for_bit(self, name, which):
         red, psi = REDUCTIONS[name](), _psi_rect()
-        got = reconstruct_u(red, psi, which, _stacks(red, psi)[which],
-                            boundary_corrected=corrected).values
-        assert np.array_equal(got, reconstruct_u_loops(red, psi, which, corrected))
+        got = reconstruct_u(red, psi, which, _stacks(red, psi)[which]).values
+        assert np.array_equal(got, reconstruct_u_loops(red, psi, which))
 
     @pytest.mark.parametrize("name", REDUCTIONS)
     def test_method2d_matrix_matches_block_loops_bit_for_bit(self, name, monkeypatch):
