@@ -39,28 +39,29 @@ __all__ = [
 
 def _setup(problem: FirstKindProblem, n: int):
     grid = gauss_legendre(n, 0.0, 1.0)
-    A = operator_matrix(problem.kernel, grid, diag_split=problem.diag_split)
-    f = np.asarray(problem.free_term(grid.nodes), dtype=float)
-    return grid, A, f
+    return grid, np.asarray(problem.free_term(grid.nodes), dtype=float)
 
 
 def _symmetric_basis(problem: FirstKindProblem, n: int):
     # (grid, Q, lambda, c): S = Q diag(lambda) Q^T, c = Q^T W^1/2 f
-    grid = gauss_legendre(n, 0.0, 1.0)
-    f = np.asarray(problem.free_term(grid.nodes), dtype=float)
+    grid, f = _setup(problem, n)
     lam, Q, _ = _symmetric_eigh(problem.kernel, grid, problem.diag_split)
     return grid, Q, lam, Q.T @ (np.sqrt(grid.weights) * f)
 
 
 def _normal_basis(problem: FirstKindProblem, n: int):
-    # (grid, V, sigma^2, c): S^T S = V diag(sigma^2) V^T, c = V^T S^T W^1/2 f
-    grid, A, f = _setup(problem, n)
+    # (grid, V, sigma^2, c): S^T S = V diag(sigma^2) V^T, c = V^T S^T W^1/2 f, with the
+    # basis and S kept for a value, so a warm request assembles no A
+    grid, f = _setup(problem, n)
     sw = np.sqrt(grid.weights)
-    S = sw[:, None] * A / sw[None, :]
-    # the normal matrix's eigenbasis is fixed by the kernel and grid, kept for a value
-    sigma2, V = _kept(problem.kernel, ("normal_eigh", grid.nodes.tobytes(), (grid.a, grid.b),
-                                       bool(problem.diag_split)),
-                      lambda: tuple(np.linalg.eigh(S.T @ S)))
+
+    def build():
+        A = operator_matrix(problem.kernel, grid, diag_split=problem.diag_split)
+        S = sw[:, None] * A / sw[None, :]
+        return tuple(np.linalg.eigh(S.T @ S)) + (S,)
+
+    sigma2, V, S = _kept(problem.kernel, ("normal_eigh", grid.nodes.tobytes(),
+                                          (grid.a, grid.b), bool(problem.diag_split)), build)
     return grid, V, sigma2, V.T @ (S.T @ (sw * f))
 
 
@@ -81,7 +82,8 @@ def lavrentiev(problem: FirstKindProblem, alpha: float, n: int = 64) -> GridFunc
     """Solve alpha psi + A psi = f."""
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    grid, A, f = _setup(problem, n)
+    grid, f = _setup(problem, n)
+    A = operator_matrix(problem.kernel, grid, diag_split=problem.diag_split)
     return GridFunction(grid, np.linalg.solve(alpha * np.eye(grid.n) + A, f))
 
 
@@ -180,8 +182,7 @@ def quasisolution(problem: FirstKindProblem, R: float, n: int = 64) -> GridFunct
     """
     if R <= 0:
         raise InvalidRadiusError(f"radius must be positive, got {R}")
-    grid = gauss_legendre(n, 0.0, 1.0)
-    f = np.asarray(problem.free_term(grid.nodes), dtype=float)
+    grid, f = _setup(problem, n)
     lam, Phi = estimate_spectrum(problem.kernel, grid, diag_split=problem.diag_split)
     c = Phi.T @ (grid.weights * f)
     picard = c * lam

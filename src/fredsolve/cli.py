@@ -376,9 +376,9 @@ def cmd_reduce(args):
         params = _method_params(args)
         result = reduction2d.method2d_solve(red, params, nx=args.grid2d, ny=args.grid2d,
                                             verify_threshold=args.threshold)
-        px, py = np.meshgrid(result.psi.x_grid.nodes, result.psi.y_grid.nodes, indexing="ij")
+        # psi lives on the kernel table's grid, nx = ny = grid2d
         tables.append((f"{args.bvp}_solution.csv", ["x", "y", "psi"],
-                       np.column_stack([px.ravel(), py.ravel(), result.psi.values.ravel()])))
+                       np.column_stack([x.ravel(), y.ravel(), result.psi.values.ravel()])))
         summary.update({"mu": result.mu,
                         "residual_l2": result.report.residual_l2,
                         "relative_residual": result.report.relative})

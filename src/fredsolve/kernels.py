@@ -128,10 +128,15 @@ def _check_exclusion(lam: float, r: float, n_trunc: int) -> None:
                 raise ParameterExclusionError(lam, family, n, value, rel)
 
 
+def _poisson(x, xi, r):
+    # the one closed-form Poisson kernel: h of the grid route and problems' poisson_r
+    u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
+    return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(2.0 * np.pi * u) + r * r)
+
+
 def poisson_h(x, xi, p: PoissonParams):
     """Closed-form Poisson kernel (1-r^2) / (1 - 2 r cos(2 pi (x-xi)) + r^2)."""
-    u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
-    return (1.0 - p.r ** 2) / (1.0 - 2.0 * p.r * np.cos(2.0 * np.pi * u) + p.r ** 2)
+    return _poisson(x, xi, p.r)
 
 
 def _cosine_series(c0, coeffs, out_nodes, in_nodes):
@@ -161,26 +166,13 @@ def _cosine_series(c0, coeffs, out_nodes, in_nodes):
     return out
 
 
-def _H_coeffs(p):
-    n = np.arange(1, p.n_trunc + 1)
-    rn = p.r ** n
-    return 1.0 / (1.0 - 2.0 * p.lam), rn / (1.0 - 2.0 * p.lam * rn)
-
-
-def _l_coeffs(p):
-    n = np.arange(1, p.n_trunc + 1)
-    rn = p.r ** n
-    return 1.0 / (1.0 - 2.0 * p.lam), rn ** 2 / (1.0 - 2.0 * p.lam * rn)
-
-
-def _L_coeffs(p):
-    n = np.arange(1, p.n_trunc + 1)
-    rn = p.r ** n
-    return (1.0 / (1.0 - 2.0 * p.lam - p.Lambda),
-            rn ** 2 / (1.0 - 2.0 * p.lam * rn - p.Lambda * rn ** 2))
-
-
-_KINDS = {"H": _H_coeffs, "l": _l_coeffs, "L": _L_coeffs}
+# kind -> (c0, a_n) of its series from p and rn = r^n, n = 1..n_trunc
+_KINDS = {
+    "H": lambda p, rn: (1.0 / (1.0 - 2.0 * p.lam), rn / (1.0 - 2.0 * p.lam * rn)),
+    "l": lambda p, rn: (1.0 / (1.0 - 2.0 * p.lam), rn ** 2 / (1.0 - 2.0 * p.lam * rn)),
+    "L": lambda p, rn: (1.0 / (1.0 - 2.0 * p.lam - p.Lambda),
+                        rn ** 2 / (1.0 - 2.0 * p.lam * rn - p.Lambda * rn ** 2)),
+}
 
 
 def kernel_matrix(kind: str, p: PoissonParams, out_nodes, in_nodes) -> np.ndarray:
@@ -190,4 +182,5 @@ def kernel_matrix(kind: str, p: PoissonParams, out_nodes, in_nodes) -> np.ndarra
                          np.asarray(in_nodes, float)[None, :], p)
     if kind not in _KINDS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    return _cosine_series(*_KINDS[kind](p), out_nodes, in_nodes)
+    rn = p.r ** np.arange(1, p.n_trunc + 1)
+    return _cosine_series(*_KINDS[kind](p, rn), out_nodes, in_nodes)

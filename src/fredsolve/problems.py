@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, require_finite
 from .grid import GridFunction, _PureKernel, apply_operator, gauss_legendre
+from .kernels import _poisson
 
 __all__ = [
     "FirstKindProblem",
@@ -94,11 +95,6 @@ def _registry():
             "make": lambda r=0.5: (_poisson_restricted(r), False),
         },
     }
-
-
-def _poisson(x, xi, r):
-    u = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
-    return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(2.0 * np.pi * u) + r * r)
 
 
 def _poisson_restricted(r):

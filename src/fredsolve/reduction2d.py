@@ -144,16 +144,11 @@ def _tau_membrane_x(x, y, xi):
 
 
 def reduce_membrane() -> Bvp2DReduction:
-    """Uniformly loaded membrane clamped on the unit square."""
-    def tau2(x, y, eta):
-        y = np.asarray(y, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        return (y - eta) * (eta <= y) - y * (1.0 - eta)
-
+    """Uniformly loaded membrane clamped on the unit square; tau2 is tau1 with x and y swapped."""
     return Bvp2DReduction(
         name="membrane",
         tau1=_tau_membrane_x,
-        tau2=tau2,
+        tau2=lambda x, y, eta: _tau_membrane_x(y, x, eta),
         free_term=lambda x, y: 0.5 * np.asarray(y, dtype=float) * (1.0 - np.asarray(y, dtype=float))
                                + 0.0 * np.asarray(x, dtype=float),
     )
@@ -268,15 +263,10 @@ def _kronecker_norm_bound(N0: np.ndarray, lamH: np.ndarray, M0: np.ndarray) -> f
     """Upper bound on ||A||_2 when neither tau stack varies.
 
     Then A = N0 (x) I + (I + lamH) (x) M0, and ||X (x) Y||_2 = ||X||_2 ||Y||_2
-    gives ||A||_2 <= ||N0||_2 + (1 + ||lamH||_2) ||M0||_2.  The three norms
-    come from one batched values-only SVD; the nx- and ny-square factors are
-    zero-padded to a common size, which leaves each 2-norm unchanged.
+    gives ||A||_2 <= ||N0||_2 + (1 + ||lamH||_2) ||M0||_2, each norm from its
+    factor's own values-only SVD.
     """
-    size = max(N0.shape[0], M0.shape[0])
-    factors = np.zeros((3, size, size))
-    for k, X in enumerate((N0, lamH, M0)):
-        factors[k, :X.shape[0], :X.shape[1]] = X
-    n_norm, h_norm, m_norm = np.linalg.svd(factors, compute_uv=False)[:, 0]
+    n_norm, h_norm, m_norm = (np.linalg.svd(X, compute_uv=False)[0] for X in (N0, lamH, M0))
     return float(n_norm + (1.0 + h_norm) * m_norm)
 
 

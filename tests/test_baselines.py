@@ -227,11 +227,15 @@ class TestImplicit:
 
 @pytest.mark.parametrize("run", [
     lambda prob: fridman_iterate(prob, 2.0, np.zeros(GRID.n), max_iter=2),
-    lambda prob: implicit_iterate(prob, 1e-3, np.zeros(GRID.n), max_iter=2)],
-    ids=["fridman", "implicit"])
+    lambda prob: implicit_iterate(prob, 1e-3, np.zeros(GRID.n), max_iter=2),
+    lambda prob: tikhonov_weighted(prob, 1e-4),
+    lambda prob: krasnoselskii_iterate(prob, 1.0, np.zeros(GRID.n), max_iter=2),
+    lambda prob: steepest_descent(prob, np.zeros(GRID.n), max_iter=2)],
+    ids=["fridman", "implicit", "tikhonov", "krasnoselskii", "steepest"])
 def test_a_symmetric_basis_assembles_A_cold_only(monkeypatch, run):
-    # A serves only the eigendecomposition: a cold request assembles it once,
-    # and a warm one takes the kept basis and assembles nothing
+    # A serves only the eigendecomposition (symmetric or normal; the normal
+    # basis keeps S beside it): a cold request assembles A once, and a warm
+    # one takes the kept basis and assembles nothing
     monkeypatch.setattr(grid, "_forward_cache", grid._ForwardCache(grid._FORWARD_CACHE_BYTES))
     calls = []
 
