@@ -15,8 +15,7 @@ from .errors import (ConfigError, DegenerateProblemError, ExprParseError,
 from .grid import Grid1D, GridFunction, fourier_coeffs, gauss_legendre, kernel_fourier_coeffs
 from .kernels import PoissonParams, poisson_h
 from .fredholm2 import estimate_spectrum, solve_direct
-from .problems import (FirstKindProblem, NoiseSpec, forward_apply,
-                       green_triangular, make_manufactured, perturb)
+from .problems import FirstKindProblem, NoiseSpec, green_triangular, make_manufactured, perturb
 from .method_core import (MethodParams, PipelineState, ResidualReport, method_v1, method_v2,
                           method_v2_single, select_mu, verify_solution)
 from .baselines import (fridman_iterate, implicit_iterate, krasnoselskii_iterate,

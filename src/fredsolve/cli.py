@@ -24,7 +24,7 @@ from . import baselines, method_core, problems, reduction2d
 from .errors import (ConfigError, FredsolveError, NonFiniteValueError,
                      NumericalParameterError, require_finite, require_order)
 from .expr import compile_expr
-from .grid import gauss_legendre
+from .grid import apply_operator, gauss_legendre
 from .method_core import MethodParams
 from .problems import NoiseSpec
 
@@ -147,8 +147,7 @@ def _problem_from_args(args):
     if psi_expr is None and f_expr is not None:
         kern, split = problems.get_kernel(kernel_name, r=r, csv_path=csv_path)
         prob = problems.FirstKindProblem(
-            name=label or name, kernel=kern, free_term=compile_expr(f_expr), diag_split=split,
-            provenance=f"problem file {name}" if label else "free term from --f")
+            name=label or name, kernel=kern, free_term=compile_expr(f_expr), diag_split=split)
     else:
         # without an expression: the default benchmark input, the manufactured m=1 problem
         psi = (compile_expr(psi_expr) if psi_expr is not None
@@ -250,11 +249,12 @@ def cmd_forward(args):
     prob = _problem_from_args(args)
     if prob.psi_star is None:
         raise ConfigError(f"forward needs psi_expr and no noise: {prob.name} has no psi to map")
-    f = problems.forward_apply(prob.kernel, prob.psi_star, quad_order=args.grid,
-                               diag_split=prob.diag_split)
+    x = gauss_legendre(args.grid, 0.0, 1.0).nodes
+    f = apply_operator(prob.kernel, x, prob.psi_star, diag_split=prob.diag_split,
+                       quad_order=args.grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forward.csv")
-    write_csv(path, ["x", "f"], np.column_stack([f.grid.nodes, f.values]))
+    write_csv(path, ["x", "f"], np.column_stack([x, f]))
     sys.stdout.write(path + "\n")
     return 0
 

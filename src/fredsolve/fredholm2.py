@@ -143,20 +143,15 @@ def estimate_spectrum(kernel, grid: Grid1D,
     (5.6e-9 |lambda_max|).
     """
     evals, evecs, kappa = _symmetric_eigh(kernel, grid, diag_split)
-    sw = np.sqrt(grid.weights)
     order = np.argsort(np.abs(evals))[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    tau = _rounding_bound(kappa, abs(evals[0]), grid, diag_split)
-    keep = [i for i in range(grid.n) if abs(evals[i]) > tau]
-    modes = np.empty((grid.n, len(keep)))
-    for j, i in enumerate(keep):
-        # column by column: a vectorized norm rounds differently
-        v = evecs[:, i] / sw
-        v /= grid.l2_norm(v)
-        if v[np.argmax(np.abs(v))] < 0:  # deterministic sign
-            v = -v
-        modes[:, j] = v
-    return 1.0 / evals[keep], modes
+    tau = _rounding_bound(kappa, abs(evals[order[0]]), grid, diag_split)
+    keep = order[np.abs(evals[order]) > tau]
+    # one mode per contiguous row, so each row's norm is the pairwise sum
+    # Grid1D.l2_norm takes of one mode
+    V = evecs.T[keep] / np.sqrt(grid.weights)
+    V /= np.sqrt(np.sum(grid.weights * V * V, axis=1))[:, None]
+    V[V[np.arange(keep.size), np.argmax(np.abs(V), axis=1)] < 0] *= -1.0  # deterministic sign
+    return 1.0 / evals[keep], np.ascontiguousarray(V.T)
 
 
 def _symmetric_eigh(kernel, grid: Grid1D,

@@ -90,7 +90,6 @@ class ResidualReport:
     residual_l2: float
     relative: float
     solvable: str
-    threshold: float
 
 
 class _Workspace:
@@ -314,5 +313,4 @@ def _verdict(residual: float, fnorm: float, threshold: float) -> ResidualReport:
         verdict = "yes"
     else:
         verdict = "unknown"
-    return ResidualReport(residual_l2=float(residual), relative=float(relative),
-                          solvable=verdict, threshold=float(threshold))
+    return ResidualReport(residual_l2=float(residual), relative=float(relative), solvable=verdict)

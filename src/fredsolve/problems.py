@@ -1,4 +1,4 @@
-"""First-kind problem registry, the forward map, and the noise model.
+"""First-kind problem registry and the noise model.
 
 A problem bundles a kernel k(x, xi) on [0,1]^2 with a free term f(x).
 Manufactured problems choose psi* first and define f as the forward map
@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, require_finite
-from .grid import GridFunction, _PureKernel, apply_operator, gauss_legendre
+from .grid import _PureKernel, apply_operator
 from .kernels import _poisson
 
 __all__ = [
     "FirstKindProblem",
     "NoiseSpec",
-    "forward_apply",
     "make_manufactured",
     "perturb",
     "get_kernel",
@@ -43,7 +42,7 @@ def _constant_kernel(x, xi):
 
 @dataclass(frozen=True)
 class FirstKindProblem:
-    """int_0^1 k(x, xi) psi(xi) d xi = f(x) with provenance metadata.
+    """int_0^1 k(x, xi) psi(xi) d xi = f(x), named for reports.
 
     ``diag_split`` marks a derivative kink of k at xi = x (quadrature is
     split there).  ``psi_star``, when present, is the manufacturing input.
@@ -52,7 +51,6 @@ class FirstKindProblem:
     name: str
     kernel: object
     free_term: object
-    provenance: str = ""
     psi_star: object = None
     diag_split: bool = False
 
@@ -70,43 +68,27 @@ class NoiseSpec:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def forward_apply(kernel, psi, quad_order: int = 64,
-                  diag_split: bool = False) -> GridFunction:
-    """Direct problem: sample f(x) = int_0^1 k(x, xi) psi(xi) d xi on the
-    ``quad_order``-point Gauss grid."""
-    grid = gauss_legendre(quad_order, 0.0, 1.0)
-    values = apply_operator(kernel, grid.nodes, psi, diag_split=diag_split,
-                            quad_order=quad_order)
-    return GridFunction(grid, values)
-
-
-def _registry():
-    return {
-        "green_triangular": {
-            "provenance": "string-influence kernel; eigenpairs sqrt(2) sin(n pi x), (n pi)^2",
-            "make": lambda r=None: (_PureKernel(green_triangular), True),
-        },
-        "constant": {
-            "provenance": "k = 1; rank-one smoothing",
-            "make": lambda r=None: (_PureKernel(_constant_kernel), False),
-        },
-        "poisson_r": {
-            "provenance": "periodic Poisson kernel restricted to [0,1]^2 (needs r)",
-            "make": lambda r=0.5: (_poisson_restricted(r), False),
-        },
-    }
-
-
 def _poisson_restricted(r):
+    r = 0.5 if r is None else r
     require_finite(r=r)
     if not 0.0 < r < 1.0:
         raise ConfigError(f"poisson_r needs 0 < r < 1, got {r}")
     return _PureKernel(_poisson, (float(r),))
 
 
+# name -> (provenance note, make(r) -> (kernel, diag_split flag))
+_KERNELS = {
+    "green_triangular": ("string-influence kernel; eigenpairs sqrt(2) sin(n pi x), (n pi)^2",
+                         lambda r: (_PureKernel(green_triangular), True)),
+    "constant": ("k = 1; rank-one smoothing", lambda r: (_PureKernel(_constant_kernel), False)),
+    "poisson_r": ("periodic Poisson kernel restricted to [0,1]^2 (needs r)",
+                  lambda r: (_poisson_restricted(r), False)),
+}
+
+
 def registered_kernels(extra_tabulated: dict | None = None) -> dict:
     """name -> provenance note for every registered kernel."""
-    out = {name: entry["provenance"] for name, entry in _registry().items()}
+    out = {name: note for name, (note, _) in _KERNELS.items()}
     out["tabulated"] = "grid CSV, bilinearly interpolated (needs csv=PATH)"
     if extra_tabulated:
         out.update(extra_tabulated)
@@ -124,12 +106,9 @@ def get_kernel(name: str, r: float | None = None, csv_path: str | None = None):
         if not csv_path:
             raise ConfigError("tabulated kernel needs a csv path")
         return load_tabulated_kernel(csv_path), False
-    reg = _registry()
-    if name not in reg:
-        raise ConfigError(f"unknown kernel {name!r}; known: {sorted(reg) + ['tabulated']}")
-    if r is not None and name == "poisson_r":
-        return reg[name]["make"](r)
-    return reg[name]["make"]()
+    if name not in _KERNELS:
+        raise ConfigError(f"unknown kernel {name!r}; known: {sorted(_KERNELS) + ['tabulated']}")
+    return _KERNELS[name][1](r)
 
 
 def _bilinear(x, xi, x_bytes, xi_bytes, table_bytes):
@@ -187,7 +166,6 @@ def make_manufactured(kernel_name: str, psi, r: float | None = None,
         name=label or f"manufactured[{kernel_name}]",
         kernel=kernel,
         free_term=free_term,
-        provenance=f"manufactured from kernel {kernel_name!r}; f = forward map of psi*",
         psi_star=psi,
         diag_split=diag_split,
     )
@@ -202,5 +180,4 @@ def perturb(problem: FirstKindProblem, spec: NoiseSpec) -> FirstKindProblem:
         return np.asarray(base(x), dtype=float) + spec.epsilon * np.sin(spec.omega * x)
 
     return replace(problem, free_term=noisy, psi_star=None,
-                   name=f"{problem.name}+noise(eps={spec.epsilon:g}, omega={spec.omega:g})",
-                   provenance=problem.provenance + " | perturbed free term")
+                   name=f"{problem.name}+noise(eps={spec.epsilon:g}, omega={spec.omega:g})")

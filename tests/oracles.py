@@ -8,6 +8,7 @@ eigen-expansions, and separation-of-variables series.
 import numpy as np
 
 from fredsolve.expr import _BINARY, _FUNCS, _Parser
+from fredsolve.fredholm2 import _rounding_bound, _symmetric_eigh
 from fredsolve.grid import MIN_PRODUCT_ORDER, gauss_legendre, interp_matrix, operator_matrix
 from fredsolve.kernels import kernel_matrix
 from fredsolve.method_core import _Workspace
@@ -230,6 +231,25 @@ def method2d_matrix_blocks(reduction, params, nx, ny):
         for k in range(nx):
             A[i * ny:(i + 1) * ny, k * ny:(k + 1) * ny] += lam * ws.H_w[i, k] * tau2_rows[k]
     return A
+
+
+def estimate_spectrum_columns(kernel, grid, diag_split=True):
+    """fredholm2.estimate_spectrum's (char_numbers, modes), each mode normalized
+    and signed on its own: a column of the ordered eigenvectors at a time."""
+    evals, evecs, kappa = _symmetric_eigh(kernel, grid, diag_split)
+    sw = np.sqrt(grid.weights)
+    order = np.argsort(np.abs(evals))[::-1]
+    evals, evecs = evals[order], evecs[:, order]
+    tau = _rounding_bound(kappa, abs(evals[0]), grid, diag_split)
+    keep = [i for i in range(grid.n) if abs(evals[i]) > tau]
+    modes = np.empty((grid.n, len(keep)))
+    for j, i in enumerate(keep):
+        v = evecs[:, i] / sw
+        v /= grid.l2_norm(v)
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        modes[:, j] = v
+    return 1.0 / evals[keep], modes
 
 
 def tri_green(x, xi):

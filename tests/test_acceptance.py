@@ -215,10 +215,10 @@ def test_criterion_09_fourier_route():
                       "end-to-end run", max_seconds=10.0):
         params = MethodParams.create(r=0.5, lam=0.2, mu=0.1)
         zero = fs.FirstKindProblem(name="zero", kernel=lambda x, xi: 0.0 * x * xi,
-                                   free_term=lambda x: 0.0 * x, provenance="test")
+                                   free_term=lambda x: 0.0 * x)
         assert np.max(np.abs(fs.method_v1(zero, params, n_fourier=8).values)) == 0.0
         ones = fs.FirstKindProblem(name="k0", kernel=lambda x, xi: 0.0 * x * xi,
-                                   free_term=lambda x: np.ones_like(x), provenance="test")
+                                   free_term=lambda x: np.ones_like(x))
         s, t = _fourier_route(ones, params, 8)
         lam, mu, c0 = 0.2, 0.1, 2.0
         assert s[0] == pytest.approx(-mu * (1 - lam) * c0 / (1 - 2 * lam), abs=1e-12)
@@ -288,7 +288,7 @@ def test_criterion_12_solvability_filter():
         obstructed = fs.FirstKindProblem(
             name="tri-f1", kernel=tri_green,
             free_term=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            provenance="test", diag_split=True)
+            diag_split=True)
         state = fs.method_v2(obstructed, MethodParams.create(r=0.5, lam=0.2, mu=0.05))
         report = fs.verify_solution(obstructed, state.psi, threshold=0.05)
         assert report.solvable == "no"

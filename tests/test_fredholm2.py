@@ -6,8 +6,9 @@ from fredsolve.errors import ConfigError, NoValidMuError, OnSpectrumError
 from fredsolve.fredholm2 import (DEFAULT_MU_CANDIDATES, estimate_spectrum, gate_mu,
                                  gated_system, solve_direct)
 from fredsolve.grid import gauss_legendre, operator_matrix
+from fredsolve.problems import get_kernel
 
-from oracles import tri_green
+from oracles import estimate_spectrum_columns, tri_green
 
 GRID = gauss_legendre(64, 0.0, 1.0)
 
@@ -131,6 +132,23 @@ class TestEstimateSpectrum:
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(ConfigError):
             estimate_spectrum(lambda x, xi: x * (1 + 0.0 * xi), GRID)
+
+    # all modes are normalized at once, one mode per row: each norm must be
+    # the pairwise sum that Grid1D.l2_norm takes of that mode alone
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    @pytest.mark.parametrize("name, r", [("green_triangular", None), ("poisson_r", 0.5),
+                                         ("poisson_r", 0.9), ("constant", None),
+                                         ("tabulated", None)])
+    def test_equals_the_per_column_oracle_bit_for_bit(self, tmp_path, name, r, n):
+        table = tmp_path / "table.csv"
+        table.write_text("x,0,0.5,1\n0,1,0.5,0\n0.5,0.5,1,0.5\n1,0,0.5,1\n")
+        kernel, split = get_kernel(name, r=r, csv_path=str(table))
+        grid = gauss_legendre(n, 0.0, 1.0)
+        char_numbers, modes = estimate_spectrum(kernel, grid, diag_split=split)
+        want_numbers, want_modes = estimate_spectrum_columns(kernel, grid, diag_split=split)
+        assert modes.flags.c_contiguous and modes.shape == want_modes.shape
+        assert np.array_equal(char_numbers.view(np.int64), want_numbers.view(np.int64))
+        assert np.array_equal(modes.view(np.int64), want_modes.view(np.int64))
 
 
 def test_conditioning_grows_with_refinement():

@@ -37,7 +37,7 @@ def lambda_zero_params(monkeypatch):
 
 def zero_kernel_problem(f):
     return FirstKindProblem(name="zero", kernel=lambda x, xi: 0.0 * x * xi,
-                            free_term=f, provenance="test")
+                            free_term=f)
 
 
 class TestMethodParams:
@@ -588,7 +588,7 @@ class TestVerifySolution:
     def test_constant_free_term_obstruction(self):
         prob = FirstKindProblem(name="tri-f1", kernel=tri_green,
                                 free_term=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                provenance="test", diag_split=True)
+                                diag_split=True)
         state = method_v2(prob, PARAMS)
         report = verify_solution(prob, state.psi, threshold=0.05)
         assert report.solvable == "no"
@@ -619,8 +619,7 @@ class TestVerifySolution:
 
 
 def tri_problem(f):
-    return FirstKindProblem(name="tri", kernel=tri_green, free_term=f, provenance="test",
-                            diag_split=True)
+    return FirstKindProblem(name="tri", kernel=tri_green, free_term=f, diag_split=True)
 
 
 class TestResidualNearOne:
